@@ -70,6 +70,8 @@ def mathieu_well_potential(order: int) -> PotentialSeries:
 def lame_potential(m: Q, order: int) -> PotentialSeries:
     """sd^2(y | m)/2, the elliptic well in canonical normalization."""
     m = Q(m)
+    if not 0 <= m <= 1:
+        raise DomainError("m in [0, 1]")
     sd2 = sd_squared_taylor(order)
     coeffs = tuple(p(m) / 2 for p in sd2.c)
     return PotentialSeries(name="lame-well", taylor=coeffs, m=m)
@@ -176,7 +178,8 @@ def rs_series(
 
     # Parity: odd-j energy corrections vanish identically.
     for j in range(1, jmax + 1, 2):
-        assert e[j] == 0, "odd half-order energy correction must vanish"
+        if e[j] != 0:
+            raise StructureError(f"odd half-order energy correction e[{j}] = {e[j]} must vanish")
 
     coeffs: list[PolyB] = [PolyB.const(V.taylor[0]), PolyB.const(w * (Q(2 * N + 1, 2)))]
     for k in range(2, order + 1):

@@ -17,8 +17,11 @@ import sys
 from fractions import Fraction as Q
 
 from . import __version__
-from . import benderwu, oracle, spectral, widths, zerodim
 from .errors import ConvergenceError, DomainError
+
+# Generator and oracle modules are imported inside the runners that use
+# them: the exact-series subcommands never load numpy/scipy, and a cache hit
+# loads none of them, nor mpmath.
 
 __all__ = ["main", "build_parser"]
 
@@ -115,23 +118,52 @@ def _cache_dir() -> str | None:
     return os.environ.get("MATHIEU_RESURGENCE_CACHE")
 
 
+# output-only options: they change how a payload is rendered, not what it is
+_OUTPUT_OPTIONS = ("format", "output", "pretty")
+
+
 def _cached(key: dict, compute):
-    """Content-addressed cache of expensive exact computations."""
+    """Content-addressed cache of expensive exact computations.
+
+    The key carries the package version.  Entries are written to a
+    temporary file and renamed into place, so a reader never sees a
+    partial entry; an unreadable or corrupt entry counts as a miss and is
+    overwritten.
+    """
     root = _cache_dir()
     if not root:
         return compute()
     os.makedirs(root, exist_ok=True)
     digest = hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode()
+        json.dumps({"version": __version__, **key}, sort_keys=True).encode()
     ).hexdigest()[:24]
     path = os.path.join(root, digest + ".json")
-    if os.path.exists(path):
+    try:
         with open(path) as fh:
-            return json.load(fh)
+            value = json.load(fh)
+    except (OSError, ValueError):
+        value = None
+    if isinstance(value, dict):
+        return value
     value = compute()
-    with open(path, "w") as fh:
-        json.dump(value, fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(value, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return value
+
+
+def _fraction(text: str) -> Q:
+    """argparse type for an exact rational written as an integer or p/q."""
+    num, sep, den = text.partition("/")
+    try:
+        return Q(int(num), int(den) if sep else 1)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -197,28 +229,23 @@ def build_parser() -> _Parser:
     s.add_argument("--order", type=int, default=3)
 
     s = sub.add_parser("zerodim", help="saddle expansions and resurgence checks")
-    s.add_argument("--m", type=str, default="1/4", help="elliptic parameter (fraction)")
+    s.add_argument("--m", type=_fraction, default="1/4", help="elliptic parameter (fraction)")
     s.add_argument("--order", type=int, default=8)
     s.add_argument("--check", choices=("rows", "relation", "borel"), default="rows")
     s.add_argument("--hbar", type=float, action="append")
 
     s = sub.add_parser("benderwu", help="perturbative oracle series")
     s.add_argument("--potential", choices=("mathieu", "lame"), default="mathieu")
-    s.add_argument("--m", type=str, default="1/2")
+    s.add_argument("--m", type=_fraction, default="1/2")
     s.add_argument("--N", type=int, default=0)
     s.add_argument("--order", type=int, default=6)
     s.add_argument("--poly", action="store_true")
     return p
 
 
-def _parse_fraction(text: str) -> Q:
-    if "/" in text:
-        num, den = text.split("/")
-        return Q(int(num), int(den))
-    return Q(int(text))
-
-
 def _run_pert(args) -> dict:
+    from . import spectral
+
     series = spectral.u_pert(args.order)
     out: dict = {"rows": _series_rows(series, "hbar")}
     if args.N is not None:
@@ -233,6 +260,8 @@ def _run_pert(args) -> dict:
 
 
 def _run_strong(args) -> dict:
+    from . import spectral
+
     edges = spectral.gap_edge_series(args.N, args.order)
     rows = []
     for name, ser in (("upper", edges.upper), ("lower", edges.lower)):
@@ -256,6 +285,8 @@ def _run_strong(args) -> dict:
 
 
 def _run_pinst(args) -> dict:
+    from . import widths
+
     P = widths.p_inst(args.order)
     out: dict = {"rows": _series_rows(P, "hbar")}
     if args.N is not None:
@@ -269,6 +300,8 @@ def _run_pinst(args) -> dict:
 
 
 def _run_zjj(args) -> dict:
+    from . import spectral
+
     z = spectral.zjj_construct(args.order)
     return {
         "rows": [],
@@ -298,6 +331,8 @@ def _run_actions(args) -> dict:
 
 
 def _run_spectrum(args) -> dict:
+    from . import oracle
+
     pts = oracle.band_edges(args.hbar, args.bands)
     rows = [
         {
@@ -316,6 +351,8 @@ def _run_spectrum(args) -> dict:
 def _run_figure1(args) -> dict:
     import numpy as np
 
+    from . import oracle
+
     grid = list(np.geomspace(args.hbar_min, args.hbar_max, args.points))
     rows = oracle.figure1_dataset(grid, N_max=args.bands)
     return {"rows": rows, "reference_lines_u": [-1.0, 1.0]}
@@ -323,6 +360,8 @@ def _run_figure1(args) -> dict:
 
 def _run_figure2(args) -> dict:
     import numpy as np
+
+    from . import oracle
 
     grid = list(np.linspace(args.q_min, args.q_max, args.points))
     rows = oracle.figure2_dataset(grid, N_max=args.bands)
@@ -342,6 +381,8 @@ def _run_figure2(args) -> dict:
 
 def _run_widths(args) -> dict:
     import warnings
+
+    from . import oracle, widths
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -369,7 +410,9 @@ def _run_widths(args) -> dict:
 
 
 def _run_zerodim(args) -> dict:
-    m = _parse_fraction(args.m)
+    from . import zerodim
+
+    m = args.m
     if args.check == "rows":
         sym = zerodim.lame_vacuum_symbolic(args.order)
         return {
@@ -387,10 +430,12 @@ def _run_zerodim(args) -> dict:
 
 
 def _run_benderwu(args) -> dict:
+    from . import benderwu
+
     if args.potential == "mathieu":
         V = benderwu.mathieu_well_potential(2 * args.order + 4)
     else:
-        V = benderwu.lame_potential(_parse_fraction(args.m), 2 * args.order + 4)
+        V = benderwu.lame_potential(args.m, 2 * args.order + 4)
     if args.poly:
         series = benderwu.polynomial_in_N(V, args.order)
         return {"rows": _series_rows(series, "hbar")}
@@ -426,10 +471,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command",)}
+    config = {k: str(v) for k, v in sorted(vars(args).items()) if k != "command"}
+    key_config = {k: v for k, v in config.items() if k not in _OUTPUT_OPTIONS}
     try:
         payload = _cached(
-            {"command": args.command, "config": {k: str(v) for k, v in config.items()}},
+            {"command": args.command, "config": key_config},
             lambda: _RUNNERS[args.command](args),
         )
     except DomainError as exc:
@@ -439,6 +485,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"convergence failure: {exc}\n")
         return EXIT_CONVERGENCE
     payload["_command"] = args.command
-    payload["_config"] = {k: str(v) for k, v in config.items()}
+    payload["_config"] = config
     _emit(payload, args)
     return EXIT_OK

@@ -6,6 +6,9 @@ Two independent methods are kept on purpose: the plane-wave matrix at Bloch
 momentum 0 and 1/2 gives the edges, and the discriminant of the monodromy
 over one period gives the same edges as roots of |cos theta| = 1.  Every
 asymptotic formula in the package is ultimately tested against these.
+
+numpy and scipy are imported only by the float Hill tier and the monodromy
+integration; the mp tier runs on mpmath alone.
 """
 from __future__ import annotations
 
@@ -16,9 +19,6 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
 
 from . import tridiag
 from .errors import ConvergenceError, DomainError
@@ -71,8 +71,11 @@ def _edge_table(hbar: float, n_bands: int, M: int, lam: float, dps):
     needh = n_bands + 2
 
     def sector(kappa: float, howmany: int):
-        ks = np.arange(-M, M + 1)
         if dps is None:
+            import numpy as np
+            from scipy.linalg import eigh_tridiagonal
+
+            ks = np.arange(-M, M + 1)
             d = (hbar * hbar / 2.0) * (ks + kappa) ** 2
             e = np.full(2 * M, lam / 2.0)
             vals = eigh_tridiagonal(
@@ -81,7 +84,7 @@ def _edge_table(hbar: float, n_bands: int, M: int, lam: float, dps):
             return list(vals)
         with mpmath.workdps(dps):
             h2 = mpmath.mpf(hbar) ** 2 / 2
-            d = [h2 * (mpmath.mpf(int(k)) + mpmath.mpf(kappa)) ** 2 for k in ks]
+            d = [h2 * (mpmath.mpf(k) + mpmath.mpf(kappa)) ** 2 for k in range(-M, M + 1)]
             e = [mpmath.mpf(lam) / 2] * (2 * M)
             tol = mpmath.mpf(10) ** (-dps + 4) * max(1, abs(d[0]), abs(d[-1]))
             return tridiag.eigenvalues_lowest(d, e, howmany, tol)
@@ -147,6 +150,8 @@ def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> float:
     at x0 = -pi (a symmetry point of V = lam cos x), integrated with a
     high-order adaptive explicit scheme.
     """
+    from scipy.integrate import solve_ivp
+
     cfg = cfg or HillConfig()
     lam = cfg.potential_scale
 

@@ -386,13 +386,6 @@ class PolySeries:
         """Coefficient-wise d/dB."""
         return self.map_coeffs(lambda p: p.derivative())
 
-    def integrate_var(self) -> "PolySeries":
-        """Termwise antiderivative with zero constant; order rises by one."""
-        out = [_ZERO]
-        for k in range(0, self.order + 1):
-            out.append(self.c[k] / Q(k + 1))
-        return PolySeries(self.var, self.order + 1, out)
-
     def exp(self) -> "PolySeries":
         """exp(series); constant term must vanish."""
         if not self.c[0].is_zero():

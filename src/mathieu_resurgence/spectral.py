@@ -208,7 +208,7 @@ def _revert_in_poly_variable(f: PolySeries) -> PolySeries:
         resid = PolySeries.zero("hbar", order)
         for n in range(order + 1):
             pn = f[n]
-            term = _poly_at_series(pn, g)
+            term = poly_eval_series(pn, g)
             if n:
                 term = term.shift_powers(n)
             resid = resid + term
@@ -217,15 +217,6 @@ def _revert_in_poly_variable(f: PolySeries) -> PolySeries:
             return g
         g = g - resid
     raise ConvergenceError("series inversion in the polynomial variable failed")
-
-
-def _poly_at_series(p: PolyB, g: PolySeries) -> PolySeries:
-    """p evaluated at a PolySeries whose coefficients are PolyB in the new
-    variable; Horner over that ring."""
-    out = PolySeries.zero(g.var, g.order)
-    for a in reversed(p.c):
-        out = out * g + a
-    return out
 
 
 def zjj_construct(order: int) -> ZjjFunctions:
@@ -247,7 +238,7 @@ def _substitute_poly_variable(f: PolySeries, g: PolySeries) -> PolySeries:
     order = min(f.order, g.order)
     out = PolySeries.zero("hbar", order)
     for n in range(order + 1):
-        term = _poly_at_series(f[n], g.truncate(order))
+        term = poly_eval_series(f[n], g.truncate(order))
         if n:
             term = term.shift_powers(n)
         out = out + term

@@ -9,7 +9,6 @@ coefficient relations, and lateral Borel-type resummation experiments.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -281,10 +280,6 @@ def exact_relation_check(m: Q, n_range, j_max: int = 6, dps: int = 60) -> dict:
     rows = berry_howls_check(m, list(n_range), j_max=j_max, dps=dps)
     worst = max(r["rel_defect"] for r in rows)
     return {"m": float(Q(m)), "j_max": j_max, "rows": rows, "max_rel_defect": worst}
-
-
-def report_to_json(rows) -> str:
-    return json.dumps(rows, sort_keys=True)
 
 
 def _phi_tail(x, p: int):

@@ -1,8 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mathieu_resurgence
+from mathieu_resurgence import cli
 from mathieu_resurgence.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -83,6 +88,24 @@ class TestExitCodes:
         # a gap far below double-precision resolution cannot be resolved
         assert main(["widths", "--kind", "gap", "--N", "14", "--hbar", "0.7"]) == EXIT_CONVERGENCE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zerodim", "--m", "abc"],
+            ["zerodim", "--m", "1/0"],
+            ["zerodim", "--m", "1/"],
+            ["benderwu", "--m", "x"],
+        ],
+    )
+    def test_malformed_fraction_is_usage(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--m" in err
+
+    def test_lame_parameter_out_of_domain(self, capsys):
+        argv = ["benderwu", "--potential", "lame", "--m", "3/2", "--order", "2"]
+        assert main(argv) == EXIT_DOMAIN
+
 
 class TestOutputPlumbing:
     def test_determinism(self, capsys):
@@ -115,6 +138,77 @@ class TestOutputPlumbing:
         assert len(files) == 1
         _, b = run(capsys, "pert", "--order", "3", "--poly")
         assert a == b
+
+    def test_cache_key_ignores_output_options(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(cache))
+        run(capsys, "pert", "--order", "3", "--poly")
+        code, out = run(capsys, "pert", "--order", "3", "--poly", "--format", "csv")
+        assert code == EXIT_OK and out.startswith("#")
+        run(capsys, "pert", "--order", "3", "--poly", "--pretty")
+        run(capsys, "pert", "--order", "3", "--poly", "--output", str(tmp_path / "o.json"))
+        assert len(list(cache.iterdir())) == 1
+
+    def test_corrupt_entry_is_recomputed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        _, a = run(capsys, "pert", "--order", "3", "--poly")
+        (entry,) = tmp_path.iterdir()
+        good = entry.read_text()
+        entry.write_text(good[: len(good) // 2])
+        code, b = run(capsys, "pert", "--order", "3", "--poly")
+        assert code == EXIT_OK and a == b
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+        assert json.loads(entry.read_text()) == json.loads(good)
+
+    def test_cache_key_carries_version(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        run(capsys, "pert", "--order", "2", "--poly")
+        monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+        run(capsys, "pert", "--order", "2", "--poly")
+        assert len(list(tmp_path.iterdir())) == 2
+
+
+_PROBE = """
+import json, sys
+import mathieu_resurgence.cli as cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+sys.stdout.write("\\n" + json.dumps({"code": code, "modules": sorted(sys.modules)}) + "\\n")
+"""
+
+
+def _probe(*argv, cache=None):
+    """Run the CLI in a fresh interpreter; return (exit code, loaded modules)."""
+    src = str(Path(mathieu_resurgence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("MATHIEU_RESURGENCE_CACHE", None)
+    if cache is not None:
+        env["MATHIEU_RESURGENCE_CACHE"] = str(cache)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    report = json.loads(proc.stdout.rstrip("\n").rsplit("\n", 1)[-1])
+    return report["code"], set(report["modules"])
+
+
+class TestImportCost:
+    """Only the subcommands that need the numeric stack load it."""
+
+    def test_import_loads_no_numeric_stack(self):
+        _, mods = _probe()
+        assert not {"numpy", "scipy"} & mods
+
+    def test_exact_series_loads_no_numeric_stack(self):
+        code, mods = _probe("pert", "--order", "4", "--poly")
+        assert code == EXIT_OK
+        assert not {"numpy", "scipy"} & mods
+
+    def test_cache_hit_loads_no_compute_module(self, tmp_path):
+        argv = ("spectrum", "--hbar", "1.0", "--bands", "1")
+        code, mods = _probe(*argv, cache=tmp_path)
+        assert code == EXIT_OK and "numpy" in mods
+        code, mods = _probe(*argv, cache=tmp_path)
+        assert code == EXIT_OK
+        assert not {"numpy", "scipy", "mpmath", "mathieu_resurgence.oracle"} & mods
 
 
 def test_pretty_output(capsys):
