@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import __version__
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RegimeWarning
 
 # Generator and oracle modules are imported inside the runners that use
 # them: the exact-series subcommands never load numpy/scipy, and a cache hit
@@ -81,6 +81,8 @@ def _to_csv(payload: dict, meta: dict) -> str:
     lines = [f"# {k} = {json.dumps(v, sort_keys=True)}" for k, v in sorted(meta.items())]
     rows = payload.get("rows", [])
     if rows:
+        if "diagnostics" in payload:
+            lines.append(f"# diagnostics = {json.dumps(payload['diagnostics'], sort_keys=True)}")
         keys = list(rows[0].keys())
         lines.append(",".join(keys))
         for r in rows:
@@ -384,14 +386,19 @@ def _run_widths(args) -> dict:
 
     from . import oracle, widths
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         if args.kind == "band":
             est = widths.band_width(args.hbar, args.N, order=args.order)
         else:
             est = widths.gap_width(args.hbar, args.N)
     num = oracle.width_num(args.hbar, args.N, args.kind)
     return {
+        "diagnostics": [
+            {"category": w.category.__name__, "message": str(w.message)}
+            for w in caught
+            if issubclass(w.category, RegimeWarning)
+        ],
         "rows": [
             {
                 "kind": args.kind,
@@ -414,6 +421,8 @@ def _run_zerodim(args) -> dict:
 
     m = args.m
     if args.check == "rows":
+        if not 0 <= m <= 1:
+            raise DomainError("m in [0, 1]")
         sym = zerodim.lame_vacuum_symbolic(args.order)
         return {
             "rows": [

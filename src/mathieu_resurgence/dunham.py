@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+from .errors import StructureError
 from .series import PolyB, PolySeries
 
 __all__ = ["well_action_series", "high_action_series"]
@@ -94,7 +95,7 @@ class _WellRing:
         (P1, j1), (P2, j2) = e1, e2
         j = max(j1, j2)
         if (j - j1) % 2 or (j - j2) % 2:
-            raise AssertionError("p-parity mismatch in well ring")
+            raise StructureError("p-parity mismatch in well ring")
         if j > j1:
             P1 = P1 * self.p2 ** ((j - j1) // 2)
         if j > j2:
@@ -255,7 +256,7 @@ class _HighRing:
         (T1, j1), (T2, j2) = e1, e2
         j = max(j1, j2)
         if (j - j1) % 2 or (j - j2) % 2:
-            raise AssertionError("p-parity mismatch in high ring")
+            raise StructureError("p-parity mismatch in high ring")
         for _ in range((j - j1) // 2):
             T1 = T1 * self.p2
         for _ in range((j - j2) // 2):

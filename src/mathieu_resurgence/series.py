@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import StructureError, TruncationError
+from .errors import ConvergenceError, StructureError, TruncationError
 
 Q = Fraction
 QLike = Union[int, Fraction]
@@ -22,10 +22,8 @@ __all__ = [
     "PolySeries",
     "TransSeries",
     "transseries_substitute",
-    "series_arith",
-    "series_reversion",
-    "series_exp",
-    "series_log",
+    "horner",
+    "newton_solve",
 ]
 
 
@@ -143,10 +141,7 @@ class PolyB:
 
     def compose(self, inner: "PolyB") -> "PolyB":
         """p(inner(B)) by Horner."""
-        out = PolyB()
-        for a in reversed(self.c):
-            out = out * inner + a
-        return out
+        return horner(self.c, inner)
 
     def shift(self, a: QLike) -> "PolyB":
         """p(B + a)."""
@@ -154,10 +149,7 @@ class PolyB:
 
     def __call__(self, x):
         """Evaluate at x (Fraction for exact work, float/mpf for numerics)."""
-        out = x * 0
-        for a in reversed(self.c):
-            out = out * x + a
-        return out
+        return horner(self.c, x)
 
     def __repr__(self) -> str:
         if not self.c:
@@ -262,6 +254,12 @@ class PolySeries:
     def map_coeffs(self, f: Callable[[PolyB], PolyB]) -> "PolySeries":
         return PolySeries(self.var, self.order, (f(p) for p in self.c))
 
+    def coeffs_in_B(self) -> list["PolySeries"]:
+        """sum_n var^n p_n(B) regrouped as sum_k B^k f_k(var), returning the
+        f_k; ``horner(s.coeffs_in_B(), g)`` substitutes the series g for B."""
+        deg = max(p.degree for p in self.c)
+        return [PolySeries(self.var, self.order, (p[k] for p in self.c)) for k in range(deg + 1)]
+
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "PolySeries | PolyB | QLike") -> "PolySeries":
         if not isinstance(other, PolySeries):
@@ -343,10 +341,7 @@ class PolySeries:
         if not inner.c[0].is_zero():
             raise StructureError("composition requires zero constant term")
         n = min(self.order, inner.order)
-        out = PolySeries.zero(self.var, n)
-        for a in reversed(self.c[: n + 1]):
-            out = out * inner.truncate(n) + a
-        return out
+        return horner(self.c[: n + 1], inner.truncate(n))
 
     def reversion(self) -> "PolySeries":
         """Compositional inverse g with self(g) = identity.
@@ -358,21 +353,9 @@ class PolySeries:
             raise StructureError("reversion requires zero constant term")
         if self.order < 1:
             raise TruncationError("reversion needs at least order 1")
-        a1 = self.c[1].const_value()
-        if a1 == 0:
+        if self.c[1].const_value() == 0:
             raise StructureError("reversion requires invertible linear coefficient")
-        n = self.order
-        g = PolySeries(self.var, n, (0, 1 / a1))
-        # Newton-free order raising: enforce self(g) = x coefficient by coefficient.
-        for k in range(2, n + 1):
-            resid = self.compose(g)
-            # f(g)(x) = x + c_k x^k + ...; correct g by -c_k/a1 x^k.
-            ck = resid.c[k]
-            if not ck.is_zero():
-                corr = PolySeries(self.var, n)
-                corr = corr + PolySeries(self.var, n, (_ZERO,) * k + (ck * Q(-1) / a1,))
-                g = g + corr
-        return g
+        return newton_solve(self.c, PolySeries.identity(self.var, self.order), _ZERO)
 
     def derivative_var(self) -> "PolySeries":
         """d/d(var); output truncation drops by one order."""
@@ -424,11 +407,7 @@ class PolySeries:
 
     def __call__(self, x, b=None):
         """Numerical evaluation at var=x (and optionally B=b)."""
-        out = x * 0
-        for p in reversed(self.c):
-            pv = p(b) if b is not None else p.const_value()
-            out = out * x + pv
-        return out
+        return horner([p(b) if b is not None else p.const_value() for p in self.c], x)
 
     def __repr__(self) -> str:
         terms = [f"({p!r})*{self.var}^{k}" for k, p in enumerate(self.c) if not p.is_zero()]
@@ -458,35 +437,53 @@ class PolySeries:
         return cls.from_json_dict(json.loads(s))
 
 
-def poly_eval_series(p: PolyB, s: PolySeries) -> PolySeries:
-    """Evaluate a PolyB at a PolySeries argument (Horner over the series ring)."""
-    out = PolySeries.zero(s.var, s.order)
-    for a in reversed(p.c):
-        out = out * s + a
+def horner(coeffs, x):
+    """sum_k coeffs[k] * x**k by Horner's rule.
+
+    The coefficients may be rationals, PolyB or PolySeries, and x anything
+    they combine with; ``x * 0`` supplies the zero of x's ring, so a series
+    argument keeps its own truncation order.
+    """
+    out = x * 0
+    for a in reversed(coeffs):
+        out = out * x + a
     return out
 
 
-def series_arith(a: PolySeries, b: PolySeries, op: str) -> PolySeries:
-    """Named-dispatch surface over the ring operations: add | mul | compose."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "compose":
-        return a.compose(b)
-    raise ValueError(f"unknown series operation {op!r}")
+def newton_solve(
+    coeffs,
+    target: PolySeries,
+    v0: PolyB | QLike,
+    progress: Callable[[float], None] | None = None,
+) -> PolySeries:
+    """The series v with constant term v0 and horner(coeffs, v) == target.
 
-
-def series_reversion(f: PolySeries) -> PolySeries:
-    return f.reversion()
-
-
-def series_exp(f: PolySeries) -> PolySeries:
-    return f.exp()
-
-
-def series_log(f: PolySeries) -> PolySeries:
-    return f.log()
+    Newton doubling (Brent & Kung, J. ACM 1978): if v is right modulo
+    var^k, one step v <- v - (horner(C, v) - target) / horner(C', v) makes
+    it right modulo var^(2k).  The derivative series only needs half the
+    working precision.  ``progress`` receives the fraction of the target
+    order reached after each step.  The result is checked exactly against
+    ``target`` at full order, so a wrong v0 raises ConvergenceError rather
+    than returning a series that does not solve the equation.  A derivative
+    whose constant term is zero or not a rational constant raises
+    StructureError.
+    """
+    deriv = [a * k for k, a in enumerate(coeffs) if k]
+    order = target.order
+    v = PolySeries(target.var, 0, (v0,))
+    prec = 1  # v is right modulo var^prec
+    while prec <= order:
+        new = min(2 * prec, order + 1)
+        v = v.extend_zero(new - 1)
+        slope = horner(deriv, v.truncate(new - prec - 1)).inverse()
+        resid = horner(coeffs, v) - target.truncate(new - 1)
+        v = v - resid * slope.extend_zero(new - 1)
+        prec = new
+        if progress is not None:
+            progress(prec / (order + 1))
+    if horner(coeffs, v) != target:
+        raise ConvergenceError("series equation has no solution with the given constant term")
+    return v
 
 
 class TransSeries:

@@ -16,7 +16,7 @@ import mpmath
 
 from . import actions, charvalues
 from .errors import ConvergenceError, DomainError, StructureError
-from .series import PolyB, PolySeries, poly_eval_series
+from .series import PolyB, PolySeries, horner, newton_solve
 
 __all__ = [
     "bs_invert_weak",
@@ -39,39 +39,22 @@ _WEAK_CACHE: dict[int, PolySeries] = {}
 def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) -> PolySeries:
     """u(hbar, B) from the all-orders quantization condition in the wells.
 
-    Inverts hbar B = 2 sum_n hbar^(2n) a_n(u) around u = -1, order by
-    order in hbar; coefficients come out as polynomials in B = N + 1/2.
+    Inverts hbar B = 2 sum_n hbar^(2n) a_n(u) around u = -1 by Newton
+    doubling in hbar; coefficients come out as polynomials in B = N + 1/2.
     The hbar^0 coefficient is -1 (the well bottom).
     """
     if order < 1:
         raise DomainError("order >= 1 required")
     if order in _WEAK_CACHE:
         return _WEAK_CACHE[order]
-    n_max = order // 2
-    acts = actions.well_actions(n_max, order)
-
-    # Unknown v = u + 1 as a series in hbar with PolyB coefficients.
-    v = PolySeries("hbar", order, [PolyB(), _B])
-    target = PolySeries("hbar", order, [PolyB(), _B])  # hbar * B
-    for sweep in range(order + 1):
-        # residual F(v) - hbar B where F = 2 sum hbar^(2n) a_n(v)
-        resid = -target
-        for n in range(n_max + 1):
-            an = acts[n]
-            # evaluate 2 * a_n at v, then shift by hbar^(2n)
-            poly = PolyB([2 * c for c in an])
-            term = poly_eval_series(poly, v)
-            if n:
-                term = term.shift_powers(2 * n)
-            resid = resid + term
-        if resid.is_zero():
-            break
-        # Leading correction: residual starts at some hbar^k; d(F)/dv = 1 + ...
-        v = v - resid
-        if progress is not None:
-            progress(min(1.0, (sweep + 1) / (order + 1)))
-    else:
-        raise ConvergenceError("weak-coupling inversion did not close")
+    # F(v) = 2 sum_n hbar^(2n) a_n(v) as a polynomial in v = u + 1 whose
+    # coefficients are series in hbar; solve F(v) = hbar B for v = O(hbar).
+    graded = [PolyB()] * (order + 1)
+    for n, an in enumerate(actions.well_actions(order // 2, order)):
+        graded[2 * n] = PolyB(2 * c for c in an)
+    F = PolySeries("hbar", order, graded).coeffs_in_B()
+    target = PolySeries("hbar", order, [PolyB(), _B])
+    v = newton_solve(F, target, 0, progress)
     out = v - PolySeries.const("hbar", order, 1)
     _WEAK_CACHE[order] = out
     return out
@@ -193,32 +176,6 @@ class ZjjFunctions:
     A_LEADING_NUM: int = 16  # the 16/hbar pole term of both A series
 
 
-def _revert_in_poly_variable(f: PolySeries) -> PolySeries:
-    """Given y = B + sum_{n>=1} hbar^n p_n(B), produce B = y + sum q_n(y).
-
-    Functional inversion of a near-identity map graded by the series
-    variable; the polynomial variable simply relabels (B -> E).
-    """
-    if f[0] != _B:
-        raise StructureError("inversion requires leading coefficient B")
-    order = f.order
-    g = PolySeries("hbar", order, [_B])  # B = E + corrections, symbol reused
-    for _sweep in range(order + 1):
-        # residual: f(g) - E, composing in the polynomial variable.
-        resid = PolySeries.zero("hbar", order)
-        for n in range(order + 1):
-            pn = f[n]
-            term = poly_eval_series(pn, g)
-            if n:
-                term = term.shift_powers(n)
-            resid = resid + term
-        resid = resid - PolySeries("hbar", order, [_B])
-        if resid.is_zero():
-            return g
-        g = g - resid
-    raise ConvergenceError("series inversion in the polynomial variable failed")
-
-
 def zjj_construct(order: int) -> ZjjFunctions:
     """Build E(hbar,B), B(hbar,E), A(hbar,B), A(hbar,E) from the
     perturbative series alone, all to hbar^order."""
@@ -226,23 +183,12 @@ def zjj_construct(order: int) -> ZjjFunctions:
     # E = (u + 1)/hbar; one extra order so A reaches hbar^order below
     E_full = PolySeries("hbar", order + 1, [up[n + 1] for n in range(order + 2)])
     E_of_B = E_full.truncate(order)
-    B_of_E = _revert_in_poly_variable(E_of_B)
+    # B(hbar, E) solves E(hbar, B(hbar, E)) = E; the symbol B stands for E.
+    B_of_E = newton_solve(E_of_B.coeffs_in_B(), PolySeries.const("hbar", order, _B), _B)
     A_of_B = zjj_A_from_E(E_full).truncate(order)
     # A(hbar, E): substitute B(E) into the series part of A(hbar, B).
-    A_of_E = _substitute_poly_variable(A_of_B, B_of_E)
+    A_of_E = horner(A_of_B.coeffs_in_B(), B_of_E)
     return ZjjFunctions(E_of_B=E_of_B, B_of_E=B_of_E, A_of_B=A_of_B, A_of_E=A_of_E)
-
-
-def _substitute_poly_variable(f: PolySeries, g: PolySeries) -> PolySeries:
-    """f with its polynomial variable replaced by the series g."""
-    order = min(f.order, g.order)
-    out = PolySeries.zero("hbar", order)
-    for n in range(order + 1):
-        term = poly_eval_series(f[n], g.truncate(order))
-        if n:
-            term = term.shift_powers(n)
-        out = out + term
-    return out
 
 
 def zjj_A_from_E(E_of_B: PolySeries) -> PolySeries:

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 import mpmath
 
 from . import actions, spectral
-from .errors import DomainError, StructureError
+from .errors import DomainError, RegimeWarning, StructureError
 from .series import PolyB, PolySeries
 
 __all__ = [
@@ -103,7 +103,7 @@ def band_width(hbar: float, N: int, order: int = 4) -> WidthEstimate:
     if N * hbar > 1.0:
         warnings.warn(
             f"band_width outside its regime: N*hbar = {N * hbar:.3g} not << 1",
-            UserWarning,
+            RegimeWarning,
             stacklevel=2,
         )
     B = Q(2 * N + 1, 2)
@@ -138,7 +138,7 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
     if N * hbar < 1.0:
         warnings.warn(
             f"gap_width outside its regime: N*hbar = {N * hbar:.3g} not >> 1",
-            UserWarning,
+            RegimeWarning,
             stacklevel=2,
         )
     exact_pref = (
@@ -169,7 +169,7 @@ def general_width_leading(hbar: float, u: float) -> float:
         warnings.warn(
             "instanton condensation region: single-instanton width is "
             f"uncontrolled (2 pi Im a0D / hbar = {expo:.3f})",
-            UserWarning,
+            RegimeWarning,
             stacklevel=2,
         )
     return hbar / math.pi / da0 * math.exp(-expo)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mathieu_resurgence import actions
+from mathieu_resurgence import actions, dunham
 from mathieu_resurgence.actions import (
     action_higher,
     action_leading,
@@ -16,7 +16,7 @@ from mathieu_resurgence.actions import (
     picard_fuchs_residual,
     wronskian_defect,
 )
-from mathieu_resurgence.errors import DomainError, PoleError
+from mathieu_resurgence.errors import DomainError, PoleError, StructureError
 
 UGRID = [(-0.95 + 1.9 * k / 49) for k in range(50)]
 
@@ -200,3 +200,13 @@ class TestIdentities:
             assert barrier_top_a0(u) == pytest.approx(
                 action_leading(u)[0], abs=5e-3 * abs(du) + 1e-12
             )
+
+
+class TestRiccatiRings:
+    def test_parity_mismatch_is_a_typed_error(self):
+        # p^(-j) terms of opposite parity cannot be aligned; the check must
+        # survive python -O
+        with pytest.raises(StructureError):
+            dunham._WellRing(4).align((None, 0), (None, 1))
+        with pytest.raises(StructureError):
+            dunham._HighRing().align((None, 1), (None, 2))

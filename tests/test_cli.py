@@ -62,6 +62,18 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["rows"][0]["ratio"] == pytest.approx(1.0, abs=0.05)
 
+    def test_widths_reports_regime_warnings(self, capsys):
+        code, out = run(capsys, "widths", "--kind", "band", "--N", "3", "--hbar", "0.5")
+        assert code == EXIT_OK
+        (diag,) = json.loads(out)["diagnostics"]
+        assert diag["category"] == "RegimeWarning"
+        assert "N*hbar = 1.5" in diag["message"]
+        code, out = run(capsys, "widths", "--kind", "band", "--N", "3", "--hbar", "0.5",
+                        "--format", "csv")
+        assert "# diagnostics = " in out and "N*hbar = 1.5" in out
+        code, out = run(capsys, "widths", "--kind", "band", "--N", "0", "--hbar", "0.5")
+        assert json.loads(out)["diagnostics"] == []
+
     def test_zerodim_rows(self, capsys):
         code, out = run(capsys, "zerodim", "--m", "1/4", "--order", "4", "--check", "rows")
         payload = json.loads(out)
@@ -105,6 +117,12 @@ class TestExitCodes:
     def test_lame_parameter_out_of_domain(self, capsys):
         argv = ["benderwu", "--potential", "lame", "--m", "3/2", "--order", "2"]
         assert main(argv) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("m", ["3/2", "-1/4"])
+    def test_rows_parameter_out_of_domain(self, capsys, m):
+        argv = ["zerodim", "--check", "rows", f"--m={m}", "--order", "2"]
+        assert main(argv) == EXIT_DOMAIN
+        assert "m in [0, 1]" in capsys.readouterr().err
 
 
 class TestOutputPlumbing:

@@ -6,12 +6,36 @@ import mathieu_resurgence
 PKG_DIR = Path(mathieu_resurgence.__file__).resolve().parent
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_code_has_no_assert():
-    # structural checks must raise typed errors, which survive python -O
+    # structural checks must raise typed errors, which survive python -O;
+    # a hand-raised AssertionError is an untyped assert by another name
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PKG_DIR.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node))
     ]
     assert found == []
+
+
+def test_benderwu_does_not_use_the_series_solver():
+    # the recursion is the independent route the WKB inversion is checked
+    # against, so it must not share the Newton solve
+    tree = ast.parse((PKG_DIR / "benderwu.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "newton_solve" not in imported
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr in ("newton_solve", "reversion")
+        for node in ast.walk(tree)
+    )

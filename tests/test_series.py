@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieu_resurgence.errors import StructureError, TruncationError
+from mathieu_resurgence.errors import ConvergenceError, StructureError, TruncationError
 from mathieu_resurgence.series import (
     PolyB,
     PolySeries,
     TransSeries,
+    horner,
+    newton_solve,
     transseries_substitute,
 )
 
@@ -63,7 +65,13 @@ class TestReversion:
 
     @given(
         st.lists(
-            st.fractions(max_denominator=20), min_size=0, max_size=4
+            st.one_of(
+                st.fractions(max_denominator=20),
+                # B-dependent higher coefficients
+                st.lists(st.fractions(max_denominator=20), max_size=3).map(PolyB),
+            ),
+            min_size=0,
+            max_size=4,
         )
     )
     @settings(max_examples=60, deadline=None)
@@ -77,6 +85,46 @@ class TestReversion:
     def test_zero_linear_coefficient_rejected(self):
         with pytest.raises(StructureError):
             S([0, 0, 1], order=3).reversion()
+
+    def test_B_dependent_linear_coefficient_rejected(self):
+        with pytest.raises(StructureError):
+            S([0, PolyB((1, 1))], order=3).reversion()
+
+
+class TestHornerNewton:
+    def test_horner_over_each_ring(self):
+        assert horner([1, 2, 3], Q(1, 2)) == Q(11, 4)
+        assert horner([1, 2, 3], PolyB((0, 1))) == PolyB((1, 2, 3))
+        x = S([0, 1], order=3)
+        assert horner([PolyB((0, 1)), 1], x) == S([PolyB((0, 1)), 1], order=3)
+        # series coefficients: 1 + (1 + h) x at x = h
+        assert horner([S([1], order=3), S([1, 1], order=3)], x) == S([1, 1, 1], order=3)
+        assert horner([], x) == PolySeries.zero("h", 3)
+
+    def test_newton_solves_a_quadratic(self):
+        # v + v^2 = h: v = h - h^2 + 2h^3 - 5h^4 (Catalan numbers)
+        v = newton_solve([0, 1, 1], S([0, 1], order=4), 0)
+        assert [p.const_value() for p in v.c] == [0, 1, -1, 2, -5]
+
+    def test_progress_once_per_doubling(self):
+        seen = []
+        newton_solve([0, 1, 1], S([0, 1], order=7), 0, seen.append)
+        assert seen == [Q(2, 8), Q(4, 8), Q(8, 8)]
+
+    def test_zero_derivative_rejected(self):
+        # d/dv (h + v^2) vanishes at v = 0
+        with pytest.raises(StructureError):
+            newton_solve([S([0, 1], order=3), 0, 1], S([0, 1], order=3), 0)
+        with pytest.raises(StructureError):
+            newton_solve([1], S([1], order=2), 0)
+
+    def test_non_constant_derivative_rejected(self):
+        with pytest.raises(StructureError):
+            newton_solve([0, PolyB((0, 1))], S([0, 1], order=3), 0)
+
+    def test_wrong_constant_term_does_not_close(self):
+        with pytest.raises(ConvergenceError):
+            newton_solve([0, 1, 1], S([0, 1], order=4), 1)
 
 
 class TestExpLog:
@@ -169,15 +217,12 @@ class TestSerialization:
 
 class TestNamedSurface:
     def test_series_arith_dispatch(self):
-        from mathieu_resurgence.series import series_arith, series_exp, series_log, series_reversion
-
+        # the ring operations are methods and operators of PolySeries
         a = S([1, 1], order=3)
         b = S([1, -1], order=3)
-        assert series_arith(a, b, "mul") == S([1, 0, -1], order=3)
-        assert series_arith(a, b, "add") == S([2, 0], order=3)
+        assert a * b == S([1, 0, -1], order=3)
+        assert a + b == S([2, 0], order=3)
         f = S([0, 1, 1], order=4)
-        assert series_arith(f, series_reversion(f), "compose") == S([0, 1], order=4)
+        assert f.compose(f.reversion()) == S([0, 1], order=4)
         g = S([0, Q(1, 3)], order=3)
-        assert series_log(series_exp(g)) == g
-        with pytest.raises(ValueError):
-            series_arith(a, b, "divide")
+        assert g.exp().log() == g

@@ -5,7 +5,7 @@ import pytest
 
 from mathieu_resurgence.benderwu import mathieu_well_potential, polynomial_in_N
 from mathieu_resurgence.errors import DomainError, StructureError
-from mathieu_resurgence.series import PolyB, PolySeries
+from mathieu_resurgence.series import PolyB, PolySeries, horner
 from mathieu_resurgence.spectral import (
     alphabeta_extract,
     bs_invert_strong,
@@ -32,6 +32,11 @@ class TestWeakInversion:
         up = bs_invert_weak(8)
         bw = polynomial_in_N(mathieu_well_potential(20), 8)
         assert all(up[k] == bw[k] for k in range(9))
+
+    def test_exact_equality_with_independent_recursion_order_16(self):
+        up = bs_invert_weak(16)
+        bw = polynomial_in_N(mathieu_well_potential(36), 16)
+        assert all(up[k] == bw[k] for k in range(17))
 
     def test_large_order_growth_ratio(self):
         # u_{n+1}/u_n -> (n + 2N + 1)/16, Richardson-accelerated, via the
@@ -144,9 +149,7 @@ class TestZjj:
     def test_reversion_round_trip(self):
         z = zjj_construct(4)
         # B(E(B)) = B identically through order 4
-        from mathieu_resurgence.spectral import _substitute_poly_variable
-
-        comp = _substitute_poly_variable(z.B_of_E, z.E_of_B)
+        comp = horner(z.B_of_E.coeffs_in_B(), z.E_of_B)
         assert comp[0] == PolyB((0, 1))
         assert all(comp[k].is_zero() for k in range(1, 5))
 

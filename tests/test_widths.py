@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mathieu_resurgence.benderwu import mathieu_well_potential, polynomial_in_N
-from mathieu_resurgence.errors import DomainError, StructureError
+from mathieu_resurgence.errors import DomainError, RegimeWarning, StructureError
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.widths import (
     band_width,
@@ -79,6 +79,10 @@ class TestBandWidth:
 
     def test_regime_warning(self):
         with pytest.warns(UserWarning):
+            band_width(1.0, 4, order=2)
+
+    def test_regime_warning_category(self):
+        with pytest.warns(RegimeWarning):
             band_width(1.0, 4, order=2)
 
     def test_rejects_nonpositive_hbar(self):
