@@ -72,8 +72,7 @@ def lame_potential(m: Q, order: int) -> PotentialSeries:
     m = Q(m)
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
-    sd2 = sd_squared_taylor(order)
-    coeffs = tuple(p(m) / 2 for p in sd2.c)
+    coeffs = tuple(p.const_value() / 2 for p in sd_squared_taylor(order, m).c)
     return PotentialSeries(name="lame-well", taylor=coeffs, m=m)
 
 

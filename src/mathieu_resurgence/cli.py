@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction as Q
 
@@ -36,6 +37,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative fraction such as "-1/4" is a value, not an option, so
+        # "--m -1/4" reaches the domain check like "--m=-1/4" does
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d*)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -81,8 +88,8 @@ def _to_csv(payload: dict, meta: dict) -> str:
     lines = [f"# {k} = {json.dumps(v, sort_keys=True)}" for k, v in sorted(meta.items())]
     rows = payload.get("rows", [])
     if rows:
-        if "diagnostics" in payload:
-            lines.append(f"# diagnostics = {json.dumps(payload['diagnostics'], sort_keys=True)}")
+        lines += [f"# {k} = {json.dumps(v, sort_keys=True)}"
+                  for k, v in sorted(payload.items()) if k != "rows"]
         keys = list(rows[0].keys())
         lines.append(",".join(keys))
         for r in rows:

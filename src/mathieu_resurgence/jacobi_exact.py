@@ -1,8 +1,10 @@
-"""Exact Taylor expansions of Jacobi elliptic functions over Q[m].
+"""Exact Taylor expansions of Jacobi elliptic functions.
 
-Coefficients are PolyB polynomials in the elliptic parameter m, generated
-from the derivative system sn' = cn dn, cn' = -sn dn, dn' = -m sn cn by an
-order-by-order convolution recursion.  No floating point anywhere.
+The elliptic parameter m is an argument: left at its default, the PolyB
+generator of Q[m], every coefficient is a polynomial in m; given as a
+rational, every coefficient is a constant PolyB, i.e. a number in Q.  One
+order-by-order convolution recursion on sn' = cn dn, cn' = -sn dn,
+dn' = -m sn cn serves both rings.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ __all__ = [
 _M = PolyB((0, 1))  # the parameter m as a polynomial
 
 
-def jacobi_taylor(order: int) -> tuple[PolySeries, PolySeries, PolySeries]:
-    """(sn, cn, dn) about z = 0 to z^order, coefficients in Q[m]."""
+def jacobi_taylor(order: int, m=_M) -> tuple[PolySeries, PolySeries, PolySeries]:
+    """(sn, cn, dn) about z = 0 to z^order; coefficients in Q[m], or in Q
+    when m is a rational."""
     n = order
     s = [PolyB() for _ in range(n + 1)]
     c = [PolyB() for _ in range(n + 1)]
@@ -41,45 +44,40 @@ def jacobi_taylor(order: int) -> tuple[PolySeries, PolySeries, PolySeries]:
         inv = Q(1, k + 1)
         s[k + 1] = conv(c, d, k) * inv
         c[k + 1] = -conv(s, d, k) * inv
-        d[k + 1] = -_M * conv(s, c, k) * inv
+        d[k + 1] = -m * conv(s, c, k) * inv
     mk = lambda coeffs: PolySeries("z", n, coeffs)
     return mk(s), mk(c), mk(d)
 
 
-def sd_squared_taylor(order: int) -> PolySeries:
-    """sd^2(z | m) = (sn/dn)^2 about z = 0, exact in Q[m]."""
-    sn, _cn, dn = jacobi_taylor(order)
+def sd_squared_taylor(order: int, m=_M) -> PolySeries:
+    """sd^2(z | m) = (sn/dn)^2 about z = 0."""
+    sn, _cn, dn = jacobi_taylor(order, m)
     dn2 = dn * dn
     return sn * sn * dn2.inverse()
 
 
-def cn_taylor_flipped(order: int) -> PolySeries:
-    """cn(z | 1-m) about z = 0 with coefficients re-expressed in Q[m]."""
-    _sn, cn, _dn = jacobi_taylor(order)
-    flip = PolyB((1, -1))  # m -> 1 - m
-    return cn.map_coeffs(lambda p: p.compose(flip))
+def cn_taylor_flipped(order: int, m=_M) -> PolySeries:
+    """cn(z | 1-m) about z = 0, with coefficients in the same ring as m."""
+    return jacobi_taylor(order, 1 - m)[1]
 
 
-def saddle_potential_real(order: int) -> PolySeries:
-    """sd^2 along the steepest-descent line through the saddle at K(m).
+def saddle_potential_real(order: int, m=_M) -> PolySeries:
+    """(1-m) sd^2 along the steepest-descent line through the saddle at K(m).
 
-    With z = K(m) + i s, one has sd^2(z | m) = 1 / ((1-m) cn^2(s | 1-m)),
-    a real function of s with value 1/(1-m) and curvature +1/(1-m) at s=0.
-    Returned as a series in s times the overall 1/(1-m) prefactor kept
-    inside the coefficients, which are rational functions ... -- since
-    1/(1-m) is not polynomial, coefficients here are in Q[m] *after*
-    multiplying through; this function returns (1-m) * sd^2, i.e. the
-    series with the 1/(1-m) prefactor stripped.
+    With z = K(m) + i s, sd^2(z | m) = 1 / ((1-m) cn^2(s | 1-m)), a real
+    function of s with value 1/(1-m) and curvature +1/(1-m) at s = 0.  The
+    prefactor 1/(1-m) is not polynomial in m, so it is stripped: the
+    returned series is 1/cn^2(s | 1-m), the inverse of
+    ``saddle_potential_imag``.
     """
-    cnf = cn_taylor_flipped(order)
-    return (cnf * cnf).inverse()
+    return saddle_potential_imag(order, m).inverse()
 
 
-def saddle_potential_imag(order: int) -> PolySeries:
+def saddle_potential_imag(order: int, m=_M) -> PolySeries:
     """-m * sd^2 along the imaginary axis through i K(1-m).
 
     With z = i (K(1-m) + s), sd^2(z | m) = -cn^2(s | 1-m) / m; the returned
     series is cn^2(s | 1-m), so the potential is -(series)/m.
     """
-    cnf = cn_taylor_flipped(order)
+    cnf = cn_taylor_flipped(order, m)
     return cnf * cnf

@@ -17,7 +17,7 @@ import mpmath
 
 from .elliptic import ellip_K, jacobi_sn_cn_dn
 from .errors import DomainError
-from .jacobi_exact import saddle_potential_imag, saddle_potential_real, sd_squared_taylor
+from .jacobi_exact import saddle_potential_imag, sd_squared_taylor
 from .series import PolyB
 
 __all__ = [
@@ -70,6 +70,39 @@ def _dfac(n: int) -> int:
     return out
 
 
+def _gaussian_moments(taylor, c2: Q, order: int) -> list:
+    """Coefficients b_0..b_order of sum_r b_r hbar^r, the Gaussian-moment
+    expansion of int exp(-(f - f(0))/hbar) ds / sqrt(pi hbar / c2).
+
+    ``taylor`` holds f = sum_k c_k s^k with c_1 = 0 and c_2 = ``c2``; its
+    entries may be rationals or PolyB polynomials, and the arithmetic stays
+    in their ring (``c * 0`` is the ring's zero, as in ``series.horner``).
+    With s -> sqrt(hbar) s, exp(-A) has A = sum_{k>=3} c_k delta^(k-2) s^k,
+    delta = sqrt(hbar).  The n-th term A^n/n! at delta^d carries s^(d+2n),
+    so only a list over d is kept per n, and hbar^r takes the moments
+    <s^(2j)> = (2j-1)!!/(2 c2)^j with j = r + n.
+    """
+    dmax = 2 * order
+    zero = taylor[2] * 0
+    # a[d] multiplies delta^d in A/s^2 = sum_k c_k (delta s)^(k-2)
+    a = [zero] + [taylor[d + 2] if d + 2 < len(taylor) else zero for d in range(1, dmax + 1)]
+    term = [zero + 1] + [zero] * dmax  # A^n/n!, starting at n = 0
+    out = [zero] * (order + 1)
+    for n in range(dmax + 1):
+        for r in range(order + 1):
+            if term[2 * r]:
+                j = r + n
+                out[r] = out[r] + term[2 * r] * (Q(_dfac(2 * j - 1)) / (2 * c2) ** j)
+        new = [zero] * (dmax + 1)
+        for d1, v in enumerate(term):
+            if v:
+                for d2 in range(1, dmax + 1 - d1):
+                    if a[d2]:
+                        new[d1 + d2] = new[d1 + d2] + v * a[d2]
+        term = [v * Q(-1, n + 1) for v in new]
+    return out
+
+
 def saddle_series(taylor, order: int, label: str = "saddle",
                   rotated: bool = False) -> SaddleExpansion:
     """Gaussian-moment expansion about a nondegenerate saddle.
@@ -77,52 +110,15 @@ def saddle_series(taylor, order: int, label: str = "saddle",
     ``taylor``: exact coefficients [c0, c1, c2, c3, ...] of f along the
     (possibly rotated) descent direction; requires c1 = 0 and c2 > 0.
     """
-    taylor = [Q(c) if not isinstance(c, PolyB) else c for c in taylor]
-    taylor = [c.const_value() if isinstance(c, PolyB) else c for c in taylor]
+    taylor = [c.const_value() if isinstance(c, PolyB) else Q(c) for c in taylor]
     if len(taylor) < 3 or taylor[1] != 0:
         raise DomainError("need Taylor data [S, 0, c2, ...] along the descent line")
     c2 = taylor[2]
     if c2 <= 0:
         raise DomainError("degenerate or wrongly oriented saddle: c2 must be > 0")
-    # A(s, delta) = sum_{k>=3} c_k delta^(k-2) s^k, delta = sqrt(hbar);
-    # expand exp(-A) and take Gaussian moments <s^(2j)> = (2j-1)!!/(2 c2)^j.
-    dmax = 2 * order
-    # exp(-A) term by term: dict delta-power -> dict s-power -> Q
-    expA: dict[int, dict[int, Q]] = {0: {0: Q(1)}}
-    term: dict[int, dict[int, Q]] = {0: {0: Q(1)}}
-    kmax = min(len(taylor) - 1, dmax + 2)
-    for n in range(1, dmax + 1):
-        # term_n = term_{n-1} * (-A) / n
-        new: dict[int, dict[int, Q]] = {}
-        for d1, row in term.items():
-            for k in range(3, kmax + 1):
-                ck = taylor[k]
-                if ck == 0:
-                    continue
-                d = d1 + k - 2
-                if d > dmax:
-                    continue
-                dst = new.setdefault(d, {})
-                for s1, v in row.items():
-                    dst[s1 + k] = dst.get(s1 + k, Q(0)) - v * ck / n
-        term = new
-        if not term:
-            break
-        for d, row in term.items():
-            dst = expA.setdefault(d, {})
-            for s, v in row.items():
-                dst[s] = dst.get(s, Q(0)) + v
-    coeffs = []
-    for r in range(order + 1):
-        tot = Q(0)
-        row = expA.get(2 * r, {})
-        for s, v in row.items():
-            if s % 2 == 0:
-                j = s // 2
-                tot += v * Q(_dfac(2 * j - 1), 1) / (2 * c2) ** j
-        coeffs.append(tot)
     return SaddleExpansion(
-        label=label, action=taylor[0], curvature=c2, coeffs=coeffs, rotated=rotated
+        label=label, action=taylor[0], curvature=c2,
+        coeffs=_gaussian_moments(taylor, c2, order), rotated=rotated,
     )
 
 
@@ -131,18 +127,21 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
 
     vacuum at z = 0 (action 0), the real saddle at z = K(m) with action
     1/(1-m), and the imaginary one at z = i K(1-m) with action -1/m; the
-    latter two are rotated (descent along the imaginary direction).
+    latter two are rotated (descent along the imaginary direction).  The
+    Taylor data are built over Q at this m.
     """
     m = Q(m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1; use sin2_vacuum_exact at m=0")
     need = 2 * order + 4
-    vac_taylor = [p(m) for p in sd_squared_taylor(need).c]
-    vacuum = saddle_series(vac_taylor, order, label="vacuum")
+    vacuum = saddle_series(sd_squared_taylor(need, m).c, order, label="vacuum")
 
-    # real saddle: f(K + i s) = P(s)/(1-m), P = (1-m) sd^2 series;
+    # cn^2(s | 1-m) serves both rotated saddles
+    cn2 = saddle_potential_imag(need, m)
+
+    # real saddle: f(K + i s) = P(s)/(1-m), P = 1/cn^2 = (1-m) sd^2;
     # rescale s -> sqrt(1-m) sigma to keep every coefficient rational.
-    P = [p(m) for p in saddle_potential_real(need).c]
+    P = [p.const_value() for p in cn2.inverse().c]
     one_m = 1 - m
     f1 = [P[k] * one_m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(P))]
     # k = 0 entry: action S1 = 1/(1-m)
@@ -154,7 +153,7 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
 
     # imaginary saddle: f(i (K' + s)) = -C(s)/m, C = cn^2(s | 1-m);
     # rescale s -> sqrt(m) sigma.
-    C = [p(m) for p in saddle_potential_imag(need).c]
+    C = [p.const_value() for p in cn2.c]
     f2 = [-C[k] * m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(C))]
     f2[0] = -1 / m
     imag = saddle_series(f2, order, label="imag", rotated=True)
@@ -164,41 +163,8 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
 
 def lame_vacuum_symbolic(order: int) -> list[PolyB]:
     """Vacuum fluctuation coefficients as exact polynomials in m."""
-    need = 2 * order + 4
-    sd2 = sd_squared_taylor(need)
-    dmax = 2 * order
-    expA: dict[int, dict[int, PolyB]] = {0: {0: PolyB.const(1)}}
-    term: dict[int, dict[int, PolyB]] = {0: {0: PolyB.const(1)}}
-    for n in range(1, dmax + 1):
-        new: dict[int, dict[int, PolyB]] = {}
-        for d1, row in term.items():
-            for k in range(3, need + 1):
-                ck = sd2[k] if k <= sd2.order else PolyB()
-                if ck.is_zero():
-                    continue
-                d = d1 + k - 2
-                if d > dmax:
-                    continue
-                dst = new.setdefault(d, {})
-                for s1, v in row.items():
-                    add = v * ck * Q(-1, n)
-                    dst[s1 + k] = dst.get(s1 + k, PolyB()) + add
-        term = new
-        if not term:
-            break
-        for d, row in term.items():
-            dst = expA.setdefault(d, {})
-            for s, v in row.items():
-                dst[s] = dst.get(s, PolyB()) + v
-    out = []
-    for r in range(order + 1):
-        tot = PolyB()
-        for s, v in expA.get(2 * r, {}).items():
-            if s % 2 == 0:
-                j = s // 2
-                tot = tot + v * Q(_dfac(2 * j - 1), 2 ** j)
-        out.append(tot)
-    return out
+    sd2 = sd_squared_taylor(2 * order + 4)
+    return _gaussian_moments(sd2.c, sd2[2].const_value(), order)
 
 
 def sin2_vacuum_exact(r: int) -> Q:
@@ -324,8 +290,21 @@ def borel_lateral_check(
     sectors and shrinks exponentially as hbar decreases.
     """
     m = Q(m)
+    if not 0 < m < 1:
+        raise DomainError("saddle set needs 0 < m < 1")
+    if any(hb <= 0 for hb in hbar_list):
+        raise DomainError("hbar > 0 required")
     rows = []
-    order_needed = 36
+    # |a_n| hbar^n ~ (n-1)! (hbar/|S|)^n is smallest near n = |S|/hbar for the
+    # nearer saddle, |S| = min(1/(1-m), 1/m); a few orders past it show the
+    # minimum.  A given n_cut sets the depth itself; at least 36 orders are
+    # always kept.
+    s_min = min(1 / (1 - m), 1 / m)
+    if n_cut is not None:
+        deepest = [n_cut]
+    else:
+        deepest = [math.ceil(float(s_min) / float(hb)) + 2 for hb in hbar_list]
+    order_needed = max([34, *deepest]) + 2
     sads = lame_saddles(m, max(j_max + 2, order_needed))
     vac = sads["vacuum"].coeffs
     S1, S2 = sads["real"].action, sads["imag"].action

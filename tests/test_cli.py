@@ -120,9 +120,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("m", ["3/2", "-1/4"])
     def test_rows_parameter_out_of_domain(self, capsys, m):
-        argv = ["zerodim", "--check", "rows", f"--m={m}", "--order", "2"]
-        assert main(argv) == EXIT_DOMAIN
-        assert "m in [0, 1]" in capsys.readouterr().err
+        for m_args in ([f"--m={m}"], ["--m", m]):
+            argv = ["zerodim", "--check", "rows", *m_args, "--order", "2"]
+            assert main(argv) == EXIT_DOMAIN
+            assert "m in [0, 1]" in capsys.readouterr().err
 
 
 class TestOutputPlumbing:
@@ -136,6 +137,15 @@ class TestOutputPlumbing:
         lines = out.strip().split("\n")
         assert lines[0].startswith("#")
         assert any(line.startswith("hbar,") for line in lines)
+
+    def test_csv_keeps_every_payload_key(self, capsys):
+        _, out = run(capsys, "pinst", "--order", "2", "--N", "0")
+        want = json.loads(out)["at_N_in_hbar_over_8"]
+        code, out = run(capsys, "pinst", "--order", "2", "--N", "0", "--format", "csv")
+        assert code == EXIT_OK
+        comments = [line for line in out.split("\n") if line.startswith("# ")]
+        assert f"# at_N_in_hbar_over_8 = {json.dumps(want)}" in comments
+        assert any(line.startswith("power,") for line in out.split("\n"))
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"

@@ -194,3 +194,18 @@ class TestBorelLateral:
         # matches quadrature
         rows = borel_lateral_check(Q(1, 2), [0.1], j_max=6)
         assert rows[0]["rel_defect"] < 1e-5
+
+    def test_depth_follows_hbar(self):
+        # the smallest term sits at n = 45 for hbar = 0.03 at m = 1/4, deeper
+        # than the 36 orders that suffice for hbar >= 0.04
+        (row,) = borel_lateral_check(Q(1, 4), [0.03], j_max=6)
+        assert row["n_cut"] == 45
+        assert row["rel_defect"] < 1e-12
+
+    def test_given_cut_deeper_than_default_depth(self):
+        (row,) = borel_lateral_check(Q(1, 4), [0.1], j_max=4, n_cut=40)
+        assert row["n_cut"] == 40
+
+    def test_hbar_domain(self):
+        with pytest.raises(DomainError):
+            borel_lateral_check(Q(1, 4), [0.1, 0.0])
