@@ -415,6 +415,8 @@ def _run_widths(args) -> dict:
                 "asymptotic_with_fluctuations": est.with_fluctuations,
                 "oracle": num["width"],
                 "oracle_error_bound": num["error_bound"],
+                "oracle_dps": num["dps_used"],
+                "oracle_truncation": num["truncation"],
                 "ratio": est.with_fluctuations / num["width"]
                 if args.kind == "band"
                 else est.leading / num["width"],

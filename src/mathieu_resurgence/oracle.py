@@ -7,6 +7,13 @@ momentum 0 and 1/2 gives the edges, and the discriminant of the monodromy
 over one period gives the same edges as roots of |cos theta| = 1.  Every
 asymptotic formula in the package is ultimately tested against these.
 
+The Hill matrix has two tiers.  The float tier takes the low eigenvalues
+of each sector from LAPACK.  The extended-precision (mp) tier computes
+only the requested edges, each by `tridiag.eigenvalue` (a double-precision
+bracket, certified by Sturm counts and refined by Newton steps), with the
+Fourier truncation grown from the precision.  `width_num` moves narrow
+bands and narrow strong-coupling gaps to the mp tier.
+
 numpy and scipy are imported only by the float Hill tier and the monodromy
 integration; the mp tier runs on mpmath alone.
 """
@@ -50,7 +57,20 @@ class HillConfig:
         # momenta engaged up to the classical turning scale plus decay margin
         umax = max(1.5, 1.2 + (n_bands + 1) * hbar + (n_bands + 1) ** 2 * hbar ** 2 / 8)
         k_turn = math.sqrt(2 * (umax + 1.5)) / hbar
-        return max(10, int(k_turn + 14 + 4 / math.sqrt(hbar)))
+        M = max(10, int(k_turn + 14 + 4 / math.sqrt(hbar)))
+        lam = abs(self.potential_scale)
+        if self.dps is None or lam == 0:
+            return M
+        # Past the turning momentum the Fourier coefficients of an edge's
+        # eigenvector fall by (lam/2) / (hbar^2 k^2/2 - umax) per step, and a
+        # truncation shifts the eigenvalue by about the square of the last
+        # coefficient kept.  Grow M until M//2, the truncation the digits
+        # estimate compares against, holds dps digits with a margin.
+        K, log10c = int(k_turn) + 1, 0.0
+        while 2 * log10c > -(self.dps + 4):
+            K += 1
+            log10c += min(0.0, math.log10(lam / (hbar * hbar * K * K - 2 * umax)))
+        return max(M, 2 * K + 1)
 
 
 @dataclass
@@ -62,15 +82,27 @@ class SpectralPoint:
     converged_digits: int
 
 
-def _edge_table(hbar: float, n_bands: int, M: int, lam: float, dps):
-    """Sorted low eigenvalues of the two Bloch-momentum sectors.
+def _edge_index(N: int, edge: str) -> tuple[float, int]:
+    """(Bloch momentum, index within that sector) of an edge of band N.
 
-    Returns (bottoms, tops): u-values of band bottoms and tops, 0..n_bands.
+    The edges alternate between the sectors (Sturm ordering): the bottom
+    of band N is the N-th eigenvalue of the periodic sector (kappa = 0)
+    for even N and of the antiperiodic sector (kappa = 1/2) for odd N, and
+    its top is the N-th eigenvalue of the other sector.  So a band's two
+    edges share an index in different sectors, and a gap's two edges are
+    adjacent indices in one sector.
     """
-    need0 = n_bands + 2
-    needh = n_bands + 2
+    return 0.5 * ((N + (edge == "top")) % 2), N
 
-    def sector(kappa: float, howmany: int):
+
+def _edge_table(hbar: float, edges, M: int, lam: float, dps) -> dict:
+    """u-values of the requested (N, edge) pairs at Fourier truncation M."""
+    sectors: dict[float, dict] = {}
+    for key in edges:
+        kappa, i = _edge_index(*key)
+        sectors.setdefault(kappa, {})[key] = i
+    out = {}
+    for kappa, want in sectors.items():
         if dps is None:
             import numpy as np
             from scipy.linalg import eigh_tridiagonal
@@ -78,70 +110,62 @@ def _edge_table(hbar: float, n_bands: int, M: int, lam: float, dps):
             ks = np.arange(-M, M + 1)
             d = (hbar * hbar / 2.0) * (ks + kappa) ** 2
             e = np.full(2 * M, lam / 2.0)
+            # LAPACK's values depend on the selected range; one index past
+            # the highest edge keeps the float tier's outputs bit-stable
             vals = eigh_tridiagonal(
-                d, e, select="i", select_range=(0, howmany - 1), eigvals_only=True
+                d, e, select="i", select_range=(0, max(want.values()) + 1),
+                eigvals_only=True,
             )
-            return list(vals)
+            out.update({key: vals[i] for key, i in want.items()})
+            continue
         with mpmath.workdps(dps):
             h2 = mpmath.mpf(hbar) ** 2 / 2
             d = [h2 * (mpmath.mpf(k) + mpmath.mpf(kappa)) ** 2 for k in range(-M, M + 1)]
             e = [mpmath.mpf(lam) / 2] * (2 * M)
             tol = mpmath.mpf(10) ** (-dps + 4) * max(1, abs(d[0]), abs(d[-1]))
-            return tridiag.eigenvalues_lowest(d, e, howmany, tol)
-
-    ev0 = sector(0.0, need0)
-    evh = sector(0.5, needh)
-    # Sturm ordering of edges: periodic sector carries bottom of band 0,
-    # then alternately top of odd / bottom of even bands; the antiperiodic
-    # sector carries top of even / bottom of odd bands.
-    bottoms: dict[int, object] = {}
-    tops: dict[int, object] = {}
-    for i, v in enumerate(ev0):
-        if i == 0 or i % 2 == 0:
-            bottoms[i] = v
-        else:
-            tops[i] = v
-    for i, v in enumerate(evh):
-        if i % 2 == 0:
-            tops[i] = v
-        else:
-            bottoms[i] = v
-    return bottoms, tops
+            out.update({key: tridiag.eigenvalue(d, e, i, tol) for key, i in want.items()})
+    return out
 
 
 def band_edges(
-    hbar: float, N_max: int, cfg: HillConfig | None = None
+    hbar: float, N_max: int, cfg: HillConfig | None = None, *, edges=None
 ) -> list[SpectralPoint]:
-    """Band edges for bands 0..N_max, with truncation-convergence estimates."""
+    """Band edges for bands 0..N_max, with truncation-convergence estimates.
+
+    edges: the (N, edge) pairs to compute, in output order; by default
+    the bottom and top of every band 0..N_max.  Only these eigenvalues are
+    computed, at truncation M and M//2; their difference sets the digits.
+    """
     cfg = cfg or HillConfig()
     if hbar <= 0:
         raise DomainError("hbar > 0 required")
+    if edges is None:
+        edges = [(N, edge) for N in range(N_max + 1) for edge in ("bottom", "top")]
     M = cfg.resolve_truncation(hbar, N_max)
     lam = cfg.potential_scale
-    b_full, t_full = _edge_table(hbar, N_max, M, lam, cfg.dps)
-    b_half, t_half = _edge_table(hbar, N_max, max(8, M // 2), lam, cfg.dps)
+    full = _edge_table(hbar, edges, M, lam, cfg.dps)
+    half = _edge_table(hbar, edges, max(8, M // 2), lam, cfg.dps)
     out: list[SpectralPoint] = []
-    for N in range(N_max + 1):
-        for edge, table, table2 in (("bottom", b_full, b_half), ("top", t_full, t_half)):
-            u = table[N]
-            diff = abs(u - table2[N])
-            scale = max(abs(u), 1.0 if cfg.dps is None else mpmath.mpf(1))
-            rel = diff / scale
-            if cfg.dps is None:
-                # cap at the double-precision eigensolver roundoff floor
-                digits = 13 if rel == 0 else max(0, min(13, int(-math.log10(float(rel) + 1e-300))))
-            else:
-                digits = cfg.dps if rel == 0 else max(
-                    0, min(cfg.dps, int(-mpmath.log10(rel)))
-                )
-            if digits < 6:
-                raise ConvergenceError(
-                    f"band edge not converged at truncation M={M}: ~{digits} digits"
-                )
-            out.append(
-                SpectralPoint(hbar=hbar, N=N, edge=edge, u=float(u) if cfg.dps is None else u,
-                              converged_digits=int(digits))
+    for N, edge in edges:
+        u = full[(N, edge)]
+        diff = abs(u - half[(N, edge)])
+        scale = max(abs(u), 1.0 if cfg.dps is None else mpmath.mpf(1))
+        rel = diff / scale
+        if cfg.dps is None:
+            # cap at the double-precision eigensolver roundoff floor
+            digits = 13 if rel == 0 else max(0, min(13, int(-math.log10(float(rel) + 1e-300))))
+        else:
+            digits = cfg.dps if rel == 0 else max(
+                0, min(cfg.dps, int(-mpmath.log10(rel)))
             )
+        if digits < 6:
+            raise ConvergenceError(
+                f"band edge not converged at truncation M={M}: ~{digits} digits"
+            )
+        out.append(
+            SpectralPoint(hbar=hbar, N=N, edge=edge, u=float(u) if cfg.dps is None else u,
+                          converged_digits=int(digits))
+        )
     return out
 
 
@@ -174,11 +198,14 @@ def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> float:
 
 
 def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> dict:
-    """Numeric band or gap width from adjacent edges.
+    """Numeric band or gap width from its two edges.
 
-    Bands narrower than double precision can resolve are automatically
-    recomputed on the extended-precision tier sized from a rough width
-    estimate.  Returns {"width", "error_bound"}.
+    Widths narrower than double precision can resolve are computed on the
+    extended-precision tier, with dps sized from a leading estimate of the
+    width relative to its edges: the one-instanton band width, or (on the
+    strong-coupling side hbar >= 2, q = 4/hbar^2 <= 1) the order-q^N gap.
+    Only the two edges are computed.  Returns {"width", "error_bound",
+    "dps_used" (None on the float tier), "truncation" (Fourier M)}.
     """
     cfg = cfg or HillConfig()
     if kind not in ("band", "gap"):
@@ -186,22 +213,26 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
     if kind == "gap" and N < 1:
         raise DomainError("gap label N >= 1")
     dps = cfg.dps
-    if dps is None and kind == "band":
-        # size the precision from the leading exponential estimate
-        log10w = (
-            math.log10(2 * hbar / math.sqrt(2 * math.pi) / math.factorial(N))
-            + (N + 0.5) * math.log10(32 / hbar)
-            - 8 / hbar * math.log10(math.e)
-        )
+    if dps is None:
+        log10w = 0.0
+        if kind == "band":
+            log10w = (
+                math.log10(2 * hbar / math.sqrt(2 * math.pi) / math.factorial(N))
+                + (N + 0.5) * math.log10(32 / hbar)
+                - 8 / hbar * math.log10(math.e)
+            )
+        elif hbar >= 2:
+            # (hbar^2/4) (2/hbar)^(2N) / (2^(N-1) (N-1)!)^2 at u ~ (N hbar)^2/8
+            log10w = (
+                2 * math.log10(hbar / 2) + 2 * N * math.log10(2 / hbar)
+                - 2 * math.log10(2 ** (N - 1) * math.factorial(N - 1))
+                - math.log10(max(1.0, (N * hbar) ** 2 / 8))
+            )
         if log10w < -9:
             dps = int(-log10w) + 18
     use = HillConfig(truncation=cfg.truncation, potential_scale=cfg.potential_scale, dps=dps)
-    pts = band_edges(hbar, N, use)
-    table = {(p.N, p.edge): p for p in pts}
-    if kind == "band":
-        hi, lo = table[(N, "top")], table[(N, "bottom")]
-    else:
-        hi, lo = table[(N, "bottom")], table[(N - 1, "top")]
+    edges = [(N, "bottom"), (N, "top")] if kind == "band" else [(N - 1, "top"), (N, "bottom")]
+    lo, hi = band_edges(hbar, N, use, edges=edges)
     width = hi.u - lo.u
     err = abs(hi.u) * 10.0 ** (-hi.converged_digits) + abs(lo.u) * 10.0 ** (
         -lo.converged_digits
@@ -214,7 +245,8 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
         raise ConvergenceError(
             f"width {width:.3e} below achievable precision (bound {err:.3e})"
         )
-    return {"width": width, "error_bound": err, "dps_used": dps}
+    return {"width": width, "error_bound": err, "dps_used": dps,
+            "truncation": use.resolve_truncation(hbar, N)}
 
 
 def figure1_dataset(hbar_grid, N_max: int = 19, cfg: HillConfig | None = None) -> list[dict]:

@@ -74,6 +74,25 @@ class TestSubcommands:
         code, out = run(capsys, "widths", "--kind", "band", "--N", "0", "--hbar", "0.5")
         assert json.loads(out)["diagnostics"] == []
 
+    def test_deep_width_resolves_with_its_tier(self, capsys):
+        code, out = run(capsys, "widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["rows"]
+        assert row["ratio"] == pytest.approx(1.0, abs=1e-3)
+        assert isinstance(row["oracle_dps"], int) and row["oracle_dps"] > 35
+        assert isinstance(row["oracle_truncation"], int)
+        code, out = run(capsys, "widths", "--kind", "band", "--N", "0", "--hbar", "0.1",
+                        "--format", "csv")
+        header, values = out.strip().split("\n")[-2:]
+        csv_row = dict(zip(header.split(","), values.split(",")))
+        assert csv_row["oracle_dps"] == str(row["oracle_dps"])
+        assert csv_row["oracle_truncation"] == str(row["oracle_truncation"])
+
+    def test_float_width_reports_no_dps(self, capsys):
+        code, out = run(capsys, "widths", "--kind", "gap", "--N", "2", "--hbar", "6.0")
+        (row,) = json.loads(out)["rows"]
+        assert row["oracle_dps"] is None and row["oracle_truncation"] >= 10
+
     def test_zerodim_rows(self, capsys):
         code, out = run(capsys, "zerodim", "--m", "1/4", "--order", "4", "--check", "rows")
         payload = json.loads(out)
@@ -237,6 +256,11 @@ class TestImportCost:
         code, mods = _probe(*argv, cache=tmp_path)
         assert code == EXIT_OK
         assert not {"numpy", "scipy", "mpmath", "mathieu_resurgence.oracle"} & mods
+
+    def test_extended_precision_width_loads_no_numeric_stack(self):
+        code, mods = _probe("widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
+        assert code == EXIT_OK
+        assert not {"numpy", "scipy"} & mods
 
 
 def test_pretty_output(capsys):

@@ -145,6 +145,59 @@ class TestWidths:
             width_num(1.0, 0, "ridge")
 
 
+class TestExtendedPrecision:
+    @pytest.mark.parametrize("hbar, N", [(8.0, 5), (8.0, 6), (10.0, 6)])
+    def test_narrow_gaps_switch_tier(self, hbar, N):
+        from mathieu_resurgence.widths import gap_width
+
+        got = width_num(hbar, N, "gap")
+        assert got["dps_used"] is not None
+        assert abs(gap_width(hbar, N).leading / got["width"] - 1) < 0.10
+        assert got["error_bound"] <= 1e-6 * got["width"]
+
+    def test_wide_gaps_stay_float(self):
+        for hbar, N in ((4.0, 1), (8.0, 3), (0.7, 3)):
+            assert width_num(hbar, N, "gap")["dps_used"] is None
+
+    def test_only_the_two_edges_are_computed(self, monkeypatch):
+        from mathieu_resurgence import tridiag
+
+        calls = []
+        real = tridiag.eigenvalue
+        monkeypatch.setattr(
+            tridiag, "eigenvalue", lambda d, e, k, tol: calls.append(k) or real(d, e, k, tol)
+        )
+        width_num(0.2, 3, "band")
+        assert sorted(calls) == [3, 3, 3, 3]  # two edges at two truncations
+        calls.clear()
+        width_num(8.0, 6, "gap")
+        assert sorted(calls) == [5, 5, 6, 6]  # adjacent indices in one sector
+
+    def test_truncation_sized_from_dps(self):
+        base = HillConfig().resolve_truncation(0.1, 0)
+        grown = [HillConfig(dps=p).resolve_truncation(0.1, 0) for p in (20, 50, 80)]
+        assert base <= grown[0] < grown[1] < grown[2]
+        out = width_num(0.1, 0, "band")
+        assert out["truncation"] == HillConfig(dps=out["dps_used"]).resolve_truncation(0.1, 0)
+        # the float tier keeps its truncation
+        assert width_num(0.5, 0, "band")["truncation"] == HillConfig().resolve_truncation(0.5, 0)
+
+    def test_mp_edges_match_float_edges(self):
+        fl = band_edges(1.3, 6)
+        mp_ = band_edges(1.3, 6, HillConfig(dps=30))
+        for p, q in zip(fl, mp_):
+            assert (p.N, p.edge) == (q.N, q.edge)
+            assert abs(float(q.u) - p.u) <= 1e-10
+            assert q.converged_digits >= 25
+
+    def test_edge_subset_matches_full_table(self):
+        full = {(p.N, p.edge): p for p in band_edges(0.25, 3, HillConfig(dps=25))}
+        sub = band_edges(0.25, 3, HillConfig(dps=25), edges=[(3, "top"), (1, "bottom")])
+        assert [(p.N, p.edge) for p in sub] == [(3, "top"), (1, "bottom")]
+        for p in sub:
+            assert p.u == full[(p.N, p.edge)].u
+
+
 class TestCrossings:
     def test_gap_edge_crossings_match_quarter_shifts(self):
         for N in (3, 6):

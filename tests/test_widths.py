@@ -77,6 +77,18 @@ class TestBandWidth:
         num = width_num(0.3, 0, "band")["width"]
         assert abs(est.with_fluctuations / num - 1) < 0.01
 
+    @pytest.mark.parametrize("hbar", [0.1, 0.07])
+    def test_against_oracle_deep(self, hbar):
+        # the extended-precision oracle resolves widths of 1e-28 .. 1e-50
+        from mathieu_resurgence.oracle import width_num
+
+        for N in range(4):
+            num = width_num(hbar, N, "band")
+            est = band_width(hbar, N, order=4).with_fluctuations
+            assert abs(est / num["width"] - 1) < 1e-3
+            assert num["error_bound"] <= 1e-6 * num["width"]
+            assert num["dps_used"] is not None
+
     def test_regime_warning(self):
         with pytest.warns(UserWarning):
             band_width(1.0, 4, order=2)
