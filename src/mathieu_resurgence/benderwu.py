@@ -275,6 +275,11 @@ def large_order_fit(
     and odd ratio subsequences separately; their common limit is the
     dominant action when a subdominant alternating saddle contaminates
     the plain ratios.
+
+    Either model compares Richardson at ``richardson_steps`` with one step
+    fewer (on each subsequence for ``two-action``) and raises
+    ConvergenceError when that spread exceeds 0.2 |action|; the largest
+    spread is returned under ``"spread"``.
     """
     if len(coeffs) < 8:
         raise DomainError("need at least 8 coefficients for a ratio fit")
@@ -290,35 +295,34 @@ def large_order_fit(
             elif n2 - n1 == 2:
                 # every other coefficient vanishes: ratio jumps two orders
                 ratios.append((n1, mpmath.sqrt(abs(c1 / c2) * (n1 + 1) * (n1 + 2))))
+        k = richardson_steps
+
+        def settled(win, n0):
+            """Richardson at k steps and its distance from k - 1 steps."""
+            vals = [v for _n, v in win]
+            s = richardson(vals, k, n0=n0)
+            return s, abs(s - richardson(vals, k - 1, n0=n0))
+
         if model == "single-action":
-            k = richardson_steps
             win = ratios[-(k + 7):]
-            s_fit = richardson([v for _n, v in win], k, n0=win[0][0])
-            s_lo = richardson([v for _n, v in win], k - 1, n0=win[0][0])
-            spread = abs(s_fit - s_lo)
-            if spread > abs(s_fit) * mpmath.mpf("0.2"):
-                raise ConvergenceError(
-                    f"ratio acceleration did not settle: spread {float(spread):.3g} "
-                    f"around {float(s_fit):.6g}"
-                )
-            return {
-                "model": model,
-                "action": s_fit,
-                "spread": spread,
-                "ratios": [v for _n, v in ratios],
-            }
-        if model == "two-action":
+            s_fit, spread = settled(win, win[0][0])
+            out = {"model": model, "action": s_fit, "spread": spread,
+                   "ratios": [v for _n, v in ratios]}
+        elif model == "two-action":
             even = [(n, v) for (n, v) in ratios if n % 2 == 0]
             odd = [(n, v) for (n, v) in ratios if n % 2 == 1]
-            k = richardson_steps
             we, wo = even[-(k + 4):], odd[-(k + 4):]
             # even/odd subsequences step by 2 in n; relabel to unit steps
-            s_even = richardson([v for _n, v in we], k, n0=we[0][0] // 2)
-            s_odd = richardson([v for _n, v in wo], k, n0=(wo[0][0] - 1) // 2)
-            return {
-                "model": model,
-                "action": (s_even + s_odd) / 2,
-                "action_even": s_even,
-                "action_odd": s_odd,
-            }
-        raise DomainError(f"unknown model {model!r}")
+            s_even, spread_even = settled(we, we[0][0] // 2)
+            s_odd, spread_odd = settled(wo, (wo[0][0] - 1) // 2)
+            out = {"model": model, "action": (s_even + s_odd) / 2,
+                   "spread": max(spread_even, spread_odd),
+                   "action_even": s_even, "action_odd": s_odd}
+        else:
+            raise DomainError(f"unknown model {model!r}")
+        if out["spread"] > abs(out["action"]) * mpmath.mpf("0.2"):
+            raise ConvergenceError(
+                f"ratio acceleration did not settle: spread {float(out['spread']):.3g} "
+                f"around {float(out['action']):.6g}"
+            )
+        return out

@@ -130,11 +130,30 @@ def _cache_dir() -> str | None:
 # output-only options: they change how a payload is rendered, not what it is
 _OUTPUT_OPTIONS = ("format", "output", "pretty")
 
+# Payload shape per subcommand, part of the cache key only: raise a number
+# when its subcommand's payload gains, loses or changes a field, so older
+# cache entries become misses while metadata.version and stdout stay put.
+# widths: 2 added oracle_dps and oracle_truncation to its row.
+_PAYLOAD_SCHEMA = {
+    "pert": 1,
+    "strong": 1,
+    "pinst": 1,
+    "zjj": 1,
+    "actions": 1,
+    "spectrum": 1,
+    "figure1": 1,
+    "figure2": 1,
+    "widths": 2,
+    "zerodim": 1,
+    "benderwu": 1,
+}
+
 
 def _cached(key: dict, compute):
     """Content-addressed cache of expensive exact computations.
 
-    The key carries the package version.  Entries are written to a
+    The key carries the package version and the caller puts the payload
+    schema of its subcommand in ``key``.  Entries are written to a
     temporary file and renamed into place, so a reader never sees a
     partial entry; an unreadable or corrupt entry counts as a miss and is
     overwritten.
@@ -493,7 +512,11 @@ def main(argv: list[str] | None = None) -> int:
     key_config = {k: v for k, v in config.items() if k not in _OUTPUT_OPTIONS}
     try:
         payload = _cached(
-            {"command": args.command, "config": key_config},
+            {
+                "command": args.command,
+                "schema": _PAYLOAD_SCHEMA[args.command],
+                "config": key_config,
+            },
             lambda: _RUNNERS[args.command](args),
         )
     except DomainError as exc:

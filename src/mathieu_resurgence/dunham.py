@@ -12,27 +12,174 @@ With vt_n = w_n / i^(n+1) everything is real:
 
 and the action coefficients are a_n = (-1)^n / (2 pi) * cycle(vt_{2n}).
 
-Two regions are evaluated with the same recursion but different exact
-representations:
+Both regions run the recursion in one exact ring, whose elements are
 
-* well (u near -1): canonical coordinate w = 2 sin(y/2) makes the shifted
-  potential exactly w^2/2, so p^2 = 2 eps - w^2 with eps = u + 1, and the
-  cycle integrals reduce to Hadamard-regularized beta integrals
+    (P0 + r P1) p^(-j),   r^2 = f(x),   p^2 = g(x, lam),
+
+with P0, P1 polynomials in x over Q[lam] and the derivative D = sigma r d/dx.
+The ring is closed under D,
+
+    D(P0 + r P1) = sigma (f P1' + f'/2 P1) + r sigma P0',
+    D p^(-j)     = -(j sigma / 2) g_x r p^(-j-2),
+
+so no term is ever truncated.  Odd orders are pure r parts and even orders
+carry no r part; the cycle integrals only read even orders.
+
+* well (u near -1): x = w = 2 sin(y/2) makes the shifted potential exactly
+  w^2/2, so r = dw/dy = sqrt(1 - w^2/4), sigma = +1, lam = eps = u + 1 and
+  p^2 = 2 eps - w^2.  The cycle integral of vt_2n dy = vt_2n dw / r expands
+  1/r once per n, only to the power of w that eps_order reaches, and
+  reduces to Hadamard-regularized beta integrals
   int_{-R}^{R} w^(2t) (R^2 - w^2)^(-j/2) dw, all rational multiples of
   pi * (2 eps)^k.
 
-* high (u >> 1): everything is a trig polynomial over p^2 = 2u - 2 cos x,
-  and the full-period average reduces to cosine moments after a binomial
-  expansion in 1/u.
+* high (u >> 1): x = cos y, r = sin y, sigma = -1, lam = u and
+  p^2 = 2u - 2 cos y; the full-period average reduces to cosine moments
+  after a binomial expansion in 1/u.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import comb, factorial, gcd, lcm
 
 from .errors import StructureError
-from .series import PolyB, PolySeries
 
 __all__ = ["well_action_series", "high_action_series"]
+
+# A polynomial in (x, lam) is a dict {key: coefficient} with
+# key = (power of x) << _SHIFT | (power of lam), so products add keys.
+_SHIFT = 32
+_LAM = (1 << _SHIFT) - 1
+
+
+def _pmul(A: dict, B: dict) -> dict:
+    out: dict = {}
+    get = out.get
+    for ka, ca in A.items():
+        for kb, cb in B.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _plin(A: dict, s, B: dict, t) -> dict:
+    """s A + t B."""
+    out = {k: s * c for k, c in A.items()}
+    get = out.get
+    for k, c in B.items():
+        out[k] = get(k, 0) + t * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _pdx(A: dict) -> dict:
+    """d/dx."""
+    return {k - (1 << _SHIFT): (k >> _SHIFT) * c for k, c in A.items() if k >> _SHIFT}
+
+
+class _QuadRing:
+    """Exact elements (P0 + r P1) p^(-j), r^2 = f(x), p^2 = g(x, lam).
+
+    An element is a tuple (P0, P1, j, den) standing for
+    (P0 + r P1) p^(-j) / den, with P0, P1 integer polynomials (see
+    ``_SHIFT``) and den a positive integer, so the recursion runs on
+    integers and reduces by one gcd per order.
+    """
+
+    def __init__(self, f: dict, g: dict, sigma: int):
+        self.sigma = sigma
+        fx, gx = _pdx(f), _pdx(g)
+        half = Q(1, 2)
+        # g f, g f'/2, g_x f / 2, g and g_x / 2 over one common denominator
+        consts = [
+            _pmul(g, f),
+            _pmul(g, {k: c * half for k, c in fx.items()}),
+            _pmul({k: c * half for k, c in gx.items()}, f),
+            g,
+            {k: c * half for k, c in gx.items()},
+        ]
+        self.den = lcm(*(Q(c).denominator for p in consts for c in p.values()))
+        self.gf, self.gfx, self.gxf, self.g, self.gx = (
+            {k: int(c * self.den) for k, c in p.items()} for p in consts
+        )
+        self.fden = lcm(*(Q(c).denominator for c in f.values()))
+        self.f = {k: int(c * self.fden) for k, c in f.items()}
+        self.p = ({0: 1}, {}, -1, 1)  # vt_0 = p = 1 * p^(+1)
+
+    def _times_g(self, e, m: int):
+        """The same element written with j raised by 2m."""
+        P0, P1, j, den = e
+        for _ in range(m):
+            P0, P1, den = _pmul(P0, self.g), _pmul(P1, self.g), den * self.den
+        return (P0, P1, j + 2 * m, den)
+
+    def add(self, e1, e2, s: int = 1):
+        """e1 + s e2, written over the larger power of 1/p."""
+        if (e1[2] - e2[2]) % 2:
+            raise StructureError(f"p-parity mismatch: p^(-{e1[2]}) + p^(-{e2[2]})")
+        if e1[2] < e2[2]:
+            e1 = self._times_g(e1, (e2[2] - e1[2]) // 2)
+        elif e2[2] < e1[2]:
+            e2 = self._times_g(e2, (e1[2] - e2[2]) // 2)
+        den = lcm(e1[3], e2[3])
+        a, b = den // e1[3], s * den // e2[3]
+        return (_plin(e1[0], a, e2[0], b), _plin(e1[1], a, e2[1], b), e1[2], den)
+
+    def mul(self, e1, e2):
+        """(A0 + r A1)(B0 + r B1) = A0 B0 + f A1 B1 + r (A0 B1 + A1 B0)."""
+        (A0, A1, j1, d1), (B0, B1, j2, d2) = e1, e2
+        P0 = _plin(_pmul(A0, B0), self.fden, _pmul(self.f, _pmul(A1, B1)), 1)
+        P1 = _plin(_pmul(A0, B1), self.fden, _pmul(A1, B0), self.fden)
+        return (P0, P1, j1 + j2, d1 * d2 * self.fden)
+
+    def d(self, e):
+        """D e, written over p^(-j-2): the r-free part is
+        sigma (g f P1' + (g f'/2 - j g_x f/2) P1) and the r part
+        sigma (g P0' - j g_x/2 P0)."""
+        P0, P1, j, den = e
+        s = self.sigma
+        B = _plin(self.gfx, 1, self.gxf, -j)
+        P0n = _plin(_pmul(self.gf, _pdx(P1)), s, _pmul(B, P1), s)
+        P1n = _plin(_pmul(self.g, _pdx(P0)), s, _pmul(self.gx, P0), -s * j)
+        return (P0n, P1n, j + 2, den * self.den)
+
+    def div_2p(self, e):
+        """e / (2 p), reduced to lowest terms."""
+        P0, P1, j, den = e
+        den *= 2
+        q = gcd(den, *P0.values(), *P1.values())
+        return (
+            {k: c // q for k, c in P0.items()},
+            {k: c // q for k, c in P1.items()},
+            j + 1,
+            den // q,
+        )
+
+    @staticmethod
+    def even_part(e):
+        """(P0, j, den) of an even-order term, whose r part must vanish."""
+        if e[1]:
+            raise StructureError("even-order WKB term has a nonzero r part")
+        return e[0], e[2], e[3]
+
+
+# well: x = w, r = sqrt(1 - w^2/4), p^2 = 2 eps - w^2; high: x = cos y,
+# r = sin y, p^2 = 2u - 2 cos y.  Keys: w^a eps^d -> a << _SHIFT | d.
+_WELL = _QuadRing({0: 1, 2 << _SHIFT: Q(-1, 4)}, {1: 2, 2 << _SHIFT: -1}, +1)
+_HIGH = _QuadRing({0: 1, 2 << _SHIFT: -1}, {1: 2, 1 << _SHIFT: -2}, -1)
+
+
+def _riccati(ring: _QuadRing, n_orders: int) -> list:
+    """vt_0 .. vt_{n_orders} via the real Riccati recursion."""
+    v = [ring.p]
+    for n in range(1, n_orders + 1):
+        acc = ring.d(v[n - 1])
+        # the sum over k = 1..n-1 holds each product with k != n - k twice
+        for k in range(1, (n + 1) // 2):
+            acc = ring.add(acc, ring.mul(v[k], v[n - k]), -2)
+        if n % 2 == 0:
+            acc = ring.add(acc, ring.mul(v[n // 2], v[n // 2]), -1)
+        v.append(ring.div_2p(acc))
+    return v
 
 
 def _gamma_half_ratio(k: int) -> Q:
@@ -48,248 +195,43 @@ def _gamma_half_ratio(k: int) -> Q:
     return q
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _binom_q(alpha: Q, i: int) -> Q:
-    """Generalized binomial coefficient C(alpha, i) over the rationals."""
-    num = Q(1)
-    for t in range(i):
-        num *= (alpha - t)
-    return num / _factorial(i)
-
-
-# ---------------------------------------------------------------------------
-# Well region
-# ---------------------------------------------------------------------------
-
-class _WellRing:
-    """Elements P(w, eps) * p^(-j) with P a w-series over Q[eps]."""
-
-    def __init__(self, wmax: int):
-        self.wmax = wmax
-        self.p2 = PolySeries("w", wmax, [PolyB((0, 2)), PolyB(), PolyB.const(-1)])
-        # dw/dy = sqrt(1 - w^2/4) and its reciprocal, truncated.
-        x2 = PolySeries("w", wmax, [PolyB(), PolyB(), PolyB.const(Q(-1, 4))])
-        self.c = self._binom_series(x2, Q(1, 2))
-        self.invc = self._binom_series(x2, Q(-1, 2))
-
-    @staticmethod
-    def _binom_series(x: PolySeries, alpha: Q) -> PolySeries:
-        out = PolySeries.const(x.var, x.order, 1)
-        term = PolySeries.const(x.var, x.order, 1)
-        k = 0
-        while True:
-            k += 1
-            if 2 * k > x.order:
-                break
-            term = term * x * (Q(alpha - (k - 1)) / k)
-            out = out + term
-        return out
-
-    def align(self, e1, e2):
-        (P1, j1), (P2, j2) = e1, e2
-        j = max(j1, j2)
-        if (j - j1) % 2 or (j - j2) % 2:
-            raise StructureError("p-parity mismatch in well ring")
-        if j > j1:
-            P1 = P1 * self.p2 ** ((j - j1) // 2)
-        if j > j2:
-            P2 = P2 * self.p2 ** ((j - j2) // 2)
-        return (P1, P2, j)
-
-    def add(self, e1, e2):
-        P1, P2, j = self.align(e1, e2)
-        return (P1 + P2, j)
-
-    def sub(self, e1, e2):
-        P1, P2, j = self.align(e1, e2)
-        return (P1 - P2, j)
-
-    def mul(self, e1, e2):
-        return (e1[0] * e2[0], e1[1] + e2[1])
-
-    def div_2p(self, e):
-        return (e[0] / 2, e[1] + 1)
-
-    def d_dy(self, e):
-        """d/dy = c(w) d/dw on P p^(-j)."""
-        P, j = e
-        t1 = (P.derivative_var().extend_zero(self.wmax) * self.c, j)
-        t2 = (P * self.c * PolySeries("w", self.wmax, [PolyB(), PolyB.const(j)]), j + 2)
-        return self.add(t1, t2)
-
-
-def _riccati(ring, v0, n_orders: int):
-    """vt_0 .. vt_{n_orders} via the real Riccati recursion."""
-    v = [v0]
-    for n in range(1, n_orders + 1):
-        acc = ring.d_dy(v[n - 1])
-        for k in range(1, n):
-            acc = ring.sub(acc, ring.mul(v[k], v[n - k]))
-        v.append(ring.div_2p(acc))
-    return v
-
-
 def well_action_series(n_max: int, eps_order: int) -> list[list[Q]]:
     """Exact Taylor coefficients of a_n(u) in eps = u + 1, n = 0..n_max.
 
     Returns L with L[n][k] the coefficient of eps^k in a_n, k <= eps_order.
     """
-    wmax = 2 * eps_order + 6 * n_max + 6
-    ring = _WellRing(wmax)
-    v = _riccati(ring, (PolySeries.const("w", wmax, 1), -1), 2 * n_max)
-
+    v = _riccati(_WELL, 2 * n_max)
     out = []
     for n in range(n_max + 1):
-        P, j = v[2 * n]
-        integrand = P * ring.invc
+        P, j, den = _WELL.even_part(v[2 * n])
+        # integrand P / r with 1/r = sum_i C(2i, i) w^(2i) / 16^i; w^(2t)
+        # reaches eps^k only for 2t <= 2 eps_order + j - 1, j odd
+        top = 2 * eps_order + j
+        imax = max(top // 2, 0)
+        integrand: dict[tuple[int, int], int] = {}
+        for key, c in P.items():
+            a, d = key >> _SHIFT, key & _LAM
+            for i in range((top - a) // 2 + 1):
+                ti = (a + 2 * i, d)
+                integrand[ti] = integrand.get(ti, 0) + c * comb(2 * i, i) * 16 ** (imax - i)
+        scale = Q(1, den * 16**imax)
         coeffs = [Q(0)] * (eps_order + 1)
-        for t2 in range(0, integrand.order + 1):
-            if t2 % 2:
+        for (t2, d), cd in integrand.items():
+            if t2 % 2 or not cd:
                 continue
             t = t2 // 2
             mint = t + (3 - j) // 2
             if mint <= 0:
                 continue  # regularized integral vanishes
             powR = (2 * t + 1 - j) // 2  # power of R^2 = 2 eps
-            base = _gamma_half_ratio(t) * _gamma_half_ratio((1 - j) // 2) / _factorial(mint - 1)
-            poly = integrand.c[t2]
-            for d, cd in enumerate(poly.c):
-                if cd == 0:
-                    continue
-                k = powR + d
-                if 0 <= k <= eps_order:
-                    # (2 eps)^powR * eps^d; the 1/(2 pi) and the pi from the
-                    # beta integral leave a bare 1/2.
-                    coeffs[k] += (-1) ** n * cd * base * Q(2) ** powR / 2
+            k = powR + d
+            if 0 <= k <= eps_order:
+                base = _gamma_half_ratio(t) * _gamma_half_ratio((1 - j) // 2) / factorial(mint - 1)
+                # (2 eps)^powR * eps^d; the 1/(2 pi) and the pi from the
+                # beta integral leave a bare 1/2.
+                coeffs[k] += (-1) ** n * cd * scale * base * Q(2) ** powR / 2
         out.append(coeffs)
     return out
-
-
-# ---------------------------------------------------------------------------
-# High region
-# ---------------------------------------------------------------------------
-
-class _TrigPoly:
-    """c-polynomial plus s * (c-polynomial), coefficients in Q[u]."""
-
-    __slots__ = ("ce", "se")
-
-    def __init__(self, ce=(), se=()):
-        self.ce = self._trim([p if isinstance(p, PolyB) else PolyB.const(p) for p in ce])
-        self.se = self._trim([p if isinstance(p, PolyB) else PolyB.const(p) for p in se])
-
-    @staticmethod
-    def _trim(ls):
-        while ls and ls[-1].is_zero():
-            ls.pop()
-        return ls
-
-    @staticmethod
-    def _padd(a, b):
-        n = max(len(a), len(b))
-        return [
-            (a[i] if i < len(a) else PolyB()) + (b[i] if i < len(b) else PolyB())
-            for i in range(n)
-        ]
-
-    @staticmethod
-    def _pmul(a, b):
-        if not a or not b:
-            return []
-        out = [PolyB() for _ in range(len(a) + len(b) - 1)]
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for k, y in enumerate(b):
-                if not y.is_zero():
-                    out[i + k] = out[i + k] + x * y
-        return out
-
-    def __add__(self, other):
-        return _TrigPoly(self._padd(self.ce, other.ce), self._padd(self.se, other.se))
-
-    def __sub__(self, other):
-        neg = _TrigPoly([-p for p in other.ce], [-p for p in other.se])
-        return self + neg
-
-    def __mul__(self, other):
-        # (A + sB)(C + sD) = AC + (1-c^2) BD + s(AD + BC)
-        ac = self._pmul(self.ce, other.ce)
-        bd = self._pmul(self.se, other.se)
-        one_c2 = self._padd(self._pmul([PolyB.const(1), PolyB(), PolyB.const(-1)], bd), [])
-        ce = self._padd(ac, one_c2)
-        se = self._padd(self._pmul(self.ce, other.se), self._pmul(self.se, other.ce))
-        return _TrigPoly(ce, se)
-
-    def scale(self, q: Q):
-        return _TrigPoly([p * q for p in self.ce], [p * q for p in self.se])
-
-    def d_dx(self):
-        """(c^k)' = -k c^(k-1) s ; (c^k s)' = (k+1) c^(k+1) - k c^(k-1)."""
-        se = [PolyB() for _ in range(max(len(self.ce) - 1, 0))]
-        for k in range(1, len(self.ce)):
-            se[k - 1] = se[k - 1] - self.ce[k] * k
-        ce = [PolyB() for _ in range(len(self.se) + 1)]
-        for k, p in enumerate(self.se):
-            ce_len = max(len(ce), k + 2)
-            while len(ce) < ce_len:
-                ce.append(PolyB())
-            ce[k + 1] = ce[k + 1] + p * (k + 1)
-            if k >= 1:
-                ce[k - 1] = ce[k - 1] - p * k
-        return _TrigPoly(ce, se)
-
-
-class _HighRing:
-    """Elements T(x, u) * p^(-j) with T a trig polynomial, p^2 = 2u - 2 cos x."""
-
-    def __init__(self):
-        self.p2 = _TrigPoly([PolyB((0, 2)), PolyB.const(-2)])
-
-    def align(self, e1, e2):
-        (T1, j1), (T2, j2) = e1, e2
-        j = max(j1, j2)
-        if (j - j1) % 2 or (j - j2) % 2:
-            raise StructureError("p-parity mismatch in high ring")
-        for _ in range((j - j1) // 2):
-            T1 = T1 * self.p2
-        for _ in range((j - j2) // 2):
-            T2 = T2 * self.p2
-        return (T1, T2, j)
-
-    def add(self, e1, e2):
-        T1, T2, j = self.align(e1, e2)
-        return (T1 + T2, j)
-
-    def sub(self, e1, e2):
-        T1, T2, j = self.align(e1, e2)
-        return (T1 - T2, j)
-
-    def mul(self, e1, e2):
-        return (e1[0] * e2[0], e1[1] + e2[1])
-
-    def div_2p(self, e):
-        return (e[0].scale(Q(1, 2)), e[1] + 1)
-
-    def d_dy(self, e):
-        """d/dx of T p^(-j); p' = sin x / p."""
-        T, j = e
-        t1 = (T.d_dx(), j)
-        t2 = (_TrigPoly([], [PolyB.const(-j)]) * T, j + 2)
-        return self.add(t1, t2)
-
-
-def _cos_moment(t: int) -> Q:
-    """(1/2pi) integral of cos^t over a period."""
-    if t % 2:
-        return Q(0)
-    return Q(_factorial(t), _factorial(t // 2) ** 2 * 2 ** t)
 
 
 def high_action_series(n_max: int, depth: int) -> list[dict[int, Q]]:
@@ -298,38 +240,32 @@ def high_action_series(n_max: int, depth: int) -> list[dict[int, Q]]:
     ``depth`` bounds how far down in powers of 1/u the expansion goes:
     terms with h >= h_lead - 2*depth are kept.
     """
-    ring = _HighRing()
-    v = _riccati(ring, (_TrigPoly([PolyB.const(1)]), -1), 2 * n_max)
-
+    v = _riccati(_HIGH, 2 * n_max)
     out = []
     for n in range(n_max + 1):
-        T, j = v[2 * n]
-        acc: dict[int, Q] = {}
-        h_lead = -j + 2 * max(
-            (d for p in T.ce for d, cd in enumerate(p.c) if cd != 0), default=0
-        )
+        T, j, den = _HIGH.even_part(v[2 * n])
+        rows: dict[int, dict[int, int]] = {}  # u-power d -> {cos-power k: coefficient}
+        for key, c in T.items():
+            rows.setdefault(key & _LAM, {})[key >> _SHIFT] = c
+        h_lead = -j + 2 * max(rows, default=0)
         h_floor = h_lead - 2 * depth - 2
-        for k, p in enumerate(T.ce):
-            for d, cd in enumerate(p.c):
-                if cd == 0:
-                    continue
-                # term cd * u^d * c^k * p^(-j); expand p^(-j) in cos/u.
-                i = 0
-                while True:
+        acc: dict[int, Q] = {}
+        for d, row in rows.items():
+            kmax = max(row)
+            # term c u^d cos^k p^(-j); expand p^(-j) = (2u)^(-j/2) (1 - cos/u)^(-j/2)
+            # and average cos^(k+i) = C(k+i, (k+i)/2) / 2^(k+i) over the period
+            binom = Q(1)
+            for i in range((2 * d - j - h_floor) // 2 + 1):
+                if i:
+                    binom *= Q(-j - 2 * (i - 1), 2 * i)  # C(-j/2, i)
+                mom = sum(
+                    c * comb(k + i, (k + i) // 2) * 2 ** (kmax - k)
+                    for k, c in row.items()
+                    if (k + i) % 2 == 0
+                )
+                if mom:
                     h = 2 * d - 2 * i - j
-                    if h < h_floor:
-                        break
-                    mom = _cos_moment(k + i)
-                    if mom:
-                        val = (
-                            cd
-                            * _binom_q(Q(-j, 2), i)
-                            * (-1) ** i
-                            * mom
-                            * Q(2) ** (i - d)
-                            * (-1) ** n
-                        )
-                        acc[h] = acc.get(h, Q(0)) + val
-                    i += 1
+                    val = mom * binom * (-1) ** (i + n) * Q(2) ** (-d - kmax) / den
+                    acc[h] = acc.get(h, Q(0)) + val
         out.append({h: c for h, c in sorted(acc.items(), reverse=True) if c != 0})
     return out

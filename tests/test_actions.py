@@ -207,6 +207,30 @@ class TestRiccatiRings:
         # p^(-j) terms of opposite parity cannot be aligned; the check must
         # survive python -O
         with pytest.raises(StructureError):
-            dunham._WellRing(4).align((None, 0), (None, 1))
+            dunham._WELL.add(({}, {}, 0, 1), ({}, {}, 1, 1))
         with pytest.raises(StructureError):
-            dunham._HighRing().align((None, 1), (None, 2))
+            dunham._HIGH.add(({}, {}, 1, 1), ({}, {}, 2, 1))
+
+    @pytest.mark.parametrize(
+        "series", [dunham.well_action_series, dunham.high_action_series]
+    )
+    def test_even_order_r_part_is_a_typed_error(self, series, monkeypatch):
+        # an even-order term carrying r = dw/dy (well) or sin y (high) has no
+        # cycle integral in this form
+        bad = ({0: 1}, {0: 1}, -1, 1)
+        monkeypatch.setattr(dunham, "_riccati", lambda ring, n: [bad] * (n + 1))
+        with pytest.raises(StructureError):
+            series(1, 4)
+
+    def test_well_series_prefix_does_not_depend_on_order(self):
+        # a 1/r expansion cut too short shows up as a top coefficient that
+        # changes when more orders are asked for
+        deep, shallow = dunham.well_action_series(4, 12), dunham.well_action_series(4, 8)
+        for n in range(5):
+            assert deep[n][:9] == shallow[n]
+
+    def test_high_series_prefix_does_not_depend_on_depth(self):
+        deep, shallow = dunham.high_action_series(4, 12), dunham.high_action_series(4, 8)
+        for n in range(5):
+            floor = max(shallow[n]) - 2 * 8 - 2
+            assert {h: c for h, c in deep[n].items() if h >= floor} == shallow[n]

@@ -16,7 +16,7 @@ from mathieu_resurgence.benderwu import (
     richardson,
     rs_series,
 )
-from mathieu_resurgence.errors import DomainError
+from mathieu_resurgence.errors import ConvergenceError, DomainError
 from mathieu_resurgence.series import PolyB
 
 
@@ -140,6 +140,20 @@ class TestLargeOrder:
         m = 0.75
         s_ghost = 2 * math.asin(math.sqrt(1 - m)) / math.sqrt(m * (1 - m))
         assert abs(float(fit["action"]) - 2 * s_ghost) / (2 * s_ghost) < 0.03
+
+    def test_two_action_fit_reports_its_spread(self):
+        V = lame_potential(Q(1, 4), 72)
+        series = rs_series(V, 0, 34)
+        coeffs = [series[n].const_value() for n in range(2, 35)]
+        fit = large_order_fit(coeffs, "two-action", n_offset=2)
+        assert 0 < fit["spread"] < 1e-3 * abs(fit["action"])
+
+    @pytest.mark.parametrize("model", ["single-action", "two-action"])
+    def test_unsettled_ratios_are_a_convergence_error(self, model):
+        # ratios cycling with period 3 have no limit on either subsequence
+        coeffs = [Q(math.factorial(n) * 3 ** (n % 3)) for n in range(2, 35)]
+        with pytest.raises(ConvergenceError):
+            large_order_fit(coeffs, model, n_offset=2)
 
     def test_sin2_well_subleading_sequence(self):
         # the 1/n and 1/(n(n-1)) corrections of the normalized large-order

@@ -214,6 +214,23 @@ class TestOutputPlumbing:
         run(capsys, "pert", "--order", "2", "--poly")
         assert len(list(tmp_path.iterdir())) == 2
 
+    def test_entry_of_another_schema_is_recomputed(self, tmp_path, capsys, monkeypatch):
+        # a payload cached before its shape changed must not be served
+        monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
+        _, fresh = run(capsys, "actions", "--n", "1", "--order", "3")
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        with monkeypatch.context() as m:
+            m.setitem(cli._PAYLOAD_SCHEMA, "actions", cli._PAYLOAD_SCHEMA["actions"] - 1)
+            m.setitem(cli._RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
+            _, stale = run(capsys, "actions", "--n", "1", "--order", "3")
+        assert "stale" in json.loads(stale)
+        code, out = run(capsys, "actions", "--n", "1", "--order", "3")
+        assert code == EXIT_OK and out == fresh
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_every_subcommand_has_a_payload_schema(self):
+        assert set(cli._PAYLOAD_SCHEMA) == set(cli._RUNNERS)
+
 
 _PROBE = """
 import json, sys

@@ -38,6 +38,11 @@ class TestWeakInversion:
         bw = polynomial_in_N(mathieu_well_potential(36), 16)
         assert all(up[k] == bw[k] for k in range(17))
 
+    def test_exact_equality_with_independent_recursion_order_24(self):
+        up = bs_invert_weak(24)
+        bw = polynomial_in_N(mathieu_well_potential(52), 24)
+        assert all(up[k] == bw[k] for k in range(25))
+
     def test_large_order_growth_ratio(self):
         # u_{n+1}/u_n -> (n + 2N + 1)/16, Richardson-accelerated, via the
         # recursion oracle at fixed N (identical series through tested order)
