@@ -17,7 +17,7 @@ import mpmath
 
 from .elliptic import ellip_K, jacobi_sn_cn_dn
 from .errors import DomainError
-from .jacobi_exact import saddle_potential_imag, sd_squared_taylor
+from .jacobi_exact import _cn2_flipped, _nc2_flipped, _sd2, sd_squared_taylor
 from .series import PolyB
 
 __all__ = [
@@ -70,36 +70,66 @@ def _dfac(n: int) -> int:
     return out
 
 
+def _common_denominator(xs) -> tuple[list, int]:
+    """(numerators, D): the entries of xs over one common denominator D.
+    A rational becomes an int, a PolyB an integer-coefficient PolyB."""
+    D = math.lcm(*(c.denominator for x in xs for c in (x.c if isinstance(x, PolyB) else (x,))))
+    return [x * D if isinstance(x, PolyB) else x.numerator * (D // x.denominator) for x in xs], D
+
+
+def _reduce(vals: list, den: int) -> tuple[list, int]:
+    """Divide integer entries (ints or integer-coefficient PolyB) and their
+    common denominator by one gcd."""
+    g = math.gcd(den, *(v for v in vals if isinstance(v, int)),
+                 *(c.numerator for v in vals if isinstance(v, PolyB) for c in v.c))
+    if g == 1:
+        return vals, den
+    return [v / g if isinstance(v, PolyB) else v // g for v in vals], den // g
+
+
 def _gaussian_moments(taylor, c2: Q, order: int) -> list:
     """Coefficients b_0..b_order of sum_r b_r hbar^r, the Gaussian-moment
     expansion of int exp(-(f - f(0))/hbar) ds / sqrt(pi hbar / c2).
 
     ``taylor`` holds f = sum_k c_k s^k with c_1 = 0 and c_2 = ``c2``; its
-    entries may be rationals or PolyB polynomials, and the arithmetic stays
-    in their ring (``c * 0`` is the ring's zero, as in ``series.horner``).
+    entries may be rationals or PolyB polynomials, and the output stays in
+    their ring (``c * 0`` is the ring's zero, as in ``series.horner``).
     With s -> sqrt(hbar) s, exp(-A) has A = sum_{k>=3} c_k delta^(k-2) s^k,
     delta = sqrt(hbar).  The n-th term A^n/n! at delta^d carries s^(d+2n),
     so only a list over d is kept per n, and hbar^r takes the moments
-    <s^(2j)> = (2j-1)!!/(2 c2)^j with j = r + n.
+    <s^(2j)> = (2j-1)!!/(2 c2)^j with j = r + n.  The lists hold integers
+    (integer polynomials over Q[m]): A/s^2 is written over one denominator,
+    and A^n/n! over one denominator per n, reduced by one gcd.
     """
     dmax = 2 * order
     zero = taylor[2] * 0
-    # a[d] multiplies delta^d in A/s^2 = sum_k c_k (delta s)^(k-2)
-    a = [zero] + [taylor[d + 2] if d + 2 < len(taylor) else zero for d in range(1, dmax + 1)]
-    term = [zero + 1] + [zero] * dmax  # A^n/n!, starting at n = 0
+    # the nonzero a[d], which multiplies delta^d in A/s^2 = sum_k c_k
+    # (delta s)^(k-2), as (d, numerator) over one denominator D
+    nz = [(d, c) for d, c in enumerate(taylor[3 : dmax + 3], start=1) if c]
+    nums, D = _common_denominator([c for _, c in nz])
+    a = [(d, v) for (d, _), v in zip(nz, nums)]
+    # (2j-1)!! / (2 c2)^j = moment[j][0] / moment[j][1]
+    u, v = c2.numerator, c2.denominator
+    moment, dfac = [], 1
+    for j in range(order + dmax + 1):
+        moment.append((dfac * v ** j, (2 * u) ** j))
+        dfac *= 2 * j + 1
+    term, den = [1] + [0] * dmax, 1  # (-A)^n/n! = term / den, from n = 0
     out = [zero] * (order + 1)
     for n in range(dmax + 1):
         for r in range(order + 1):
             if term[2 * r]:
-                j = r + n
-                out[r] = out[r] + term[2 * r] * (Q(_dfac(2 * j - 1)) / (2 * c2) ** j)
-        new = [zero] * (dmax + 1)
-        for d1, v in enumerate(term):
-            if v:
-                for d2 in range(1, dmax + 1 - d1):
-                    if a[d2]:
-                        new[d1 + d2] = new[d1 + d2] + v * a[d2]
-        term = [v * Q(-1, n + 1) for v in new]
+                num, mden = moment[r + n]
+                out[r] = out[r] + term[2 * r] * Q(num, mden * den)
+        new = [0] * (dmax + 1)
+        for d1, t in enumerate(term):
+            if t:
+                for d2, x in a:
+                    if d1 + d2 > dmax:
+                        break
+                    new[d1 + d2] += t * x
+        # (-A)^(n+1)/(n+1)! = -A (-A)^n/n! / (n+1)
+        term, den = _reduce(new, -den * D * (n + 1))
     return out
 
 
@@ -110,6 +140,8 @@ def saddle_series(taylor, order: int, label: str = "saddle",
     ``taylor``: exact coefficients [c0, c1, c2, c3, ...] of f along the
     (possibly rotated) descent direction; requires c1 = 0 and c2 > 0.
     """
+    if order < 0:
+        raise DomainError(f"expansion order must be >= 0, got {order}")
     taylor = [c.const_value() if isinstance(c, PolyB) else Q(c) for c in taylor]
     if len(taylor) < 3 or taylor[1] != 0:
         raise DomainError("need Taylor data [S, 0, c2, ...] along the descent line")
@@ -128,41 +160,48 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
     vacuum at z = 0 (action 0), the real saddle at z = K(m) with action
     1/(1-m), and the imaginary one at z = i K(1-m) with action -1/m; the
     latter two are rotated (descent along the imaginary direction).  The
-    Taylor data are built over Q at this m.
+    Taylor data are built over Q at this m, as plain rationals.
     """
+    return _lame_saddles(m, order, order)
+
+
+def _lame_saddles(m: Q, order: int, rotated_order: int) -> dict[str, SaddleExpansion]:
+    """``lame_saddles`` with the two rotated saddles expanded only to
+    ``rotated_order``: the coefficient relations read them to j_max only."""
     m = Q(m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1; use sin2_vacuum_exact at m=0")
-    need = 2 * order + 4
-    vacuum = saddle_series(sd_squared_taylor(need, m).c, order, label="vacuum")
+    if order < 0:
+        raise DomainError(f"expansion order must be >= 0, got {order}")
+    vacuum = saddle_series(_sd2(2 * order + 4, m), order, label="vacuum")
+    need = 2 * rotated_order + 4
 
-    # cn^2(s | 1-m) serves both rotated saddles
-    cn2 = saddle_potential_imag(need, m)
-
-    # real saddle: f(K + i s) = P(s)/(1-m), P = 1/cn^2 = (1-m) sd^2;
+    # real saddle: f(K + i s) = P(s)/(1-m), P = nc^2(s | 1-m) = (1-m) sd^2;
     # rescale s -> sqrt(1-m) sigma to keep every coefficient rational.
-    P = [p.const_value() for p in cn2.inverse().c]
+    P = _nc2_flipped(need, m)
     one_m = 1 - m
     f1 = [P[k] * one_m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(P))]
     # k = 0 entry: action S1 = 1/(1-m)
     f1[0] = 1 / one_m
-    real = saddle_series(f1, order, label="real", rotated=True)
+    real = saddle_series(f1, rotated_order, label="real", rotated=True)
     # the sigma-rescaling moved the physical curvature 1/(1-m) to 1;
     # restore it so sector_coeff carries the right Gaussian prefactor
     real.curvature = 1 / one_m
 
     # imaginary saddle: f(i (K' + s)) = -C(s)/m, C = cn^2(s | 1-m);
     # rescale s -> sqrt(m) sigma.
-    C = [p.const_value() for p in cn2.c]
+    C = _cn2_flipped(need, m)
     f2 = [-C[k] * m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(C))]
     f2[0] = -1 / m
-    imag = saddle_series(f2, order, label="imag", rotated=True)
+    imag = saddle_series(f2, rotated_order, label="imag", rotated=True)
     imag.curvature = 1 / m
     return {"vacuum": vacuum, "real": real, "imag": imag}
 
 
 def lame_vacuum_symbolic(order: int) -> list[PolyB]:
     """Vacuum fluctuation coefficients as exact polynomials in m."""
+    if order < 0:
+        raise DomainError(f"expansion order must be >= 0, got {order}")
     sd2 = sd_squared_taylor(2 * order + 4)
     return _gaussian_moments(sd2.c, sd2[2].const_value(), order)
 
@@ -176,35 +215,54 @@ def sin2_vacuum_exact(r: int) -> Q:
 
 def z_quadrature(hbar: float, m, dps: int = 25) -> float:
     """1/sqrt(pi hbar) int_{-K}^{K} exp(-sd^2(z|m)/hbar) dz by adaptive
-    quadrature, absolute accuracy well below 1e-12."""
-    if hbar <= 0:
+    tanh-sinh quadrature, absolute accuracy well below 1e-12.
+
+    The integrand is even, so sd^2 is evaluated once per distinct |z|.
+    The quadrature reads no saddle data: it is the independent route the
+    saddle sums are checked against.
+    """
+    return _z_quadratures([hbar], m, dps)[0]
+
+
+def _z_quadratures(hbars, m, dps: int) -> list[float]:
+    """``z_quadrature`` at every hbar in ``hbars``, sharing one table of
+    sd^2 values.  mpmath's tanh-sinh nodes do not depend on the integrand,
+    so every hbar meets the same nodes, and z and -z share one entry."""
+    if any(hbar <= 0 for hbar in hbars):
         raise DomainError("hbar > 0 required")
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
     with mpmath.workdps(dps):
         mm = mpmath.mpf(m.numerator) / m.denominator if isinstance(m, Q) else mpmath.mpf(m)
-        h = mpmath.mpf(hbar)
-        K = mpmath.pi / 2 if mm == 0 else (
-            mpmath.mpf("1e9") if mm == 1 else ellip_K(mm, dps=dps)
-        )
-        if mm == 1:
-            # sinh^2 well: integrate to effective infinity
-            K = mpmath.sqrt(h) * 40 + 10
+        sd2_at = {}  # |z| -> sd^2(z | m)
 
-        def f(z):
-            if mm == 0:
-                s = mpmath.sin(z)
-                val = s * s
-            elif mm == 1:
-                s = mpmath.sinh(z)
-                val = s * s
-            else:
-                sn, _cn, dn = jacobi_sn_cn_dn(z, mm, dps=dps)
-                val = (sn / dn) ** 2
-            return mpmath.exp(-val / h)
+        def sd2(z):
+            z = abs(z)
+            val = sd2_at.get(z)
+            if val is None:
+                if mm == 0:
+                    s = mpmath.sin(z)
+                    val = s * s
+                elif mm == 1:
+                    s = mpmath.sinh(z)
+                    val = s * s
+                else:
+                    sn, _cn, dn = jacobi_sn_cn_dn(z, mm, dps=dps)
+                    val = (sn / dn) ** 2
+                sd2_at[z] = val
+            return val
 
-        total = mpmath.quad(f, [-K, 0, K])
-        return float(total / mpmath.sqrt(mpmath.pi * h))
+        if mm < 1:
+            K = mpmath.pi / 2 if mm == 0 else ellip_K(mm, dps=dps)
+        out = []
+        for hbar in hbars:
+            h = mpmath.mpf(hbar)
+            if mm == 1:
+                # sinh^2 well: integrate to effective infinity
+                K = mpmath.sqrt(h) * 40 + 10
+            total = mpmath.quad(lambda z: mpmath.exp(-sd2(z) / h), [-K, 0, K])
+            out.append(float(total / mpmath.sqrt(mpmath.pi * h)))
+        return out
 
 
 def berry_howls_check(m: Q, n_values, j_max: int = 4, dps: int = 50) -> list[dict]:
@@ -214,8 +272,10 @@ def berry_howls_check(m: Q, n_values, j_max: int = 4, dps: int = 50) -> list[dic
     non-alternating) to the imaginary one (m > 1/2, alternating).
     """
     m = Q(m)
-    order = max(n_values)
-    sads = lame_saddles(m, order)
+    n_values = list(n_values)
+    if not n_values or min(n_values) < 1:
+        raise DomainError("need at least one coefficient index, each n >= 1")
+    sads = _lame_saddles(m, max(n_values), max(j_max, 0))
     vac = sads["vacuum"]
     S1, S2 = sads["real"].action, sads["imag"].action
     out = []
@@ -286,8 +346,10 @@ def borel_lateral_check(
     The pole on the positive axis (real saddle) carries the lateral
     ambiguity +- i pi e^(-S1/hbar) sum_j a_j^(1) hbar^j, reported in
     ``imag_ambiguity``; the ghost sector is pole-free.  ``rhs`` is compared
-    against direct quadrature; the residual defect tracks the omitted
-    sectors and shrinks exponentially as hbar decreases.
+    against direct quadrature (``z_quadrature`` at dps min(dps, 30)); the
+    residual defect tracks the omitted sectors and shrinks exponentially
+    as hbar decreases.  The quadratures of all hbar share one table of
+    sd^2 values, one Jacobi evaluation per distinct |z| node.
     """
     m = Q(m)
     if not 0 < m < 1:
@@ -305,7 +367,7 @@ def borel_lateral_check(
     else:
         deepest = [math.ceil(float(s_min) / float(hb)) + 2 for hb in hbar_list]
     order_needed = max([34, *deepest]) + 2
-    sads = lame_saddles(m, max(j_max + 2, order_needed))
+    sads = _lame_saddles(m, max(j_max + 2, order_needed), max(j_max, 0))
     vac = sads["vacuum"].coeffs
     S1, S2 = sads["real"].action, sads["imag"].action
     quad_dps = min(dps, 30)
@@ -314,9 +376,10 @@ def borel_lateral_check(
         s2 = mpmath.mpf(S2.numerator) / S2.denominator
         a1 = [sads["real"].sector_coeff(j, dps) for j in range(j_max + 1)]
         a2 = [sads["imag"].sector_coeff(j, dps) for j in range(j_max + 1)]
-        for hb in hbar_list:
+        quads = _z_quadratures([float(hb) for hb in hbar_list], m, quad_dps)
+        for hb, quad in zip(hbar_list, quads):
             h = mpmath.mpf(hb)
-            lhs = mpmath.mpf(z_quadrature(float(hb), m, dps=quad_dps))
+            lhs = mpmath.mpf(quad)
             if n_cut is None:
                 terms = {
                     n: abs(mpmath.mpf(c.numerator) / c.denominator) * h ** n

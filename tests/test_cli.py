@@ -137,6 +137,22 @@ class TestExitCodes:
         argv = ["benderwu", "--potential", "lame", "--m", "3/2", "--order", "2"]
         assert main(argv) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zerodim", "--check", "relation", "--order", "7"],
+            ["zerodim", "--check", "relation", "--order", "-3"],
+            ["zerodim", "--check", "rows", "--order", "-1"],
+        ],
+    )
+    def test_zerodim_order_out_of_domain(self, capsys, argv):
+        # too low an order leaves no coefficient to check: a domain error,
+        # not a traceback and not an empty table
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("m", ["3/2", "-1/4"])
     def test_rows_parameter_out_of_domain(self, capsys, m):
         for m_args in ([f"--m={m}"], ["--m", m]):

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mathieu_resurgence.benderwu import lame_potential
+from mathieu_resurgence.errors import DomainError
 from mathieu_resurgence.jacobi_exact import (
     cn_taylor_flipped,
     jacobi_taylor,
@@ -10,7 +11,7 @@ from mathieu_resurgence.jacobi_exact import (
     saddle_potential_real,
     sd_squared_taylor,
 )
-from mathieu_resurgence.series import PolyB
+from mathieu_resurgence.series import PolyB, PolySeries
 from mathieu_resurgence.zerodim import lame_saddles
 
 ORDER = 40
@@ -57,3 +58,42 @@ def test_lame_saddles_stay_in_q(no_symbolic_evaluation):
 def test_lame_potential_stays_in_q(no_symbolic_evaluation):
     V = lame_potential(Q(3, 4), 72)
     assert V.taylor[:3] == (0, 0, Q(1, 2))
+
+
+GLAISHER_ORDER = 76
+
+
+@pytest.mark.parametrize("m", [Q(1, 4), Q(1, 3), Q(3, 4)])
+def test_glaisher_identities_from_sn_cn_dn(m):
+    """sd^2 dn^2 = sn^2 and nc^2 cn^2 = 1, with sn, cn, dn from the
+    (sn, cn, dn) triple and products taken in PolySeries."""
+    sn, _cn, dn = jacobi_taylor(GLAISHER_ORDER, m)
+    assert sd_squared_taylor(GLAISHER_ORDER, m) * (dn * dn) == sn * sn
+    cn_flip = jacobi_taylor(GLAISHER_ORDER, 1 - m)[1]
+    cn2 = cn_flip * cn_flip
+    assert saddle_potential_imag(GLAISHER_ORDER, m) == cn2
+    one = PolySeries.const("z", GLAISHER_ORDER, 1)
+    assert saddle_potential_real(GLAISHER_ORDER, m) * cn2 == one
+
+
+@pytest.mark.parametrize("m", [Q(1, 4), Q(3, 4), None])
+def test_sn_cn_dn_solve_their_equations(m):
+    """sn' = cn dn, cn' = -sn dn, dn' = -m sn cn, term by term."""
+    args = () if m is None else (m,)
+    sn, cn, dn = jacobi_taylor(30, *args)
+    mm = PolyB((0, 1)) if m is None else m
+    assert sn.derivative_var() == (cn * dn).truncate(29)
+    assert cn.derivative_var() == (-(sn * dn)).truncate(29)
+    assert dn.derivative_var() == (sn * cn * -mm).truncate(29)
+    assert (sn[0], cn[0], dn[0]) == (PolyB(), PolyB.const(1), PolyB.const(1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [jacobi_taylor, sd_squared_taylor, cn_taylor_flipped, saddle_potential_real, saddle_potential_imag],
+)
+def test_negative_order_is_a_domain_error(build):
+    with pytest.raises(DomainError):
+        build(-1)
+    with pytest.raises(DomainError):
+        build(-1, Q(1, 4))

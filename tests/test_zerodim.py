@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 import mpmath
 import pytest
 
+from mathieu_resurgence import zerodim
+from mathieu_resurgence.elliptic import jacobi_sn_cn_dn
 from mathieu_resurgence.errors import DomainError
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.zerodim import (
@@ -50,6 +52,27 @@ class TestSaddleSeries:
         assert sads["imag"].action == -3
 
 
+class TestDomain:
+    def test_negative_order(self):
+        with pytest.raises(DomainError):
+            lame_vacuum_symbolic(-1)
+        with pytest.raises(DomainError):
+            lame_saddles(Q(1, 4), -1)
+        with pytest.raises(DomainError):
+            saddle_series(sin2_taylor(8), -1)
+
+    @pytest.mark.parametrize("n_values", [[], [0], [4, -2]])
+    def test_relation_needs_indices_from_one(self, n_values):
+        with pytest.raises(DomainError):
+            berry_howls_check(Q(1, 4), n_values)
+        with pytest.raises(DomainError):
+            exact_relation_check(Q(1, 4), n_values)
+
+    def test_relation_empty_range(self):
+        with pytest.raises(DomainError):
+            exact_relation_check(Q(1, 4), range(8, 8, 4))
+
+
 class TestLameRows:
     def test_printed_rows_exact(self):
         sym = lame_vacuum_symbolic(5)
@@ -62,6 +85,12 @@ class TestLameRows:
         }
         for m, want in rows.items():
             assert [p(m) for p in sym] == want
+
+    @pytest.mark.parametrize("m", [Q(1, 4), Q(1, 3), Q(3, 4)])
+    def test_fixed_m_vacuum_equals_symbolic(self, m):
+        # the Q[m] engine evaluated at m is the oracle for the one run at m
+        sym = lame_vacuum_symbolic(16)
+        assert lame_saddles(m, 16)["vacuum"].coeffs == [p(m) for p in sym]
 
     def test_duality_exact(self):
         sym = lame_vacuum_symbolic(12)
@@ -82,6 +111,46 @@ class TestQuadrature:
                     / mpmath.sqrt(mpmath.pi * mpmath.mpf(h))
                 )
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_bessel_closed_form_at_m_one(self):
+        # int exp(-sinh^2(z)/h) dz over the line is e^(1/(2h)) K_0(1/(2h))
+        for h in (0.05, 0.2, 1.0, 3.0):
+            got = z_quadrature(h, Q(1))
+            with mpmath.workdps(30):
+                x = 1 / (2 * mpmath.mpf(h))
+                want = float(
+                    mpmath.exp(x) * mpmath.besselk(0, x) / mpmath.sqrt(mpmath.pi * mpmath.mpf(h))
+                )
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("m", ["0.25", "0.75", "0.3"])
+    def test_sd_squared_even_to_the_bit(self, m):
+        # the quadrature evaluates sd^2 once per |z|; that is exact only
+        # because sd^2(-z) and sd^2(z) round to the same number
+        with mpmath.workdps(30):
+            mm = mpmath.mpf(m)
+            for k in range(1, 60):
+                z = mpmath.mpf(k) / 23 + mpmath.mpf(k) ** 2 / 997
+                sn, _cn, dn = jacobi_sn_cn_dn(z, mm, dps=30)
+                sn_, _cn_, dn_ = jacobi_sn_cn_dn(-z, mm, dps=30)
+                assert (sn_ / dn_) ** 2 == (sn / dn) ** 2
+
+    def test_borel_check_evaluates_sd_once_per_node(self, monkeypatch):
+        calls = []
+
+        def counted(u, m, dps=None):
+            calls.append(u)
+            return jacobi_sn_cn_dn(u, m, dps)
+
+        monkeypatch.setattr(zerodim, "jacobi_sn_cn_dn", counted)
+        hbars = [0.2, 0.1, 0.05]
+        rows = borel_lateral_check(Q(1, 4), hbars, j_max=4)
+        assert calls
+        with mpmath.workdps(100):  # above the nodes' precision: abs is exact
+            assert len(calls) == len({abs(u) for u in calls})
+        # sharing the table leaves every quadrature value as it was
+        monkeypatch.undo()
+        assert [r["lhs"] for r in rows] == [z_quadrature(h, Q(1, 4), dps=30) for h in hbars]
 
     def test_half_m_even_in_hbar_to_tested_order(self):
         # odd series coefficients vanish: Z(h) - Z_series_even ~ O(h^6)
