@@ -55,10 +55,6 @@ class PolyB:
     def const(cls, x: QLike) -> "PolyB":
         return cls((x,))
 
-    @classmethod
-    def var(cls) -> "PolyB":
-        return cls((0, 1))
-
     # -- structure ----------------------------------------------------
     @property
     def degree(self) -> int:
@@ -143,10 +139,6 @@ class PolyB:
         """p(inner(B)) by Horner."""
         return horner(self.c, inner)
 
-    def shift(self, a: QLike) -> "PolyB":
-        """p(B + a)."""
-        return self.compose(PolyB((a, 1)))
-
     def __call__(self, x):
         """Evaluate at x (Fraction for exact work, float/mpf for numerics)."""
         return horner(self.c, x)
@@ -215,9 +207,6 @@ class PolySeries:
                 f"order {n} beyond stored truncation {self.order} for {self.var}-series"
             )
         return self.c[n]
-
-    def coeff(self, n: int) -> PolyB:
-        return self[n]
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.c)
@@ -315,12 +304,6 @@ class PolySeries:
             base = base * base
             n >>= 1
         return out
-
-    def shift_powers(self, k: int) -> "PolySeries":
-        """Multiply by var**k (k >= 0), keeping the truncation order."""
-        if k < 0:
-            raise ValueError("negative power shift")
-        return PolySeries(self.var, self.order, (_ZERO,) * k + self.c[: self.order + 1 - k])
 
     def inverse(self) -> "PolySeries":
         """Multiplicative inverse; constant term must be a nonzero rational."""

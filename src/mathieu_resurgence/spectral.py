@@ -90,75 +90,33 @@ def bs_invert_strong(order: int, depth: int = 8) -> StrongExpansion:
 
     ``order`` bounds the hbar^(2i) rows kept, ``depth`` the 1/a powers.
     """
+    if order < 0 or depth < 0:
+        raise DomainError("order >= 0 and depth >= 0 required")
     acts = actions.high_actions(order, depth + 2 * order + 2)
-
-    # Work with s = sqrt(2u): each a_n is sum c (s)^h. Unknown:
-    # s = a (1 + d) with d a truncated double series in (hbar^2, 1/a^2).
-    imax, kmax = order, depth + 2
-
-    def dmul(x, y):
-        out: dict[tuple[int, int], Q] = {}
-        for (i1, k1), c1 in x.items():
-            for (i2, k2), c2 in y.items():
-                i, k = i1 + i2, k1 + k2
-                if i <= imax and k <= kmax:
-                    key = (i, k)
-                    out[key] = out.get(key, Q(0)) + c1 * c2
-        return {k: v for k, v in out.items() if v}
-
-    def dadd(x, y):
-        out = dict(x)
-        for key, c in y.items():
-            out[key] = out.get(key, Q(0)) + c
-            if not out[key]:
-                del out[key]
-        return out
-
-    def dpow_1plus(d, alpha_num: int):
-        """(1 + d)^alpha for integer alpha (possibly negative), truncated."""
-        out = {(0, 0): Q(1)}
-        term = {(0, 0): Q(1)}
-        t = 0
-        while True:
-            t += 1
-            if t > imax * 2 + kmax:
-                break
-            term = dmul(term, d)
-            if not term:
-                break
-            coef = Q(1)
-            for r in range(t):
-                coef *= Q(alpha_num - r)
-            coef /= math.factorial(t)
-            out = dadd(out, {k: coef * v for k, v in term.items()})
-        return out
-
-    d: dict[tuple[int, int], Q] = {}
-    for _sweep in range(2 * (imax + kmax) + 4):
-        # F(s)/a - 1 where F = sum_n hbar^(2n) a_n, s = a(1+d).
-        resid = {(0, 0): Q(-1)}
-        for n in range(order + 1):
-            for h, c in acts[n].items():
-                # c * (2u)^(h/2) = c * s^h = c * a^h (1+d)^h ;
-                # relative to a: a^(h-1): k-index = 1 - h
-                powd = dpow_1plus(d, h)
-                term = {
-                    (i + n, k + 1 - h): v * c
-                    for (i, k), v in powd.items()
-                    if i + n <= imax and k + 1 - h <= kmax
-                }
-                resid = dadd(resid, term)
-        if not resid:
-            break
-        d = dadd(d, {k: -v for k, v in resid.items()})
-    else:
-        raise ConvergenceError("strong-coupling inversion did not close")
-
-    one_plus_d2 = dpow_1plus(d, 2)
-    terms = {}
-    for (i, k), c in one_plus_d2.items():
-        terms[(i, k)] = c / 2  # u = s^2/2 = a^2 (1+d)^2 / 2, stored vs a^(2-k)
-    return StrongExpansion(terms={k: v for k, v in terms.items() if v})
+    # Each a_n is sum_h c_{n,h} s^h with s = sqrt(2u).  With t = 1/a,
+    # y = hbar^2 and s = a (1 + d), the condition over a reads
+    # 1 = sum_{n,h} c_{n,h} y^n t^(1-h) (1+d)^h: a polynomial in d whose
+    # coefficients are t-series over Q[y].  As a_0 = s + O(s^-3) and
+    # a_n = O(s^(-3-2n)) for n >= 1, d = O(t^4), so d^j vanishes past
+    # j = kmax // 4 and the binomial expansion of (1+d)^h stops there (at
+    # j = 1 or later, so that newton_solve has a derivative).
+    kmax = depth + 2
+    jmax = max(1, kmax // 4)
+    coeffs = [[PolyB()] * (kmax + 1) for _ in range(jmax + 1)]
+    for n, row in enumerate(acts):
+        for h, c in row.items():
+            if 1 - h <= kmax:
+                cj = c  # c_{n,h} times the binomial coefficient C(h, j)
+                for j in range(jmax + 1):
+                    coeffs[j][1 - h] += PolyB((0,) * n + (cj,))
+                    cj = cj * (h - j) / (j + 1)
+    d = newton_solve(
+        [PolySeries("1/a", kmax, col) for col in coeffs], PolySeries.const("1/a", kmax, 1), 0
+    )
+    u = (1 + d) ** 2 / 2  # u / a^2, stored against a^(2-k)
+    return StrongExpansion(
+        terms={(i, k): c for k in range(kmax + 1) for i, c in enumerate(u[k].c[: order + 1]) if c}
+    )
 
 
 @dataclass

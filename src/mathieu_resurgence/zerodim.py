@@ -143,7 +143,11 @@ def saddle_series(taylor, order: int, label: str = "saddle",
     if order < 0:
         raise DomainError(f"expansion order must be >= 0, got {order}")
     taylor = [c.const_value() if isinstance(c, PolyB) else Q(c) for c in taylor]
-    if len(taylor) < 3 or taylor[1] != 0:
+    if len(taylor) < 2 * order + 3:
+        raise DomainError(
+            f"order {order} needs Taylor data c_0..c_{2 * order + 2}, got {len(taylor)} entries"
+        )
+    if taylor[1] != 0:
         raise DomainError("need Taylor data [S, 0, c2, ...] along the descent line")
     c2 = taylor[2]
     if c2 <= 0:

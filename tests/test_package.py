@@ -25,17 +25,19 @@ def test_library_code_has_no_assert():
 
 
 def test_benderwu_does_not_use_the_series_solver():
-    # the recursion is the independent route the WKB inversion is checked
-    # against, so it must not share the Newton solve
-    tree = ast.parse((PKG_DIR / "benderwu.py").read_text())
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert "newton_solve" not in imported
-    assert not any(
-        isinstance(node, ast.Attribute) and node.attr in ("newton_solve", "reversion")
-        for node in ast.walk(tree)
-    )
+    # the Bender-Wu and characteristic-value recursions are the independent
+    # routes the weak and strong WKB inversions are checked against, so
+    # they must not share the Newton solve
+    for module in ("benderwu.py", "charvalues.py"):
+        tree = ast.parse((PKG_DIR / module).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "newton_solve" not in imported, module
+        assert not any(
+            isinstance(node, ast.Attribute) and node.attr in ("newton_solve", "reversion")
+            for node in ast.walk(tree)
+        ), module

@@ -91,6 +91,41 @@ class TestStrongInversion:
             want = 1 / (N * N - 1)
             assert got == pytest.approx(want, rel=1e-8)
 
+    def test_exact_inverse_hbar_rows(self):
+        # hbar^(2i) a^(2-k) with a = N hbar/2 is hbar^(2i+2-k) (N/2)^(2-k),
+        # so the hbar^(-2-4j) row is k = 2i + 4 + 4j, and it carries
+        # (N/2)^(-2i-2-4j) = 4^(i+1+2j) x^(i+1+2j) in x = 1/N^2.  The
+        # hbar^-2 term of u is 1/(N^2-1) = sum_i x^(i+1): the row is 1/4^(i+1).
+        se = bs_invert_strong(8, 30)
+        row = {i: c for (i, k), c in se.terms.items() if k == 2 * i + 4}
+        assert row == {i: Q(1, 4 ** (i + 1)) for i in range(9)}
+
+        def laurent(num, poles, n):
+            # [x^0..x^n] of num(x) / prod (1 - a x)^e over (a, e) in poles
+            out = [Q(c) for c in num] + [Q(0)] * (n + 1 - len(num))
+            for a, e in poles:
+                for _ in range(e):
+                    for i in range(1, n + 1):
+                        out[i] += a * out[i - 1]
+            return out
+
+        # (hbar^2/8)(2/hbar)^8 (5N^2+7)/(32(N^2-1)^3(N^2-4)) and
+        # (hbar^2/8)(2/hbar)^12 (9N^4+58N^2+29)/(64(N^2-1)^5(N^2-4)(N^2-9))
+        # are hbar^-6 x^3 (5+7x)/((1-x)^3(1-4x)) and
+        # hbar^-10 8 x^5 (9+58x+29x^2)/((1-x)^5(1-4x)(1-9x))
+        for j, num, poles in (
+            (1, [5, 7], [(1, 3), (4, 1)]),
+            (2, [72, 464, 232], [(1, 5), (4, 1), (9, 1)]),
+        ):
+            want = laurent(num, poles, 8)
+            row = {i: c for (i, k), c in se.terms.items() if k == 2 * i + 4 + 4 * j}
+            assert row == {i: want[i] / 4 ** (i + 1 + 2 * j) for i in range(9)}
+
+    @pytest.mark.parametrize("order, depth", [(-1, 8), (2, -3)])
+    def test_negative_arguments(self, order, depth):
+        with pytest.raises(DomainError):
+            bs_invert_strong(order, depth)
+
     def test_numeric_against_printed_strong_expansion(self):
         se = bs_invert_strong(2, depth=12)
         N, hbar = 7, 9.0

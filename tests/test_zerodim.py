@@ -61,6 +61,14 @@ class TestDomain:
         with pytest.raises(DomainError):
             saddle_series(sin2_taylor(8), -1)
 
+    def test_short_taylor_data(self):
+        # order r reads c_k up to k = 2r + 2; sin2_taylor(8) stops at c_8
+        assert saddle_series(sin2_taylor(8), 3).coeffs == [sin2_vacuum_exact(r) for r in range(4)]
+        with pytest.raises(DomainError):
+            saddle_series(sin2_taylor(8), 4)
+        with pytest.raises(DomainError):
+            saddle_series(sin2_taylor(8), 8)
+
     @pytest.mark.parametrize("n_values", [[], [0], [4, -2]])
     def test_relation_needs_indices_from_one(self, n_values):
         with pytest.raises(DomainError):
@@ -91,6 +99,22 @@ class TestLameRows:
         # the Q[m] engine evaluated at m is the oracle for the one run at m
         sym = lame_vacuum_symbolic(16)
         assert lame_saddles(m, 16)["vacuum"].coeffs == [p(m) for p in sym]
+
+    @pytest.mark.parametrize("m", [Q(1, 4), Q(1, 3), Q(3, 4)])
+    def test_vacuum_closed_form_oracle(self, m):
+        # w = sd^2 has (dw/dz)^2 = 4 w P(w), P = 1 + (2m-1) w - m(1-m) w^2,
+        # so b_r = Gamma(r+1/2)/Gamma(1/2) [w^r] P^(-1/2), with no moment
+        # engine; P f' = -P' f / 2 gives the recursion for f = P^(-1/2)
+        p, q = 2 * m - 1, -m * (1 - m)
+        f = [Q(1), -p / 2]
+        for n in range(1, 30):
+            f.append(-(p * (n + Q(1, 2)) * f[n] + q * n * f[n - 1]) / (n + 1))
+        want, rising = [], Q(1)
+        for r in range(31):
+            want.append(rising * f[r])
+            rising *= r + Q(1, 2)
+        assert lame_saddles(m, 30)["vacuum"].coeffs == want
+        assert [poly(m) for poly in lame_vacuum_symbolic(10)] == want[:11]
 
     def test_duality_exact(self):
         sym = lame_vacuum_symbolic(12)
