@@ -21,8 +21,10 @@ from . import __version__
 from .errors import ConvergenceError, DomainError, RegimeWarning
 
 # Generator and oracle modules are imported inside the runners that use
-# them: the exact-series subcommands never load numpy/scipy, and a cache hit
-# loads none of them, nor mpmath.
+# them, so a cache hit loads none of them, nor mpmath.  No subcommand loads
+# numpy or scipy: both Hill-matrix tiers run on the standard library and
+# mpmath, and only `oracle.discriminant`, which no subcommand calls, needs
+# scipy.
 
 __all__ = ["main", "build_parser"]
 
@@ -133,17 +135,20 @@ _OUTPUT_OPTIONS = ("format", "output", "pretty")
 # Payload shape per subcommand, part of the cache key only: raise a number
 # when its subcommand's payload gains, loses or changes a field, so older
 # cache entries become misses while metadata.version and stdout stay put.
-# widths: 2 added oracle_dps and oracle_truncation to its row.
+# Raise it too when the printed values change, so that a shared cache does
+# not mix them.  widths: 2 added oracle_dps and oracle_truncation to its row.
+# spectrum, figure1, figure2: 2 and widths: 3 moved the float Hill tier from
+# LAPACK to Sturm counts in `tridiag`, which moves last digits.
 _PAYLOAD_SCHEMA = {
     "pert": 1,
     "strong": 1,
     "pinst": 1,
     "zjj": 1,
     "actions": 1,
-    "spectrum": 1,
-    "figure1": 1,
-    "figure2": 1,
-    "widths": 2,
+    "spectrum": 2,
+    "figure1": 2,
+    "figure2": 2,
+    "widths": 3,
     "zerodim": 1,
     "benderwu": 1,
 }
@@ -376,22 +381,51 @@ def _run_spectrum(args) -> dict:
     return {"rows": rows}
 
 
-def _run_figure1(args) -> dict:
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num), value for value."""
+    if num < 0:
+        raise DomainError(f"--points must be >= 0, got {num}")
+    start, stop = float(start), float(stop)
+    if num < 2:
+        return [start] * num
+    delta = stop - start
+    step = delta / (num - 1)
+    if step == 0:
+        out = [i / (num - 1) * delta + start for i in range(num)]
+    else:
+        out = [i * step + start for i in range(num)]
+    out[-1] = stop
+    return out
 
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.geomspace(start, stop, num) for finite start, stop > 0, by
+    numpy's algorithm.  The interior points take log10 and pow from the C
+    library, whose last bits can differ from numpy's: on the default figure1
+    grids 1 to 4 of 28 points move by one ulp."""
+    for v in (start, stop):
+        if not (math.isfinite(v) and v > 0):
+            raise DomainError(f"geometric grid needs finite endpoints > 0, got {v!r}")
+    out = [10.0 ** y for y in _linspace(math.log10(start), math.log10(stop), num)]
+    if num > 0:
+        out[0] = float(start)
+    if num > 1:
+        out[-1] = float(stop)
+    return out
+
+
+def _run_figure1(args) -> dict:
     from . import oracle
 
-    grid = list(np.geomspace(args.hbar_min, args.hbar_max, args.points))
+    grid = _geomspace(args.hbar_min, args.hbar_max, args.points)
     rows = oracle.figure1_dataset(grid, N_max=args.bands)
     return {"rows": rows, "reference_lines_u": [-1.0, 1.0]}
 
 
 def _run_figure2(args) -> dict:
-    import numpy as np
-
     from . import oracle
 
-    grid = list(np.linspace(args.q_min, args.q_max, args.points))
+    grid = _linspace(args.q_min, args.q_max, args.points)
     rows = oracle.figure2_dataset(grid, N_max=args.bands)
     verticals = []
     for N in range(1, args.bands + 1):

@@ -1,4 +1,5 @@
 """Exception types and warning categories shared across the package."""
+import math
 
 
 class DomainError(ValueError):
@@ -28,3 +29,9 @@ class TruncationError(ValueError):
 
 class RegimeWarning(UserWarning):
     """Advisory warning: formula evaluated outside its asymptotic regime."""
+
+
+def require_positive(name: str, value) -> None:
+    """Raise DomainError unless value is a finite number > 0 (NaN fails)."""
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"finite {name} > 0 required, got {value!r}")

@@ -7,15 +7,18 @@ momentum 0 and 1/2 gives the edges, and the discriminant of the monodromy
 over one period gives the same edges as roots of |cos theta| = 1.  Every
 asymptotic formula in the package is ultimately tested against these.
 
-The Hill matrix has two tiers.  The float tier takes the low eigenvalues
-of each sector from LAPACK.  The extended-precision (mp) tier computes
-only the requested edges, each by `tridiag.eigenvalue` (a double-precision
-bracket, certified by Sturm counts and refined by Newton steps), with the
-Fourier truncation grown from the precision.  `width_num` moves narrow
-bands and narrow strong-coupling gaps to the mp tier.
+The Hill matrix has two tiers, and both compute only the requested edges
+by Sturm counts in `tridiag`.  The float tier isolates the requested
+indices of each sector together and refines them by Newton steps
+(`tridiag.eigenvalues`); the periodic sector is split by parity first, so
+the two near-degenerate edges of a gap fall in different blocks.  The
+extended-precision (mp) tier computes each edge by `tridiag.eigenvalue` (a
+double-precision bracket, certified by Sturm counts and refined by Newton
+steps), with the Fourier truncation grown from the precision.  `width_num`
+moves narrow bands and narrow strong-coupling gaps to the mp tier.
 
-numpy and scipy are imported only by the float Hill tier and the monodromy
-integration; the mp tier runs on mpmath alone.
+Only the monodromy integration (`discriminant`) imports scipy; the Hill
+matrix runs on the standard library and mpmath.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import mpmath
 
 from . import tridiag
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_positive
 
 __all__ = [
     "HillConfig",
@@ -104,19 +107,7 @@ def _edge_table(hbar: float, edges, M: int, lam: float, dps) -> dict:
     out = {}
     for kappa, want in sectors.items():
         if dps is None:
-            import numpy as np
-            from scipy.linalg import eigh_tridiagonal
-
-            ks = np.arange(-M, M + 1)
-            d = (hbar * hbar / 2.0) * (ks + kappa) ** 2
-            e = np.full(2 * M, lam / 2.0)
-            # LAPACK's values depend on the selected range; one index past
-            # the highest edge keeps the float tier's outputs bit-stable
-            vals = eigh_tridiagonal(
-                d, e, select="i", select_range=(0, max(want.values()) + 1),
-                eigvals_only=True,
-            )
-            out.update({key: vals[i] for key, i in want.items()})
+            out.update(_float_sector(hbar, kappa, M, lam, want))
             continue
         with mpmath.workdps(dps):
             h2 = mpmath.mpf(hbar) ** 2 / 2
@@ -125,6 +116,33 @@ def _edge_table(hbar: float, edges, M: int, lam: float, dps) -> dict:
             tol = mpmath.mpf(10) ** (-dps + 4) * max(1, abs(d[0]), abs(d[-1]))
             out.update({key: tridiag.eigenvalue(d, e, i, tol) for key, i in want.items()})
     return out
+
+
+def _float_sector(hbar: float, kappa: float, M: int, lam: float, want: dict) -> dict:
+    """Float-tier u-values of the requested keys of one Bloch sector.
+
+    The periodic sector (kappa = 0) is even under k -> -k, so it splits
+    exactly into an even block (k = 0..M, whose k = 0 coupling is
+    sqrt(2) lam/2) and an odd block (k = 1..M).  The odd block is the even
+    block without its first row and column, so by Cauchy interlacing the
+    sector's eigenvalues alternate even, odd, even, ...: sector index i is
+    index i//2 of block i%2.  Each near-degenerate gap pair of the sector
+    is then one even and one odd eigenvalue, which Newton resolves
+    separately.
+    """
+    h2 = hbar * hbar / 2.0
+    if kappa:
+        d = [h2 * (k + kappa) ** 2 for k in range(-M, M + 1)]
+        vals = tridiag.eigenvalues(d, [lam / 2.0] * (2 * M), want.values())
+        return {key: vals[i] for key, i in want.items()}
+    d = [h2 * k ** 2 for k in range(M + 1)]
+    e = [lam / 2.0] * (M - 1)
+    ks = [[i // 2 for i in want.values() if i % 2 == parity] for parity in (0, 1)]
+    blocks = (
+        tridiag.eigenvalues(d, [lam / math.sqrt(2.0)] + e, ks[0]),
+        tridiag.eigenvalues(d[1:], e, ks[1]),
+    )
+    return {key: blocks[i % 2][i // 2] for key, i in want.items()}
 
 
 def band_edges(
@@ -137,14 +155,23 @@ def band_edges(
     computed, at truncation M and M//2; their difference sets the digits.
     """
     cfg = cfg or HillConfig()
-    if hbar <= 0:
-        raise DomainError("hbar > 0 required")
+    require_positive("hbar", hbar)
     if edges is None:
         edges = [(N, edge) for N in range(N_max + 1) for edge in ("bottom", "top")]
+    if N_max < 0 or any(N < 0 for N, _ in edges):
+        raise DomainError("band label N >= 0 required")
     M = cfg.resolve_truncation(hbar, N_max)
+    half_M = max(8, M // 2)
+    top = max((N for N, _ in edges), default=0)
+    if top > 2 * half_M:
+        # edge N is index N of a sector of 2 M + 1 levels
+        raise ConvergenceError(
+            f"Fourier truncation M={M} cannot hold band {top}: its half "
+            f"M//2 = {half_M} keeps {2 * half_M + 1} levels per Bloch sector"
+        )
     lam = cfg.potential_scale
     full = _edge_table(hbar, edges, M, lam, cfg.dps)
-    half = _edge_table(hbar, edges, max(8, M // 2), lam, cfg.dps)
+    half = _edge_table(hbar, edges, half_M, lam, cfg.dps)
     out: list[SpectralPoint] = []
     for N, edge in edges:
         u = full[(N, edge)]
@@ -212,6 +239,9 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
         raise DomainError("kind is 'band' or 'gap'")
     if kind == "gap" and N < 1:
         raise DomainError("gap label N >= 1")
+    if N < 0:
+        raise DomainError("band label N >= 0 required")
+    require_positive("hbar", hbar)
     dps = cfg.dps
     if dps is None:
         log10w = 0.0
@@ -256,6 +286,8 @@ def figure1_dataset(hbar_grid, N_max: int = 19, cfg: HillConfig | None = None) -
     are the natural reference lines and are recorded as metadata rows by
     the CLI serializer.
     """
+    if N_max < 0:
+        raise DomainError("band label N >= 0 required")
     rows = []
     for hbar in hbar_grid:
         for p in band_edges(hbar, N_max, cfg):
@@ -274,8 +306,11 @@ def figure1_dataset(hbar_grid, N_max: int = 19, cfg: HillConfig | None = None) -
 
 def figure2_dataset(Q_grid, N_max: int = 12, cfg: HillConfig | None = None) -> list[dict]:
     """Band edges against Q = 4/hbar^2 near the barrier top u = 1."""
+    if N_max < 0:
+        raise DomainError("band label N >= 0 required")
     rows = []
     for Qv in Q_grid:
+        require_positive("Q", Qv)
         hbar = 2 / math.sqrt(Qv)
         for p in band_edges(hbar, N_max, cfg):
             rows.append(

@@ -1,31 +1,39 @@
-"""Symmetric tridiagonal eigenvalues, one index at a time, certified by
-Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+"""Symmetric tridiagonal eigenvalues by index, certified by Sturm counts
+(Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 
-Generic over the arithmetic type: floats for the fast path and mpmath.mpf
-for the extended-precision tier that exponentially narrow widths require.
-Only the requested index is computed, which is all the band-edge
-extraction needs.
+Two entry points share one refinement loop.  `eigenvalues` computes a set
+of indices in double precision: the indices are isolated together by
+bisection on Sturm counts, an interval being split only while it holds a
+requested index and more than one eigenvalue, so the number of counts per
+index does not grow with the matrix and the work stays linear in its size.
+`eigenvalue` computes one index in any arithmetic type, mpmath.mpf for the
+extended-precision tier that exponentially narrow widths require.  Its
+bracket comes from the float copy of the matrix, bisected to about 1e-12
+of its Gershgorin scale; two counts in the caller's type certify that
+bracket (the Gershgorin bracket replaces it if they do not).
 
-Floats are bisected from the Gershgorin bracket.  Any other type is
-bracketed first in double precision: the float copy of the matrix is
-bisected to about 1e-12 of its Gershgorin scale, and two counts in the
-caller's type certify that bracket (the Gershgorin bracket replaces it if
-they do not).  Newton steps on det(T - x) then refine the eigenvalue
-inside the bracket, and each step's Sturm count shrinks the bracket; a
+Inside a bracket that holds the requested eigenvalue alone, Newton steps
+on det(T - x) refine it, and each step's Sturm count shrinks the bracket; a
 step that leaves the bracket or stalls becomes a bisection step.  Newton
 needs that isolating bracket: the free-particle limit has near-double
-roots (the +-k plane-wave pairs), on which it converges only linearly
-from a distant start.
+roots (the +-k plane-wave pairs), on which it converges only linearly from
+a distant start.  Every value v returned for index k carries a Sturm
+certificate count_below(v - t) <= k < count_below(v + t).
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import sys
+from itertools import islice
+from typing import Iterable, Sequence
 
-__all__ = ["count_below", "eigenvalue"]
+from .errors import DomainError
+
+__all__ = ["count_below", "eigenvalue", "eigenvalues"]
 
 # relative width of the double-precision bracket handed to Newton
 _FLOAT_BRACKET = 1e-12
+_EPS = sys.float_info.epsilon
 
 
 def count_below(d: Sequence, e: Sequence, x) -> int:
@@ -38,10 +46,10 @@ def count_below(d: Sequence, e: Sequence, x) -> int:
     if q < 0:
         count += 1
     tiny = abs(x) * 1e-300 + 1e-300
-    for i in range(1, len(d)):
+    for di, ei in zip(islice(d, 1, None), e):
         if q == 0:
             q = tiny
-        q = d[i] - x - e[i - 1] * e[i - 1] / q
+        q = di - x - ei * ei / q
         if q < 0:
             count += 1
     return count
@@ -57,14 +65,14 @@ def _count_and_step(d: Sequence, e: Sequence, x):
     count = 0
     tiny = abs(x) * 1e-300 + 1e-300
     q, dq, s = d[0] - x, -1, 0
-    for i in range(1, len(d)):
+    for di, ei in zip(islice(d, 1, None), e):
         if q < 0:
             count += 1
         elif q == 0:
             q = tiny
         s += dq / q
-        r = e[i - 1] * e[i - 1] / q
-        q, dq = d[i] - x - r, r * dq / q - 1
+        r = ei * ei / q
+        q, dq = di - x - r, r * dq / q - 1
     if q < 0:
         count += 1
     elif q == 0:
@@ -95,17 +103,67 @@ def _bisect(d: Sequence, e: Sequence, k: int, lo, hi, tol):
     return lo, hi
 
 
+def _check_indices(n: int, ks) -> None:
+    if any(not 0 <= k < n for k in ks):
+        raise DomainError(f"eigenvalue index outside 0..{n - 1}")
+
+
 def eigenvalue(d: Sequence, e: Sequence, k: int, tol):
     """k-th smallest eigenvalue (k = 0 based) to absolute tolerance tol.
 
     The value v returned carries its Sturm certificate:
     count_below(v - tol/2) <= k < count_below(v + tol/2).
     """
+    _check_indices(len(d), [k])
     lo, hi = _gershgorin(d, e)
-    if isinstance(d[0], float):
-        lo, hi = _bisect(d, e, k, lo, hi, tol)
-        return (lo + hi) / 2
-    lo, hi = _float_bracket(d, e, k, lo, hi)
+    if not isinstance(d[0], float):
+        lo, hi = _float_bracket(d, e, k, lo, hi)
+    return _refine(d, e, k, lo, hi, tol)
+
+
+def eigenvalues(d: Sequence[float], e: Sequence[float], ks: Iterable[int]) -> dict[int, float]:
+    """The eigenvalues of indices ks (0 = smallest), in double precision.
+
+    Each value v for index k carries the certificate
+    count_below(v - t) <= k < count_below(v + t), t = 8 eps max(|v|, s),
+    with s the largest |e_i| (eps max|d_i| for a diagonal matrix).  Members
+    of a cluster narrower than that, which double precision cannot split,
+    share one value.
+    """
+    ks = sorted(set(ks))
+    _check_indices(len(d), ks)
+    if not ks:
+        return {}
+    s = max(max(map(abs, e), default=0.0), _EPS * max(map(abs, d))) or sys.float_info.min
+    lo, hi = _gershgorin(d, e)
+    out: dict[int, float] = {}
+    todo = [(lo, hi, 0, len(d), ks)]
+    while todo:
+        a, b, ca, cb, want = todo.pop()
+        wide = max(abs(a), abs(b), s)
+        tol = 8 * _EPS * wide
+        if b - a <= tol:
+            out.update(dict.fromkeys(want, (a + b) / 2))
+            continue
+        # refine an isolated eigenvalue once the bracket no longer spans
+        # magnitudes beyond twice its own, so that tol/2 <= t
+        near = min(abs(a), abs(b)) if a * b > 0 else 0.0
+        if cb - ca == 1 and wide <= 2 * max(near, s):
+            out[want[0]] = _refine(d, e, want[0], a, b, tol)
+            continue
+        x = (a + b) / 2
+        c = min(max(count_below(d, e, x), ca), cb)
+        below = [k for k in want if k < c]
+        if len(below) < len(want):
+            todo.append((x, b, c, cb, want[len(below):]))
+        if below:
+            todo.append((a, x, ca, c, below))
+    return out
+
+
+def _refine(d: Sequence, e: Sequence, k: int, lo, hi, tol):
+    """The k-th eigenvalue from a bracket with count_below(lo) <= k <
+    count_below(hi), by safeguarded Newton steps."""
     x, last = (lo + hi) / 2, hi - lo
     while hi - lo > tol:
         c, step = _count_and_step(d, e, x)

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 import mpmath
 
 from . import actions, spectral
-from .errors import DomainError, RegimeWarning, StructureError
+from .errors import DomainError, RegimeWarning, StructureError, require_positive
 from .series import PolyB, PolySeries
 
 __all__ = [
@@ -98,8 +98,9 @@ def band_width(hbar: float, N: int, order: int = 4) -> WidthEstimate:
     formulas in the literature differ among themselves by a factor 2 and
     the smaller normalization does not match the actual spectrum.
     """
-    if hbar <= 0:
-        raise DomainError("hbar > 0 required")
+    if N < 0:
+        raise DomainError("band label N >= 0 required")
+    require_positive("hbar", hbar)
     if N * hbar > 1.0:
         warnings.warn(
             f"band_width outside its regime: N*hbar = {N * hbar:.3g} not << 1",
@@ -131,10 +132,9 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
     with the Stirling form (N hbar^2 / 2 pi) (e/(N hbar))^(2N) reported as
     the companion estimate for large N.
     """
-    if N == 0:
+    if N < 1:
         raise DomainError("no gap below the first band in this labeling")
-    if hbar <= 0:
-        raise DomainError("hbar > 0 required")
+    require_positive("hbar", hbar)
     if N * hbar < 1.0:
         warnings.warn(
             f"gap_width outside its regime: N*hbar = {N * hbar:.3g} not >> 1",
@@ -181,8 +181,7 @@ def barrier_top(hbar: float) -> dict:
     band center N + 1/2 = 8/(pi hbar), gap center N = 8/(pi hbar),
     edges N +- 1/4 = 8/(pi hbar), and u = 1 +- pi hbar/16.
     """
-    if hbar <= 0:
-        raise DomainError("hbar > 0 required")
+    require_positive("hbar", hbar)
     x = 8 / (math.pi * hbar)
     return {
         "N_band_center": x - 0.5,

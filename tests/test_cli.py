@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mathieu_resurgence
 from mathieu_resurgence import cli
@@ -153,6 +159,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["figure1", "--hbar-min", "0"], EXIT_DOMAIN),
+            (["figure1", "--points", "-2"], EXIT_DOMAIN),
+            (["figure2", "--q-min", "0"], EXIT_DOMAIN),
+            (["figure2", "--q-min", "-1"], EXIT_DOMAIN),
+            (["spectrum", "--hbar", "nan"], EXIT_DOMAIN),
+            (["spectrum", "--hbar", "inf"], EXIT_DOMAIN),
+            (["widths", "--kind", "band", "--N", "0", "--hbar", "nan"], EXIT_DOMAIN),
+            (["widths", "--kind", "band", "--N", "-1", "--hbar", "0.5"], EXIT_DOMAIN),
+            (["spectrum", "--hbar", "1.0", "--bands", "100"], EXIT_CONVERGENCE),
+            (["spectrum", "--hbar", "0.7", "--bands", "400"], EXIT_CONVERGENCE),
+        ],
+    )
+    def test_spectral_inputs_out_of_reach(self, capsys, argv, code):
+        # typed errors, not tracebacks; a truncation whose half cannot hold
+        # the requested band is a convergence failure that names M
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        if code == EXIT_CONVERGENCE:
+            assert "M=" in captured.err
+
     @pytest.mark.parametrize("m", ["3/2", "-1/4"])
     def test_rows_parameter_out_of_domain(self, capsys, m):
         for m_args in ([f"--m={m}"], ["--m", m]):
@@ -248,6 +278,68 @@ class TestOutputPlumbing:
         assert set(cli._PAYLOAD_SCHEMA) == set(cli._RUNNERS)
 
 
+class TestGrids:
+    """The figure grids reproduce numpy's, without numpy."""
+
+    @pytest.mark.parametrize(
+        "start, stop, num",
+        [(2.0, 60.0, 30), (2.0, 70.0, 30), (2.0, 2.0, 5), (-1.5, 3.25, 7), (0.1, 0.3, 3),
+         (5.0, 1.0, 4), (2.0, 60.0, 1), (2.0, 60.0, 0)],
+    )
+    def test_linspace_equals_numpy(self, start, stop, num):
+        np = pytest.importorskip("numpy")
+        assert cli._linspace(start, stop, num) == [float(v) for v in np.linspace(start, stop, num)]
+
+    @pytest.mark.parametrize("stop", [2.5, 3.0, 3.5])
+    def test_geomspace_within_an_ulp_of_numpy(self, stop):
+        np = pytest.importorskip("numpy")
+        got = cli._geomspace(0.3, stop, 28)
+        want = [float(v) for v in np.geomspace(0.3, stop, 28)]
+        assert got[0] == 0.3 and got[-1] == stop
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(got, want))
+
+    def test_zero_and_one_point(self, capsys):
+        code, out = run(capsys, "figure1", "--points", "0")
+        assert code == EXIT_OK and json.loads(out)["rows"] == []
+        code, out = run(capsys, "figure1", "--points", "1", "--hbar-min", "0.7", "--bands", "1")
+        assert code == EXIT_OK and {r["hbar"] for r in json.loads(out)["rows"]} == {0.7}
+        code, out = run(capsys, "figure2", "--points", "1", "--q-min", "9", "--bands", "1")
+        assert code == EXIT_OK and {r["Q"] for r in json.loads(out)["rows"]} == {9.0}
+
+
+# hbar and Q values of every kind the domain checks must meet
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.5, -3.0])
+
+
+def _scale(lo, hi):
+    return st.one_of(_SPECIAL, st.floats(lo, hi)).map(lambda v: f"{v!r}")
+
+
+_labels = st.integers(-2, 25).map(str)
+_points = st.integers(-2, 6).map(str)
+_argv = st.one_of(
+    st.tuples(st.just("spectrum"), st.just("--hbar"), _scale(0.05, 10), st.just("--bands"), _labels),
+    st.tuples(st.just("figure1"), st.just("--hbar-min"), _scale(0.05, 10), st.just("--hbar-max"),
+              _scale(0.05, 10), st.just("--points"), _points, st.just("--bands"), _labels),
+    st.tuples(st.just("figure2"), st.just("--q-min"), _scale(0.04, 1600), st.just("--q-max"),
+              _scale(0.04, 1600), st.just("--points"), _points, st.just("--bands"), _labels),
+    st.tuples(st.just("widths"), st.just("--kind"), st.sampled_from(["band", "gap"]), st.just("--N"),
+              _labels, st.just("--hbar"), _scale(0.05, 10)),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=_argv)
+def test_spectral_subcommands_end_in_a_documented_exit_code(argv):
+    # an exception escaping main would be a traceback: the call itself must not raise
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("MATHIEU_RESURGENCE_CACHE", None)
+        code = main(list(argv))
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE, EXIT_USAGE)
+    assert (code == EXIT_OK) == bool(out.getvalue())
+
+
 _PROBE = """
 import json, sys
 import mathieu_resurgence.cli as cli
@@ -285,7 +377,7 @@ class TestImportCost:
     def test_cache_hit_loads_no_compute_module(self, tmp_path):
         argv = ("spectrum", "--hbar", "1.0", "--bands", "1")
         code, mods = _probe(*argv, cache=tmp_path)
-        assert code == EXIT_OK and "numpy" in mods
+        assert code == EXIT_OK and "mathieu_resurgence.oracle" in mods
         code, mods = _probe(*argv, cache=tmp_path)
         assert code == EXIT_OK
         assert not {"numpy", "scipy", "mpmath", "mathieu_resurgence.oracle"} & mods
@@ -293,6 +385,21 @@ class TestImportCost:
     def test_extended_precision_width_loads_no_numeric_stack(self):
         code, mods = _probe("widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
         assert code == EXIT_OK
+        assert not {"numpy", "scipy"} & mods
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--hbar", "1.0", "--bands", "3"),
+            ("figure1", "--points", "3", "--bands", "3"),
+            ("figure2", "--points", "3", "--bands", "3"),
+            ("widths", "--kind", "band", "--N", "0", "--hbar", "0.5"),
+            ("widths", "--kind", "gap", "--N", "2", "--hbar", "6"),
+        ],
+    )
+    def test_float_tier_loads_no_numeric_stack(self, argv):
+        code, mods = _probe(*argv)
+        assert code == EXIT_OK and "mathieu_resurgence.oracle" in mods
         assert not {"numpy", "scipy"} & mods
 
 

@@ -145,6 +145,71 @@ class TestWidths:
             width_num(1.0, 0, "ridge")
 
 
+class TestFloatTier:
+    """The float tier's edges, certified against the exact eigenvalues of
+    the same Hill matrix by Sturm counts at 30 digits."""
+
+    @pytest.mark.parametrize("hbar", [0.3 * (3.5 / 0.3) ** (i / 11) for i in range(12)])
+    def test_edges_within_bound_of_extended_precision(self, hbar):
+        # |u - u_exact| <= 2.5e-13 max(1, |u|) at the float tier's own
+        # truncation M: the two counts bracket the exact eigenvalue
+        import mpmath
+
+        from mathieu_resurgence import tridiag
+        from mathieu_resurgence.oracle import _edge_index
+
+        M = HillConfig().resolve_truncation(hbar, 19)
+        with mpmath.workdps(30):
+            for p in band_edges(hbar, 19):
+                kappa, i = _edge_index(p.N, p.edge)
+                d = [mpmath.mpf(hbar) ** 2 / 2 * (k + mpmath.mpf(kappa)) ** 2
+                     for k in range(-M, M + 1)]
+                e = [mpmath.mpf(1) / 2] * (2 * M)
+                bound = 2.5e-13 * max(1.0, abs(p.u))
+                lo, hi = mpmath.mpf(p.u) - bound, mpmath.mpf(p.u) + bound
+                assert tridiag.count_below(d, e, lo) <= i < tridiag.count_below(d, e, hi)
+
+    def test_edges_ascend_where_gaps_close_below_double_precision(self):
+        for hbar in (2.5, 3.5, 8.0):
+            tb = {(p.N, p.edge): p.u for p in band_edges(hbar, 19)}
+            seq = [tb[(N, edge)] for N in range(20) for edge in ("bottom", "top")]
+            assert seq == sorted(seq)
+
+    def test_half_truncation_too_small_is_a_convergence_error(self):
+        # the half truncation M//2 = 35 holds 71 levels per sector
+        with pytest.raises(ConvergenceError, match="M=70"):
+            band_edges(1.0, 100)
+        with pytest.raises(ConvergenceError):
+            band_edges(1.0, 17, HillConfig(truncation=8))
+        assert len(band_edges(1.0, 16, HillConfig(truncation=8))) == 34
+
+    @pytest.mark.parametrize("hbar", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_hbar_domain(self, hbar):
+        with pytest.raises(DomainError):
+            band_edges(hbar, 2)
+        with pytest.raises(DomainError):
+            width_num(hbar, 0, "band")
+        with pytest.raises(DomainError):
+            figure1_dataset([0.5, hbar], N_max=1)
+
+    @pytest.mark.parametrize("Q", [0.0, -1.0, math.nan, math.inf])
+    def test_Q_domain(self, Q):
+        with pytest.raises(DomainError):
+            figure2_dataset([Q], N_max=1)
+
+    def test_band_label_domain(self):
+        with pytest.raises(DomainError):
+            band_edges(1.0, -1)
+        with pytest.raises(DomainError):
+            band_edges(1.0, 2, edges=[(-1, "top")])
+        with pytest.raises(DomainError):
+            width_num(0.5, -1, "band")
+        with pytest.raises(DomainError):
+            figure1_dataset([], N_max=-1)
+        with pytest.raises(DomainError):
+            figure2_dataset([], N_max=-1)
+
+
 class TestExtendedPrecision:
     @pytest.mark.parametrize("hbar, N", [(8.0, 5), (8.0, 6), (10.0, 6)])
     def test_narrow_gaps_switch_tier(self, hbar, N):

@@ -1,11 +1,13 @@
-"""Extended-precision tridiagonal eigenvalues against a plain bisection.
+"""Tridiagonal eigenvalues against a plain bisection.
 
 `tridiag.eigenvalue` brackets an mpf eigenvalue in double precision and
-refines it by Newton steps; these tests hold it to the k-th eigenvalue
-found by a bisection written here, to its Sturm certificate, and to the
-float route.
+refines it by Newton steps, and `tridiag.eigenvalues` isolates a set of
+float eigenvalues together before refining each; these tests hold both to
+the k-th eigenvalue found by a bisection written here, at 40 digits, and
+to their Sturm certificates.
 """
 import contextlib
+import sys
 
 import mpmath
 import pytest
@@ -115,3 +117,90 @@ def test_free_particle_pairs():
             assert abs(v - _bisection(d, e, k, tol)) <= tol
         assert 1e-14 < pair[1] - pair[0] < 1e-12
 
+
+
+EPS = sys.float_info.epsilon
+
+
+def _float_scale(d, e):
+    """s of the float certificate t = 8 eps max(|v|, s)."""
+    return max(max(map(abs, e), default=0.0), EPS * max(map(abs, d))) or sys.float_info.min
+
+
+def _check_float_values(d, e, vals):
+    """Each value against the 40-digit bisection of the same float matrix,
+    and its certificate from the float counts."""
+    s = _float_scale(d, e)
+    with mpmath.workdps(DPS):
+        dm, em = [mpmath.mpf(x) for x in d], [mpmath.mpf(x) for x in e]
+        for k, v in vals.items():
+            assert isinstance(v, float)
+            t = 8 * EPS * max(abs(v), s)
+            assert tridiag.count_below(d, e, v - t) <= k < tridiag.count_below(d, e, v + t)
+            assert abs(v - _bisection(dm, em, k, TOL)) <= 2 * t + TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_matrices(), data=st.data())
+def test_float_eigenvalues_against_bisection(case, data):
+    d, e, _ = case
+    d, e = [float(x) for x in d], [float(x) for x in e]
+    ks = data.draw(st.sets(st.integers(0, len(d) - 1), min_size=1))
+    vals = tridiag.eigenvalues(d, e, ks)
+    assert sorted(vals) == sorted(ks)
+    _check_float_values(d, e, vals)
+    ordered = [vals[k] for k in sorted(ks)]
+    assert ordered == sorted(ordered)
+
+
+def test_float_free_particle_is_exact():
+    # e = 0: the eigenvalues are the diagonal, (k + kappa)^2 hbar^2 / 2, with
+    # the +-k plane waves exactly degenerate
+    hbar, M = 0.7, 30
+    for kappa in (0.0, 0.5):
+        d = [hbar * hbar / 2 * (k + kappa) ** 2 for k in range(-M, M + 1)]
+        exact = sorted(d)
+        e = [0.0] * (2 * M)
+        vals = tridiag.eigenvalues(d, e, range(2 * M + 1))
+        for k, v in vals.items():
+            t = 8 * EPS * max(abs(v), _float_scale(d, e))
+            assert abs(v - exact[k]) <= t
+            assert tridiag.count_below(d, e, v - t) <= k < tridiag.count_below(d, e, v + t)
+
+
+def test_float_near_degenerate_pairs():
+    # Hill matrix far above the barrier: the +-k plane-wave pairs split by
+    # ~1e-2 (k = 1) and ~1e-9 (k = 2) of their level, which double
+    # precision resolves, and by ~1e-15 (k = 3) and less, a cluster whose
+    # members share one value
+    hbar, M = 8.0, 21
+    d = [hbar * hbar / 2 * k * k for k in range(-M, M + 1)]
+    e = [0.5] * (2 * M)
+    vals = tridiag.eigenvalues(d, e, range(9))
+    _check_float_values(d, e, vals)
+    assert vals[1] < vals[2] and vals[3] < vals[4]
+    assert vals[5] == vals[6] and vals[7] == vals[8]
+
+
+def test_eigenvalues_linear_work_in_size(monkeypatch):
+    # a fixed set of indices costs a bounded number of O(n) Sturm passes
+    work = []
+    for name in ("count_below", "_count_and_step"):
+        real = getattr(tridiag, name)
+        monkeypatch.setattr(
+            tridiag, name, lambda d, e, x, real=real: work.append(len(d)) or real(d, e, x)
+        )
+    totals = []
+    for M in (200, 1600):
+        d = [0.001 ** 2 / 2 * k * k for k in range(-M, M + 1)]
+        work.clear()
+        tridiag.eigenvalues(d, [0.5] * (2 * M), range(3))
+        totals.append(sum(work))
+    assert 0 < totals[1] <= 12 * totals[0]  # 8x the size: linear, with slack
+
+
+def test_index_out_of_range():
+    with pytest.raises(ValueError):
+        tridiag.eigenvalues([0.0, 1.0], [0.5], [2])
+    with pytest.raises(ValueError):
+        tridiag.eigenvalue([0.0, 1.0], [0.5], -1, 1e-12)

@@ -101,6 +101,11 @@ class TestBandWidth:
         with pytest.raises(DomainError):
             band_width(-0.5, 0)
 
+    @pytest.mark.parametrize("hbar, N", [(math.nan, 0), (math.inf, 0), (0.0, 1), (0.5, -1)])
+    def test_rejects_nonfinite_hbar_and_negative_label(self, hbar, N):
+        with pytest.raises(DomainError):
+            band_width(hbar, N)
+
     def test_leading_positive_and_fluctuations_shrink(self):
         ws = [band_width(h, 0, order=2) for h in (0.5, 0.25, 0.125)]
         assert all(w.leading > 0 for w in ws)
@@ -127,6 +132,11 @@ class TestGapWidth:
     def test_no_gap_zero(self):
         with pytest.raises(DomainError):
             gap_width(6.0, 0)
+
+    @pytest.mark.parametrize("hbar, N", [(6.0, -1), (math.nan, 2), (math.inf, 2), (0.0, 2)])
+    def test_rejects_negative_label_and_nonfinite_hbar(self, hbar, N):
+        with pytest.raises(DomainError):
+            gap_width(hbar, N)
 
     def test_regime_warning(self):
         with pytest.warns(UserWarning):
@@ -174,6 +184,11 @@ class TestGeneralWidth:
 
 
 class TestBarrierTop:
+    @pytest.mark.parametrize("hbar", [0.0, math.nan, math.inf])
+    def test_rejects_nonfinite_hbar(self, hbar):
+        with pytest.raises(DomainError):
+            barrier_top(hbar)
+
     def test_scalings(self):
         bt = barrier_top(0.5)
         x = 8 / (math.pi * 0.5)
