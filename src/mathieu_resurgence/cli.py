@@ -386,14 +386,10 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     if num < 0:
         raise DomainError(f"--points must be >= 0, got {num}")
     start, stop = float(start), float(stop)
-    if num < 2:
-        return [start] * num
-    delta = stop - start
-    step = delta / (num - 1)
-    if step == 0:
-        out = [i / (num - 1) * delta + start for i in range(num)]
-    else:
-        out = [i * step + start for i in range(num)]
+    if num < 2:  # numpy's 0 * delta + start: NaN when stop - start is not finite
+        return [0 * (stop - start) + start] * num
+    step = (stop - start) / (num - 1)
+    out = [i * step + start for i in range(num)]
     out[-1] = stop
     return out
 

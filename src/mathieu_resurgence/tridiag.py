@@ -4,8 +4,9 @@
 Two entry points share one refinement loop.  `eigenvalues` computes a set
 of indices in double precision: the indices are isolated together by
 bisection on Sturm counts, an interval being split only while it holds a
-requested index and more than one eigenvalue, so the number of counts per
-index does not grow with the matrix and the work stays linear in its size.
+requested index and more than one eigenvalue.  The counts per index grow
+only with the logarithm of the spectrum's spread, so the work for a fixed
+set of indices is linear in the size of the matrix, up to that logarithm.
 `eigenvalue` computes one index in any arithmetic type, mpmath.mpf for the
 extended-precision tier that exponentially narrow widths require.  Its
 bracket comes from the float copy of the matrix, bisected to about 1e-12
@@ -126,9 +127,9 @@ def eigenvalues(d: Sequence[float], e: Sequence[float], ks: Iterable[int]) -> di
 
     Each value v for index k carries the certificate
     count_below(v - t) <= k < count_below(v + t), t = 8 eps max(|v|, s),
-    with s the largest |e_i| (eps max|d_i| for a diagonal matrix).  Members
-    of a cluster narrower than that, which double precision cannot split,
-    share one value.
+    with s = max(max|e_i|, eps max|d_i|) (the smallest normal float for a
+    zero matrix).  Members of a cluster narrower than that, which double
+    precision cannot split, share one value.
     """
     ks = sorted(set(ks))
     _check_indices(len(d), ks)
@@ -145,8 +146,9 @@ def eigenvalues(d: Sequence[float], e: Sequence[float], ks: Iterable[int]) -> di
         if b - a <= tol:
             out.update(dict.fromkeys(want, (a + b) / 2))
             continue
-        # refine an isolated eigenvalue once the bracket no longer spans
-        # magnitudes beyond twice its own, so that tol/2 <= t
+        # refine an isolated eigenvalue once wide <= 2 max(|v|, s) for every
+        # v in [a, b]: then tol/2 <= t, and the refined value's certificate
+        # is the documented one
         near = min(abs(a), abs(b)) if a * b > 0 else 0.0
         if cb - ca == 1 and wide <= 2 * max(near, s):
             out[want[0]] = _refine(d, e, want[0], a, b, tol)

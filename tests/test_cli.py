@@ -284,11 +284,14 @@ class TestGrids:
     @pytest.mark.parametrize(
         "start, stop, num",
         [(2.0, 60.0, 30), (2.0, 70.0, 30), (2.0, 2.0, 5), (-1.5, 3.25, 7), (0.1, 0.3, 3),
-         (5.0, 1.0, 4), (2.0, 60.0, 1), (2.0, 60.0, 0)],
+         (5.0, 1.0, 4), (2.0, 60.0, 1), (2.0, 60.0, 0), (2.0, math.inf, 1),
+         (math.nan, 60.0, 3), (math.inf, 60.0, 3)],
     )
     def test_linspace_equals_numpy(self, start, stop, num):
         np = pytest.importorskip("numpy")
-        assert cli._linspace(start, stop, num) == [float(v) for v in np.linspace(start, stop, num)]
+        with np.errstate(invalid="ignore"):
+            want = [repr(float(v)) for v in np.linspace(start, stop, num)]
+        assert [repr(v) for v in cli._linspace(start, stop, num)] == want
 
     @pytest.mark.parametrize("stop", [2.5, 3.0, 3.5])
     def test_geomspace_within_an_ulp_of_numpy(self, stop):
