@@ -153,7 +153,7 @@ def test_float_eigenvalues_against_bisection(case, data):
     assert ordered == sorted(ordered)
 
 
-def test_float_free_particle_is_exact():
+def test_float_free_particle_against_exact_diagonal():
     # e = 0: the eigenvalues are the diagonal, (k + kappa)^2 hbar^2 / 2, with
     # the +-k plane waves exactly degenerate
     hbar, M = 0.7, 30
