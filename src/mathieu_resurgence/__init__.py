@@ -5,13 +5,4 @@ asymptotic formula in the package.
 
 __version__ = "0.1.0"
 
-from .series import PolyB, PolySeries, Q, TransSeries, transseries_substitute
-
-__all__ = [
-    "Q",
-    "PolyB",
-    "PolySeries",
-    "TransSeries",
-    "transseries_substitute",
-    "__version__",
-]
+__all__ = ["__version__"]

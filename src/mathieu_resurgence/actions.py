@@ -189,6 +189,8 @@ class ActionSeries:
 
 def action_series(region: str, n: int, order: int) -> ActionSeries:
     """Exact region expansion of a_n; ``order`` counts kept terms."""
+    if n < 0 or order < 0:
+        raise DomainError(f"WKB order n >= 0 and order >= 0 required, got n={n}, order={order}")
     if region == "well":
         coeffs = well_actions(n, order)[n]
         ser = PolySeries("u+1", order, [PolyB.const(c) for c in coeffs])

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Sequence
 
-import mpmath
-
 from .errors import ConvergenceError, DomainError, StructureError
 from .jacobi_exact import sd_squared_taylor
 from .series import PolyB, PolySeries
@@ -283,6 +281,8 @@ def large_order_fit(
     """
     if len(coeffs) < 8:
         raise DomainError("need at least 8 coefficients for a ratio fit")
+    import mpmath
+
     with mpmath.workdps(dps):
         c = [mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator) for x in coeffs]
         tail = [(n_offset + i, c[i]) for i in range(len(c)) if c[i] != 0]

@@ -18,13 +18,15 @@ import sys
 from fractions import Fraction as Q
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, RegimeWarning
+from .errors import ConvergenceError, DomainError, RegimeWarning, require_positive
 
 # Generator and oracle modules are imported inside the runners that use
-# them, so a cache hit loads none of them, nor mpmath.  No subcommand loads
-# numpy or scipy: both Hill-matrix tiers run on the standard library and
-# mpmath, and only `oracle.discriminant`, which no subcommand calls, needs
-# scipy.
+# them, so a cache hit loads none of them.  Those modules import mpmath
+# only inside the functions that do multiprecision arithmetic, so it loads
+# only when a run reaches one: the mp Hill tier behind `widths`, and
+# `zerodim --check relation` and `--check borel`.  No subcommand loads
+# numpy or scipy: only `oracle.discriminant`, which no subcommand calls,
+# needs scipy.
 
 __all__ = ["main", "build_parser"]
 
@@ -80,8 +82,11 @@ def _emit(payload: dict, args) -> None:
     else:
         text = _to_csv(payload, meta)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write --output {args.output!r}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -139,10 +144,12 @@ _OUTPUT_OPTIONS = ("format", "output", "pretty")
 # not mix them.  widths: 2 added oracle_dps and oracle_truncation to its row.
 # spectrum, figure1, figure2: 2 and widths: 3 moved the float Hill tier from
 # LAPACK to Sturm counts in `tridiag`, which moves last digits.
+# pert, strong, pinst: 2 reject N < 0 and an hbar that is not finite and
+# > 0, which schema 1 evaluated (printing NaN) or dropped.
 _PAYLOAD_SCHEMA = {
-    "pert": 1,
-    "strong": 1,
-    "pinst": 1,
+    "pert": 2,
+    "strong": 2,
+    "pinst": 2,
     "zjj": 1,
     "actions": 1,
     "spectrum": 2,
@@ -276,9 +283,15 @@ def build_parser() -> _Parser:
     return p
 
 
+def _require_level(N) -> None:
+    if N is not None and N < 0:
+        raise DomainError(f"level N >= 0 required, got {N}")
+
+
 def _run_pert(args) -> dict:
     from . import spectral
 
+    _require_level(args.N)
     series = spectral.u_pert(args.order)
     out: dict = {"rows": _series_rows(series, "hbar")}
     if args.N is not None:
@@ -287,7 +300,8 @@ def _run_pert(args) -> dict:
             "N": args.N,
             "coefficients": [_q_str(ev[n].const_value()) for n in range(ev.order + 1)],
         }
-        if args.hbar:
+        if args.hbar is not None:
+            require_positive("hbar", args.hbar)
             out["at_N"]["value"] = float(series(args.hbar, Q(2 * args.N + 1, 2)))
     return out
 
@@ -308,7 +322,7 @@ def _run_strong(args) -> dict:
             }
         )
     out = {"rows": rows, "note": "u = (hbar^2/8) * sum_j c_j q^j, q = 4/hbar^2"}
-    if args.hbar:
+    if args.hbar is not None:
         out["at_hbar"] = {
             "hbar": args.hbar,
             "upper_u": edges.u_upper(args.hbar),
@@ -320,6 +334,7 @@ def _run_strong(args) -> dict:
 def _run_pinst(args) -> dict:
     from . import widths
 
+    _require_level(args.N)
     P = widths.p_inst(args.order)
     out: dict = {"rows": _series_rows(P, "hbar")}
     if args.N is not None:
@@ -557,5 +572,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONVERGENCE
     payload["_command"] = args.command
     payload["_config"] = config
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+    except _UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
     return EXIT_OK

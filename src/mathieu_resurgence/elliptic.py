@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
-
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
@@ -44,24 +42,31 @@ class _FloatOps:
 
 
 class _MpOps:
-    """mpmath backend; caller must hold the working precision context."""
+    """mpmath backend; caller must hold the working precision context.
+
+    The functions are bound per instance, not in the class body, so that
+    importing this module does not import mpmath.
+    """
 
     def __init__(self):
+        import mpmath
+
         self.pi = +mpmath.pi
         self.eps = mpmath.mpf(2) ** (8 - mpmath.mp.prec)
-
-    convert = staticmethod(mpmath.mpf)
-    sqrt = staticmethod(mpmath.sqrt)
-    sin = staticmethod(mpmath.sin)
-    cos = staticmethod(mpmath.cos)
-    tanh = staticmethod(mpmath.tanh)
-    cosh = staticmethod(mpmath.cosh)
-    asin = staticmethod(mpmath.asin)
+        self.convert = mpmath.mpf
+        self.sqrt = mpmath.sqrt
+        self.sin = mpmath.sin
+        self.cos = mpmath.cos
+        self.tanh = mpmath.tanh
+        self.cosh = mpmath.cosh
+        self.asin = mpmath.asin
 
 
 def _dispatch(kernel, dps, *args):
     if dps is None:
         return kernel(_FloatOps(), *args)
+    import mpmath
+
     with mpmath.workdps(dps):
         return kernel(_MpOps(), *args)
 
@@ -111,7 +116,11 @@ def ellip_K(m, dps: int | None = None):
 
 def ellip_E(m, dps: int | None = None):
     if m == 1:
-        return 1.0 if dps is None else mpmath.mpf(1)
+        if dps is None:
+            return 1.0
+        import mpmath
+
+        return mpmath.mpf(1)
     return ellip_KE(m, dps)[1]
 
 

@@ -17,8 +17,9 @@ double-precision bracket, certified by Sturm counts and refined by Newton
 steps), with the Fourier truncation grown from the precision.  `width_num`
 moves narrow bands and narrow strong-coupling gaps to the mp tier.
 
-Only the monodromy integration (`discriminant`) imports scipy; the Hill
-matrix runs on the standard library and mpmath.
+Only the monodromy integration (`discriminant`) imports scipy.  The float
+tier of the Hill matrix runs on the standard library alone; only the mp
+tier imports mpmath.
 """
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 from . import tridiag
 from .errors import ConvergenceError, DomainError, require_positive
@@ -109,6 +108,8 @@ def _edge_table(hbar: float, edges, M: int, lam: float, dps) -> dict:
         if dps is None:
             out.update(_float_sector(hbar, kappa, M, lam, want))
             continue
+        import mpmath
+
         with mpmath.workdps(dps):
             h2 = mpmath.mpf(hbar) ** 2 / 2
             d = [h2 * (mpmath.mpf(k) + mpmath.mpf(kappa)) ** 2 for k in range(-M, M + 1)]
@@ -176,12 +177,14 @@ def band_edges(
     for N, edge in edges:
         u = full[(N, edge)]
         diff = abs(u - half[(N, edge)])
-        scale = max(abs(u), 1.0 if cfg.dps is None else mpmath.mpf(1))
-        rel = diff / scale
         if cfg.dps is None:
+            rel = diff / max(abs(u), 1.0)
             # cap at the double-precision eigensolver roundoff floor
             digits = 13 if rel == 0 else max(0, min(13, int(-math.log10(float(rel) + 1e-300))))
         else:
+            import mpmath
+
+            rel = diff / max(abs(u), mpmath.mpf(1))
             digits = cfg.dps if rel == 0 else max(
                 0, min(cfg.dps, int(-mpmath.log10(rel)))
             )

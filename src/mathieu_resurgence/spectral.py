@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable
 
-import mpmath
-
 from . import actions, charvalues
-from .errors import ConvergenceError, DomainError, StructureError
+from .errors import ConvergenceError, DomainError, StructureError, require_positive
 from .series import PolyB, PolySeries, horner, newton_solve
 
 __all__ = [
@@ -137,6 +135,8 @@ class ZjjFunctions:
 def zjj_construct(order: int) -> ZjjFunctions:
     """Build E(hbar,B), B(hbar,E), A(hbar,B), A(hbar,E) from the
     perturbative series alone, all to hbar^order."""
+    if order < 0:
+        raise DomainError(f"order >= 0 required, got {order}")
     up = bs_invert_weak(order + 2)
     # E = (u + 1)/hbar; one extra order so A reaches hbar^order below
     E_full = PolySeries("hbar", order + 1, [up[n + 1] for n in range(order + 2)])
@@ -192,10 +192,11 @@ def zjj_quantization_solve(
     the chosen lateral branch.  Returns u = -1 + hbar E plus a truncation
     uncertainty estimated by redoing the solve one order lower.
     """
-    if hbar <= 0:
-        raise DomainError("hbar > 0 required")
+    require_positive("hbar", hbar)
     if branch not in (+1, -1):
         raise DomainError("branch is +1 or -1")
+    import mpmath
+
     z = zjj_construct(order)
 
     def solve_at(ord_used: int) -> float:
@@ -254,9 +255,11 @@ class GapEdges:
     def u_lower(self, hbar: float) -> float:
         if self.lower is None:
             raise DomainError("gap 0 has no lower edge")
+        require_positive("hbar", hbar)
         return hbar * hbar / 8 * float(self.lower(4 / hbar**2))
 
     def u_upper(self, hbar: float) -> float:
+        require_positive("hbar", hbar)
         return hbar * hbar / 8 * float(self.upper(4 / hbar**2))
 
     def width(self, hbar: float) -> float:
@@ -267,6 +270,8 @@ def gap_edge_series(N: int, order: int) -> GapEdges:
     """Exact strong-coupling expansions of the two edges of gap N."""
     if N < 0:
         raise DomainError("N >= 0")
+    if order < 0:
+        raise DomainError(f"order >= 0 required, got {order}")
     upper = charvalues.char_a(N, order)
     lower = charvalues.char_b(N, order) if N >= 1 else None
     return GapEdges(N=N, lower=lower, upper=upper)

@@ -9,8 +9,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-import mpmath
-
 from . import actions, spectral
 from .errors import DomainError, RegimeWarning, StructureError, require_positive
 from .series import PolyB, PolySeries
@@ -49,6 +47,8 @@ def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
     the supplied series is not the band-location series and we refuse.
     Normalized so P(0) = 1.
     """
+    if order < 0:
+        raise DomainError(f"order >= 0 required, got {order}")
     S = INSTANTON_ACTION
     up = u_series if u_series is not None else spectral.u_pert(order + 2)
     if up.order < order + 2:
@@ -197,6 +197,8 @@ def large_order_prediction(N: int, n: int, dps: int = 30):
 
         u_n(N) ~ -(2^(2N) / (pi N!^2)) Gamma(n + 2N + 1) / 16^(n + 2N + 1).
     """
+    import mpmath
+
     with mpmath.workdps(dps):
         return (
             -mpmath.mpf(2) ** (2 * N)

@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-import mpmath
-
 from .elliptic import ellip_K, jacobi_sn_cn_dn
-from .errors import DomainError
+from .errors import DomainError, require_positive
 from .jacobi_exact import _cn2_flipped, _nc2_flipped, _sd2, sd_squared_taylor
 from .series import PolyB
 
@@ -56,6 +54,8 @@ class SaddleExpansion:
     def sector_coeff(self, r: int, dps: int = 30):
         """a_r = coeffs[r]/sqrt(curvature), the partition-normalized
         fluctuation coefficient (an mpf; irrational in general)."""
+        import mpmath
+
         with mpmath.workdps(dps):
             c2 = mpmath.mpf(self.curvature.numerator) / self.curvature.denominator
             b = mpmath.mpf(self.coeffs[r].numerator) / self.coeffs[r].denominator
@@ -232,10 +232,12 @@ def _z_quadratures(hbars, m, dps: int) -> list[float]:
     """``z_quadrature`` at every hbar in ``hbars``, sharing one table of
     sd^2 values.  mpmath's tanh-sinh nodes do not depend on the integrand,
     so every hbar meets the same nodes, and z and -z share one entry."""
-    if any(hbar <= 0 for hbar in hbars):
-        raise DomainError("hbar > 0 required")
+    for hbar in hbars:
+        require_positive("hbar", hbar)
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
+    import mpmath
+
     with mpmath.workdps(dps):
         mm = mpmath.mpf(m.numerator) / m.denominator if isinstance(m, Q) else mpmath.mpf(m)
         sd2_at = {}  # |z| -> sd^2(z | m)
@@ -283,6 +285,8 @@ def berry_howls_check(m: Q, n_values, j_max: int = 4, dps: int = 50) -> list[dic
     vac = sads["vacuum"]
     S1, S2 = sads["real"].action, sads["imag"].action
     out = []
+    import mpmath
+
     with mpmath.workdps(dps):
         s1 = mpmath.mpf(S1.numerator) / S1.denominator
         s2 = mpmath.mpf(S2.numerator) / S2.denominator
@@ -320,6 +324,8 @@ def _phi_tail(x, p: int):
     t* = 1/x.  mpmath's ei takes the principal value on the positive axis,
     which is exactly the lateral average.
     """
+    import mpmath
+
     tstar = 1 / x
     J = mpmath.exp(-tstar) * mpmath.ei(tstar)
     fact = mpmath.mpf(1)
@@ -358,8 +364,8 @@ def borel_lateral_check(
     m = Q(m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1")
-    if any(hb <= 0 for hb in hbar_list):
-        raise DomainError("hbar > 0 required")
+    for hb in hbar_list:
+        require_positive("hbar", hb)
     rows = []
     # |a_n| hbar^n ~ (n-1)! (hbar/|S|)^n is smallest near n = |S|/hbar for the
     # nearer saddle, |S| = min(1/(1-m), 1/m); a few orders past it show the
@@ -375,6 +381,8 @@ def borel_lateral_check(
     vac = sads["vacuum"].coeffs
     S1, S2 = sads["real"].action, sads["imag"].action
     quad_dps = min(dps, 30)
+    import mpmath
+
     with mpmath.workdps(dps):
         s1 = mpmath.mpf(S1.numerator) / S1.denominator
         s2 = mpmath.mpf(S2.numerator) / S2.denominator

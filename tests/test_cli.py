@@ -139,6 +139,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and "--m" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strong", "--N", "1", "--order", "-1"],
+            ["zjj", "--order", "-1"],
+            ["actions", "--order", "-1"],
+            ["actions", "--region", "high", "--n", "-1"],
+            ["actions", "--n", "-1"],
+            ["pinst", "--order", "-1"],
+            ["pinst", "--N", "-1"],
+            ["pert", "--order", "2", "--N", "-1"],
+            ["pert", "--order", "2", "--N", "0", "--hbar", "nan"],
+            ["pert", "--order", "2", "--N", "0", "--hbar", "inf"],
+            ["pert", "--order", "2", "--N", "0", "--hbar", "-0.1"],
+            ["pert", "--order", "2", "--N", "0", "--hbar", "0"],
+            ["strong", "--N", "1", "--order", "4", "--hbar", "nan"],
+            ["strong", "--N", "1", "--order", "4", "--hbar", "0"],
+            ["zerodim", "--check", "borel", "--hbar", "nan"],
+            ["zerodim", "--check", "borel", "--hbar", "inf"],
+        ],
+    )
+    def test_exact_series_inputs_out_of_domain(self, capsys, argv):
+        # negative orders, levels and hbar values that are not finite and
+        # > 0 are domain errors, not tracebacks, NaN in the payload or an
+        # hbar dropped without a word
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
     def test_lame_parameter_out_of_domain(self, capsys):
         argv = ["benderwu", "--potential", "lame", "--m", "3/2", "--order", "2"]
         assert main(argv) == EXIT_DOMAIN
@@ -218,6 +247,13 @@ class TestOutputPlumbing:
         assert code == EXIT_OK
         assert json.loads(target.read_text())["metadata"]["command"] == "pert"
 
+    def test_unwritable_output_is_usage(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        assert main(["pert", "--order", "2", "--output", str(target)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(target) in captured.err
+        assert "Traceback" not in captured.err
+
     def test_metadata_carries_config(self, capsys):
         _, out = run(capsys, "pert", "--order", "2")
         meta = json.loads(out)["metadata"]
@@ -273,6 +309,19 @@ class TestOutputPlumbing:
         code, out = run(capsys, "actions", "--n", "1", "--order", "3")
         assert code == EXIT_OK and out == fresh
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_entry_for_a_rejected_argv_is_not_served(self, tmp_path, capsys, monkeypatch):
+        # schema 1 of pert evaluated hbar = nan and cached the NaN payload
+        argv = ("pert", "--order", "2", "--N", "0", "--hbar", "nan")
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        stale = {"rows": [], "at_N": {"N": 0, "coefficients": [], "value": math.nan}}
+        with monkeypatch.context() as m:
+            m.setitem(cli._PAYLOAD_SCHEMA, "pert", 1)
+            m.setitem(cli._RUNNERS, "pert", lambda args: dict(stale))
+            code, out = run(capsys, *argv)
+        assert code == EXIT_OK and "NaN" in out
+        code, out = run(capsys, *argv)
+        assert code == EXIT_DOMAIN and out == ""
 
     def test_every_subcommand_has_a_payload_schema(self):
         assert set(cli._PAYLOAD_SCHEMA) == set(cli._RUNNERS)
@@ -331,9 +380,13 @@ _argv = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(argv=_argv)
-def test_spectral_subcommands_end_in_a_documented_exit_code(argv):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _check_contract(argv):
+    """Run main uncached: a documented exit code, and stdout, strict JSON
+    (no NaN or Infinity), exactly on success."""
     # an exception escaping main would be a traceback: the call itself must not raise
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -341,6 +394,60 @@ def test_spectral_subcommands_end_in_a_documented_exit_code(argv):
         code = main(list(argv))
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_CONVERGENCE, EXIT_USAGE)
     assert (code == EXIT_OK) == bool(out.getvalue())
+    if code == EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=_argv)
+def test_spectral_subcommands_end_in_a_documented_exit_code(argv):
+    _check_contract(argv)
+
+
+def _req(flag, value):
+    """An option that is always given: the flag, then a drawn value."""
+    return st.tuples(st.just(flag), value)
+
+
+def _opt(flag, value):
+    """An option that may be left out."""
+    return st.one_of(st.just(()), _req(flag, value))
+
+
+def _switch(flag):
+    return st.sampled_from([(), (flag,)])
+
+
+def _command(name, *groups):
+    return st.tuples(*groups).map(lambda gs: [name, *(a for g in gs for a in g)])
+
+
+_orders = st.integers(-2, 6).map(str)
+_hbar = _scale(0.05, 10)
+_m = st.sampled_from(["0", "1/4", "1", "-1/4", "3/2"])
+_exact_argv = st.one_of(
+    _command("pert", _req("--order", _orders), _opt("--N", _orders), _opt("--hbar", _hbar),
+             _switch("--poly")),
+    _command("strong", _req("--N", _orders), _req("--order", _orders), _opt("--hbar", _hbar)),
+    _command("pinst", _req("--order", _orders), _opt("--N", _orders)),
+    _command("zjj", _req("--order", _orders)),
+    _command("actions", _req("--region", st.sampled_from(["well", "high"])),
+             _req("--n", _orders), _req("--order", _orders)),
+    _command("benderwu", _req("--potential", st.sampled_from(["mathieu", "lame"])),
+             _req("--m", _m), _req("--N", _orders), _req("--order", _orders), _switch("--poly")),
+    _command("zerodim", _req("--m", _m), _req("--order", _orders),
+             _req("--check", st.sampled_from(["rows", "relation", "borel"])),
+             st.lists(_req("--hbar", _hbar), max_size=2).map(lambda hs: sum(hs, ()))),
+    # a Borel check whose inputs are all in its domain, so that its payload is fuzzed too
+    _command("zerodim", _req("--check", st.just("borel")),
+             _req("--hbar", st.floats(0.05, 10).map(repr))),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=_exact_argv)
+def test_exact_series_and_zerodim_end_in_a_documented_exit_code(argv):
+    _check_contract(argv)
 
 
 _PROBE = """
@@ -366,16 +473,48 @@ def _probe(*argv, cache=None):
 
 
 class TestImportCost:
-    """Only the subcommands that need the numeric stack load it."""
+    """Only the subcommands that need the numeric stack load it, and only
+    runs that reach multiprecision arithmetic load mpmath."""
 
     def test_import_loads_no_numeric_stack(self):
         _, mods = _probe()
-        assert not {"numpy", "scipy"} & mods
+        assert not {"numpy", "scipy", "mpmath", "mathieu_resurgence.series"} & mods
 
     def test_exact_series_loads_no_numeric_stack(self):
         code, mods = _probe("pert", "--order", "4", "--poly")
         assert code == EXIT_OK
-        assert not {"numpy", "scipy"} & mods
+        assert not {"numpy", "scipy", "mpmath"} & mods
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pert", "--order", "4", "--N", "1", "--hbar", "0.1"),
+            ("strong", "--N", "1", "--order", "4", "--hbar", "6"),
+            ("pinst", "--order", "2", "--N", "0"),
+            ("zjj", "--order", "3"),
+            ("actions", "--region", "well", "--n", "1", "--order", "3"),
+            ("actions", "--region", "high", "--n", "0", "--order", "4"),
+            ("benderwu", "--potential", "mathieu", "--order", "4"),
+            ("benderwu", "--potential", "lame", "--m", "1/4", "--order", "4"),
+            ("zerodim", "--check", "rows", "--order", "4"),
+        ],
+    )
+    def test_exact_series_and_rows_load_no_mpmath(self, argv):
+        code, mods = _probe(*argv)
+        assert code == EXIT_OK
+        assert "mpmath" not in mods
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zerodim", "--check", "relation"),
+            ("zerodim", "--check", "borel", "--hbar", "0.2"),
+        ],
+    )
+    def test_multiprecision_checks_load_mpmath(self, argv):
+        # the positive control: the guards above are not passing vacuously
+        code, mods = _probe(*argv)
+        assert code == EXIT_OK and "mpmath" in mods
 
     def test_cache_hit_loads_no_compute_module(self, tmp_path):
         argv = ("spectrum", "--hbar", "1.0", "--bands", "1")
@@ -387,7 +526,7 @@ class TestImportCost:
 
     def test_extended_precision_width_loads_no_numeric_stack(self):
         code, mods = _probe("widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
-        assert code == EXIT_OK
+        assert code == EXIT_OK and "mpmath" in mods
         assert not {"numpy", "scipy"} & mods
 
     @pytest.mark.parametrize(
@@ -403,7 +542,7 @@ class TestImportCost:
     def test_float_tier_loads_no_numeric_stack(self, argv):
         code, mods = _probe(*argv)
         assert code == EXIT_OK and "mathieu_resurgence.oracle" in mods
-        assert not {"numpy", "scipy"} & mods
+        assert not {"numpy", "scipy", "mpmath"} & mods
 
 
 def test_pretty_output(capsys):
