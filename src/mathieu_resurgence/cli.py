@@ -146,16 +146,19 @@ _OUTPUT_OPTIONS = ("format", "output", "pretty")
 # LAPACK to Sturm counts in `tridiag`, which moves last digits.
 # pert, strong, pinst: 2 reject N < 0 and an hbar that is not finite and
 # > 0, which schema 1 evaluated (printing NaN) or dropped.
+# spectrum, figure1, figure2: 3 and widths: 4 split both Bloch sectors into
+# parity blocks and widen the antiperiodic basis by one momentum, which
+# moves last digits.
 _PAYLOAD_SCHEMA = {
     "pert": 2,
     "strong": 2,
     "pinst": 2,
     "zjj": 1,
     "actions": 1,
-    "spectrum": 2,
-    "figure1": 2,
-    "figure2": 2,
-    "widths": 3,
+    "spectrum": 3,
+    "figure1": 3,
+    "figure2": 3,
+    "widths": 4,
     "zerodim": 1,
     "benderwu": 1,
 }
@@ -218,63 +221,58 @@ def build_parser() -> _Parser:
     def sub_parser(name, **kw):
         return subs.add_parser(name, parents=[common], **kw)
 
-    class _Sub:
-        add_parser = staticmethod(sub_parser)
-
-    sub = _Sub()
-
-    s = sub.add_parser("pert", help="weak-coupling band-location series")
+    s = sub_parser("pert", help="weak-coupling band-location series")
     s.add_argument("--order", type=int, default=5)
     s.add_argument("--poly", action="store_true", help="exact rationals in B")
     s.add_argument("--N", type=int, help="evaluate at integer level N")
     s.add_argument("--hbar", type=float)
 
-    s = sub.add_parser("strong", help="strong-coupling gap edges / expansion")
+    s = sub_parser("strong", help="strong-coupling gap edges / expansion")
     s.add_argument("--N", type=int, default=1)
     s.add_argument("--order", type=int, default=8)
     s.add_argument("--hbar", type=float)
 
-    s = sub.add_parser("pinst", help="one-instanton fluctuation series")
+    s = sub_parser("pinst", help="one-instanton fluctuation series")
     s.add_argument("--order", type=int, default=2)
     s.add_argument("--N", type=int)
 
-    s = sub.add_parser("zjj", help="quantization-function tables")
+    s = sub_parser("zjj", help="quantization-function tables")
     s.add_argument("--order", type=int, default=4)
 
-    s = sub.add_parser("actions", help="WKB action expansions")
+    s = sub_parser("actions", help="WKB action expansions")
     s.add_argument("--region", choices=("well", "high"), default="well")
     s.add_argument("--n", type=int, default=0, help="WKB order")
     s.add_argument("--order", type=int, default=6)
 
-    s = sub.add_parser("spectrum", help="numeric band edges at one hbar")
+    s = sub_parser("spectrum", help="numeric band edges at one hbar")
     s.add_argument("--hbar", type=float, required=True)
     s.add_argument("--bands", type=int, default=5)
 
-    s = sub.add_parser("figure1", help="band edges over an hbar grid")
+    s = sub_parser("figure1", help="band edges over an hbar grid")
     s.add_argument("--hbar-min", type=float, default=0.3)
     s.add_argument("--hbar-max", type=float, default=3.0)
     s.add_argument("--points", type=int, default=28)
     s.add_argument("--bands", type=int, default=19)
 
-    s = sub.add_parser("figure2", help="band edges over a Q grid near u = 1")
+    s = sub_parser("figure2", help="band edges over a Q grid near u = 1")
     s.add_argument("--q-min", type=float, default=2.0)
     s.add_argument("--q-max", type=float, default=60.0)
     s.add_argument("--points", type=int, default=30)
     s.add_argument("--bands", type=int, default=12)
 
-    s = sub.add_parser("widths", help="asymptotic width vs numeric oracle")
+    s = sub_parser("widths", help="asymptotic width vs numeric oracle")
     s.add_argument("--kind", choices=("band", "gap"), required=True)
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--hbar", type=float, required=True)
     s.add_argument("--order", type=int, default=3)
 
-    s = sub.add_parser("zerodim", help="saddle expansions and resurgence checks")
+    s = sub_parser("zerodim", help="saddle expansions and resurgence checks")
     s.add_argument("--m", type=_fraction, default="1/4", help="elliptic parameter (fraction)")
     s.add_argument("--order", type=int, default=8)
     s.add_argument("--check", choices=("rows", "relation", "borel"), default="rows")
     s.add_argument("--hbar", type=float, action="append")
 
-    s = sub.add_parser("benderwu", help="perturbative oracle series")
+    s = sub_parser("benderwu", help="perturbative oracle series")
     s.add_argument("--potential", choices=("mathieu", "lame"), default="mathieu")
     s.add_argument("--m", type=_fraction, default="1/2")
     s.add_argument("--N", type=int, default=0)
@@ -302,7 +300,11 @@ def _run_pert(args) -> dict:
         }
         if args.hbar is not None:
             require_positive("hbar", args.hbar)
-            out["at_N"]["value"] = float(series(args.hbar, Q(2 * args.N + 1, 2)))
+            value = float(series(args.hbar, Q(2 * args.N + 1, 2)))
+            if not math.isfinite(value):
+                raise DomainError(f"series value not finite in double precision at "
+                                  f"hbar={args.hbar!r}")
+            out["at_N"]["value"] = value
     return out
 
 
@@ -381,19 +383,7 @@ def _run_actions(args) -> dict:
 def _run_spectrum(args) -> dict:
     from . import oracle
 
-    pts = oracle.band_edges(args.hbar, args.bands)
-    rows = [
-        {
-            "hbar": p.hbar,
-            "Q": 4 / p.hbar ** 2,
-            "N": p.N,
-            "edge": p.edge,
-            "u": float(p.u),
-            "err": 10.0 ** (-p.converged_digits),
-        }
-        for p in pts
-    ]
-    return {"rows": rows}
+    return {"rows": oracle.figure1_dataset([args.hbar], N_max=args.bands)}
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -457,13 +447,14 @@ def _run_widths(args) -> dict:
 
     from . import oracle, widths
 
+    # the oracle first: its domain checks bound hbar for the estimates too
+    num = oracle.width_num(args.hbar, args.N, args.kind)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if args.kind == "band":
             est = widths.band_width(args.hbar, args.N, order=args.order)
         else:
             est = widths.gap_width(args.hbar, args.N)
-    num = oracle.width_num(args.hbar, args.N, args.kind)
     return {
         "diagnostics": [
             {"category": w.category.__name__, "message": str(w.message)}

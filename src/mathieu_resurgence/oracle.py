@@ -7,14 +7,15 @@ momentum 0 and 1/2 gives the edges, and the discriminant of the monodromy
 over one period gives the same edges as roots of |cos theta| = 1.  Every
 asymptotic formula in the package is ultimately tested against these.
 
-The Hill matrix has two tiers, and both compute only the requested edges
-by Sturm counts in `tridiag`.  The float tier isolates the requested
-indices of each sector together and refines them by Newton steps
-(`tridiag.eigenvalues`); the periodic sector is split by parity first, so
-the two near-degenerate edges of a gap fall in different blocks.  The
-extended-precision (mp) tier computes each edge by `tridiag.eigenvalue` (a
-double-precision bracket, certified by Sturm counts and refined by Newton
-steps), with the Fourier truncation grown from the precision.  `width_num`
+The Hill matrix has two tiers, which share one code path.  Each Bloch
+sector splits by parity into two blocks that interlace (`_block`), so the
+two near-degenerate edges of a gap fall in different blocks, and every
+edge is computed by `tridiag.eigenvalues` from Sturm counts and Newton
+steps, only the requested ones.  The float tier works in double
+precision; the extended-precision (mp) tier refines each edge from a
+double-precision bracket in mpmath, with the Fourier truncation grown from
+the precision.  Truncation M keeps the momenta |k| <= M of the periodic
+sector and |k + 1/2| <= M + 1/2 of the antiperiodic one.  `width_num`
 moves narrow bands and narrow strong-coupling gaps to the mp tier.
 
 Only the monodromy integration (`discriminant`) imports scipy.  The float
@@ -23,9 +24,6 @@ tier imports mpmath.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,9 +38,29 @@ __all__ = [
     "width_num",
     "figure1_dataset",
     "figure2_dataset",
-    "dataset_to_csv",
-    "dataset_to_json",
 ]
+
+
+# Largest Fourier truncation M: the float tier reaches it near hbar = 2.5e-4,
+# and each Sturm count costs O(M).
+_MAX_TRUNCATION = 10_000
+# Largest hbar: the diagonal entries hbar^2 k^2 / 2 stay far inside double
+# precision below it.
+_HBAR_MAX = 1e100
+
+
+def _require_hbar(hbar: float) -> None:
+    require_positive("hbar", hbar)
+    if hbar > _HBAR_MAX:
+        raise DomainError(f"hbar <= {_HBAR_MAX:g} required by the Hill matrix, got {hbar!r}")
+
+
+def _capped(M):
+    if not M <= _MAX_TRUNCATION:
+        raise ConvergenceError(
+            f"Fourier truncation M={M:.4g} above the cap {_MAX_TRUNCATION} of the Hill matrix"
+        )
+    return M
 
 
 @dataclass(frozen=True)
@@ -55,11 +73,11 @@ class HillConfig:
         if self.truncation:
             if self.truncation < 8:
                 raise DomainError("Fourier truncation must be at least 8")
-            return self.truncation
+            return _capped(self.truncation)
         # momenta engaged up to the classical turning scale plus decay margin
         umax = max(1.5, 1.2 + (n_bands + 1) * hbar + (n_bands + 1) ** 2 * hbar ** 2 / 8)
         k_turn = math.sqrt(2 * (umax + 1.5)) / hbar
-        M = max(10, int(k_turn + 14 + 4 / math.sqrt(hbar)))
+        M = max(10, int(_capped(k_turn + 14 + 4 / math.sqrt(hbar))))
         lam = abs(self.potential_scale)
         if self.dps is None or lam == 0:
             return M
@@ -72,7 +90,7 @@ class HillConfig:
         while 2 * log10c > -(self.dps + 4):
             K += 1
             log10c += min(0.0, math.log10(lam / (hbar * hbar * K * K - 2 * umax)))
-        return max(M, 2 * K + 1)
+        return _capped(max(M, 2 * K + 1))
 
 
 @dataclass
@@ -97,53 +115,50 @@ def _edge_index(N: int, edge: str) -> tuple[float, int]:
     return 0.5 * ((N + (edge == "top")) % 2), N
 
 
-def _edge_table(hbar: float, edges, M: int, lam: float, dps) -> dict:
-    """u-values of the requested (N, edge) pairs at Fourier truncation M."""
-    sectors: dict[float, dict] = {}
+def _block(hbar: float, kappa: float, upper: int, M: int, lam: float, one):
+    """Diagonal and couplings of one parity block of a Bloch sector, in the
+    arithmetic of `one` (1.0 or an mpmath unit).
+
+    Each sector is even under k -> -k, so it splits exactly into two
+    blocks.  Periodic (kappa = 0): cos(k x), k = 0..M, whose k = 0
+    coupling is sqrt(2) lam/2, and sin(k x), k = 1..M, the same block
+    without its first row and column.  Antiperiodic (kappa = 1/2):
+    cos((k + 1/2) x) and sin((k + 1/2) x), k = 0..M, with couplings lam/2
+    and the k = 0 entry shifted by +-lam/2 (the -|lam|/2 one is the lower
+    block).  Either way the upper block is the lower one less a row and
+    column or plus a rank-one positive term, so the two interlace: sector
+    index i is index i//2 of block i%2 (upper = 1).  A near-degenerate gap
+    pair of a sector is then one eigenvalue of each block.
+    """
+    h2 = one * hbar * hbar / 2
+    if kappa:
+        d = [h2 * (k + one / 2) ** 2 for k in range(M + 1)]
+        shift = one * abs(lam) / 2
+        d[0] += shift if upper else -shift
+        return d, [one * lam / 2] * M
+    e = [one * lam / 2] * (M - 1)
+    if not upper:
+        e.insert(0, one * lam / (2 * one) ** 0.5)
+    return [h2 * k ** 2 for k in range(upper, M + 1)], e
+
+
+def _edge_table(hbar: float, edges, M: int, lam: float, one, rtol) -> dict:
+    """u-values of the requested (N, edge) pairs at Fourier truncation M.
+
+    rtol: None on the float tier; otherwise the tolerance relative to a
+    block's largest diagonal entry (at least one).
+    """
+    blocks: dict[tuple, dict] = {}
     for key in edges:
         kappa, i = _edge_index(*key)
-        sectors.setdefault(kappa, {})[key] = i
+        blocks.setdefault((kappa, i % 2), {})[key] = i // 2
     out = {}
-    for kappa, want in sectors.items():
-        if dps is None:
-            out.update(_float_sector(hbar, kappa, M, lam, want))
-            continue
-        import mpmath
-
-        with mpmath.workdps(dps):
-            h2 = mpmath.mpf(hbar) ** 2 / 2
-            d = [h2 * (mpmath.mpf(k) + mpmath.mpf(kappa)) ** 2 for k in range(-M, M + 1)]
-            e = [mpmath.mpf(lam) / 2] * (2 * M)
-            tol = mpmath.mpf(10) ** (-dps + 4) * max(1, abs(d[0]), abs(d[-1]))
-            out.update({key: tridiag.eigenvalue(d, e, i, tol) for key, i in want.items()})
+    for (kappa, upper), want in blocks.items():
+        d, e = _block(hbar, kappa, upper, M, lam, one)
+        tol = None if rtol is None else rtol * max(one, abs(d[-1]))
+        vals = tridiag.eigenvalues(d, e, want.values(), tol)
+        out.update({key: vals[j] for key, j in want.items()})
     return out
-
-
-def _float_sector(hbar: float, kappa: float, M: int, lam: float, want: dict) -> dict:
-    """Float-tier u-values of the requested keys of one Bloch sector.
-
-    The periodic sector (kappa = 0) is even under k -> -k, so it splits
-    exactly into an even block (k = 0..M, whose k = 0 coupling is
-    sqrt(2) lam/2) and an odd block (k = 1..M).  The odd block is the even
-    block without its first row and column, so by Cauchy interlacing the
-    sector's eigenvalues alternate even, odd, even, ...: sector index i is
-    index i//2 of block i%2.  Each near-degenerate gap pair of the sector
-    is then one even and one odd eigenvalue, which Newton resolves
-    separately.
-    """
-    h2 = hbar * hbar / 2.0
-    if kappa:
-        d = [h2 * (k + kappa) ** 2 for k in range(-M, M + 1)]
-        vals = tridiag.eigenvalues(d, [lam / 2.0] * (2 * M), want.values())
-        return {key: vals[i] for key, i in want.items()}
-    d = [h2 * k ** 2 for k in range(M + 1)]
-    e = [lam / 2.0] * (M - 1)
-    ks = [[i // 2 for i in want.values() if i % 2 == parity] for parity in (0, 1)]
-    blocks = (
-        tridiag.eigenvalues(d, [lam / math.sqrt(2.0)] + e, ks[0]),
-        tridiag.eigenvalues(d[1:], e, ks[1]),
-    )
-    return {key: blocks[i % 2][i // 2] for key, i in want.items()}
 
 
 def band_edges(
@@ -156,7 +171,7 @@ def band_edges(
     computed, at truncation M and M//2; their difference sets the digits.
     """
     cfg = cfg or HillConfig()
-    require_positive("hbar", hbar)
+    _require_hbar(hbar)
     if edges is None:
         edges = [(N, edge) for N in range(N_max + 1) for edge in ("bottom", "top")]
     if N_max < 0 or any(N < 0 for N, _ in edges):
@@ -171,8 +186,16 @@ def band_edges(
             f"M//2 = {half_M} keeps {2 * half_M + 1} levels per Bloch sector"
         )
     lam = cfg.potential_scale
-    full = _edge_table(hbar, edges, M, lam, cfg.dps)
-    half = _edge_table(hbar, edges, half_M, lam, cfg.dps)
+    if cfg.dps is None:
+        full = _edge_table(hbar, edges, M, lam, 1.0, None)
+        half = _edge_table(hbar, edges, half_M, lam, 1.0, None)
+    else:
+        import mpmath
+
+        with mpmath.workdps(cfg.dps):
+            rtol = mpmath.mpf(10) ** (4 - cfg.dps)
+            full = _edge_table(hbar, edges, M, lam, mpmath.mpf(1), rtol)
+            half = _edge_table(hbar, edges, half_M, lam, mpmath.mpf(1), rtol)
     out: list[SpectralPoint] = []
     for N, edge in edges:
         u = full[(N, edge)]
@@ -244,7 +267,7 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
         raise DomainError("gap label N >= 1")
     if N < 0:
         raise DomainError("band label N >= 0 required")
-    require_positive("hbar", hbar)
+    _require_hbar(hbar)
     dps = cfg.dps
     if dps is None:
         log10w = 0.0
@@ -282,6 +305,21 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
             "truncation": use.resolve_truncation(hbar, N)}
 
 
+def _rows(points: list[SpectralPoint], Q: float) -> list[dict]:
+    """Dataset rows (hbar, Q, N, edge, u, err) of the band edges at one hbar."""
+    return [
+        {
+            "hbar": p.hbar,
+            "Q": Q,
+            "N": p.N,
+            "edge": p.edge,
+            "u": float(p.u),
+            "err": 10.0 ** (-p.converged_digits),
+        }
+        for p in points
+    ]
+
+
 def figure1_dataset(hbar_grid, N_max: int = 19, cfg: HillConfig | None = None) -> list[dict]:
     """Band edges against hbar: the spectrum overview dataset.
 
@@ -293,17 +331,7 @@ def figure1_dataset(hbar_grid, N_max: int = 19, cfg: HillConfig | None = None) -
         raise DomainError("band label N >= 0 required")
     rows = []
     for hbar in hbar_grid:
-        for p in band_edges(hbar, N_max, cfg):
-            rows.append(
-                {
-                    "hbar": p.hbar,
-                    "Q": 4 / p.hbar ** 2,
-                    "N": p.N,
-                    "edge": p.edge,
-                    "u": float(p.u),
-                    "err": 10.0 ** (-p.converged_digits),
-                }
-            )
+        rows += _rows(band_edges(hbar, N_max, cfg), 4 / hbar ** 2)
     return rows
 
 
@@ -314,18 +342,7 @@ def figure2_dataset(Q_grid, N_max: int = 12, cfg: HillConfig | None = None) -> l
     rows = []
     for Qv in Q_grid:
         require_positive("Q", Qv)
-        hbar = 2 / math.sqrt(Qv)
-        for p in band_edges(hbar, N_max, cfg):
-            rows.append(
-                {
-                    "hbar": hbar,
-                    "Q": Qv,
-                    "N": p.N,
-                    "edge": p.edge,
-                    "u": float(p.u),
-                    "err": 10.0 ** (-p.converged_digits),
-                }
-            )
+        rows += _rows(band_edges(2 / math.sqrt(Qv), N_max, cfg), Qv)
     return rows
 
 
@@ -354,30 +371,3 @@ def crossing_Q(N: int, edge: str, cfg: HillConfig | None = None,
         else:
             lo_Q, flo = mid, fm
     return 0.5 * (lo_Q + hi_Q)
-
-
-def dataset_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["hbar", "Q", "N", "edge", "u", "err"])
-    for r in rows:
-        writer.writerow(
-            [
-                _fmt17(r["hbar"]),
-                _fmt17(r["Q"]),
-                r["N"],
-                r["edge"],
-                _fmt17(r["u"]),
-                _fmt17(r["err"]),
-            ]
-        )
-    return buf.getvalue()
-
-
-def dataset_to_json(rows: list[dict], metadata: dict | None = None) -> str:
-    payload = {"metadata": metadata or {}, "rows": rows}
-    return json.dumps(payload, sort_keys=True, default=_fmt17)
-
-
-def _fmt17(x) -> str:
-    return format(float(x), ".17g")

@@ -255,15 +255,24 @@ class GapEdges:
     def u_lower(self, hbar: float) -> float:
         if self.lower is None:
             raise DomainError("gap 0 has no lower edge")
-        require_positive("hbar", hbar)
-        return hbar * hbar / 8 * float(self.lower(4 / hbar**2))
+        return _edge_value(self.lower, hbar)
 
     def u_upper(self, hbar: float) -> float:
-        require_positive("hbar", hbar)
-        return hbar * hbar / 8 * float(self.upper(4 / hbar**2))
+        return _edge_value(self.upper, hbar)
 
     def width(self, hbar: float) -> float:
         return self.u_upper(hbar) - self.u_lower(hbar)
+
+
+def _edge_value(series: PolySeries, hbar: float) -> float:
+    require_positive("hbar", hbar)
+    try:
+        u = hbar * hbar / 8 * float(series(4 / hbar**2))
+    except (OverflowError, ZeroDivisionError):  # hbar^2 beyond double range
+        u = math.inf
+    if not math.isfinite(u):
+        raise DomainError(f"strong-coupling edge not finite in double precision at hbar={hbar!r}")
+    return u
 
 
 def gap_edge_series(N: int, order: int) -> GapEdges:

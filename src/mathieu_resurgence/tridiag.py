@@ -1,17 +1,17 @@
 """Symmetric tridiagonal eigenvalues by index, certified by Sturm counts
 (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 
-Two entry points share one refinement loop.  `eigenvalues` computes a set
-of indices in double precision: the indices are isolated together by
-bisection on Sturm counts, an interval being split only while it holds a
-requested index and more than one eigenvalue.  The counts per index grow
-only with the logarithm of the spectrum's spread, so the work for a fixed
-set of indices is linear in the size of the matrix, up to that logarithm.
-`eigenvalue` computes one index in any arithmetic type, mpmath.mpf for the
-extended-precision tier that exponentially narrow widths require.  Its
-bracket comes from the float copy of the matrix, bisected to about 1e-12
-of its Gershgorin scale; two counts in the caller's type certify that
-bracket (the Gershgorin bracket replaces it if they do not).
+One entry point, `eigenvalues`, computes a set of indices.  In double
+precision the indices are isolated together by bisection on Sturm counts,
+an interval being split only while it holds a requested index and more
+than one eigenvalue.  The counts per index grow only with the logarithm of
+the spectrum's spread, so the work for a fixed set of indices is linear in
+the size of the matrix, up to that logarithm.  Entries of another
+arithmetic type (mpmath.mpf for the extended-precision tier that
+exponentially narrow widths require) take the double-precision values of
+the float copy of the matrix, bracket each by about 1e-12 of its
+Gershgorin scale, certify that bracket by two counts in the caller's type
+(the Gershgorin bracket replaces it if they do not) and refine it there.
 
 Inside a bracket that holds the requested eigenvalue alone, Newton steps
 on det(T - x) refine it, and each step's Sturm count shrinks the bracket; a
@@ -30,9 +30,10 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 
-__all__ = ["count_below", "eigenvalue", "eigenvalues"]
+__all__ = ["count_below", "eigenvalues"]
 
-# relative width of the double-precision bracket handed to Newton
+# relative width of the double-precision bracket handed to Newton in
+# another arithmetic type
 _FLOAT_BRACKET = 1e-12
 _EPS = sys.float_info.epsilon
 
@@ -93,48 +94,42 @@ def _gershgorin(d: Sequence, e: Sequence):
     return lo - one, hi + one
 
 
-def _bisect(d: Sequence, e: Sequence, k: int, lo, hi, tol):
-    """Shrink [lo, hi] around the k-th eigenvalue to width tol."""
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if count_below(d, e, mid) <= k:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _check_indices(n: int, ks) -> None:
     if any(not 0 <= k < n for k in ks):
         raise DomainError(f"eigenvalue index outside 0..{n - 1}")
 
 
-def eigenvalue(d: Sequence, e: Sequence, k: int, tol):
-    """k-th smallest eigenvalue (k = 0 based) to absolute tolerance tol.
+def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
+    """The eigenvalues of indices ks (0 = smallest).
 
-    The value v returned carries its Sturm certificate:
-    count_below(v - tol/2) <= k < count_below(v + tol/2).
-    """
-    _check_indices(len(d), [k])
-    lo, hi = _gershgorin(d, e)
-    if not isinstance(d[0], float):
-        lo, hi = _float_bracket(d, e, k, lo, hi)
-    return _refine(d, e, k, lo, hi, tol)
-
-
-def eigenvalues(d: Sequence[float], e: Sequence[float], ks: Iterable[int]) -> dict[int, float]:
-    """The eigenvalues of indices ks (0 = smallest), in double precision.
-
-    Each value v for index k carries the certificate
+    Float entries: each value v for index k carries the certificate
     count_below(v - t) <= k < count_below(v + t), t = 8 eps max(|v|, s),
     with s = max(max|e_i|, eps max|d_i|) (the smallest normal float for a
-    zero matrix).  Members of a cluster narrower than that, which double
-    precision cannot split, share one value.
+    zero matrix); tol is not used.  Members of a cluster narrower than
+    that, which double precision cannot split, share one value.
+
+    Entries of another type: tol is the absolute tolerance, and each value
+    carries count_below(v - tol/2) <= k < count_below(v + tol/2), counted
+    in that type.
     """
     ks = sorted(set(ks))
     _check_indices(len(d), ks)
     if not ks:
         return {}
+    if not isinstance(d[0], float):
+        if tol is None:
+            raise DomainError("tol required for entries that are not floats")
+        lo, hi = _gershgorin(d, e)
+        brackets = dict.fromkeys(ks, (lo, hi))
+        flo, fhi = float(lo), float(hi)
+        if math.isfinite(flo) and math.isfinite(fhi):  # else beyond double range
+            w = _FLOAT_BRACKET / 2 * max(abs(flo), abs(fhi))
+            approx = eigenvalues([float(v) for v in d], [float(v) for v in e], ks)
+            for k, v in approx.items():
+                a, b = type(lo)(v - w), type(lo)(v + w)
+                if count_below(d, e, a) <= k < count_below(d, e, b):
+                    brackets[k] = a, b
+        return {k: _refine(d, e, k, a, b, tol) for k, (a, b) in brackets.items()}
     s = max(max(map(abs, e), default=0.0), _EPS * max(map(abs, d))) or sys.float_info.min
     lo, hi = _gershgorin(d, e)
     out: dict[int, float] = {}
@@ -189,18 +184,3 @@ def _refine(d: Sequence, e: Sequence, k: int, lo, hi, tol):
         else:
             x, last = x + step, abs(step)
     return (lo + hi) / 2
-
-
-def _float_bracket(d: Sequence, e: Sequence, k: int, lo, hi):
-    """Narrow [lo, hi] to the k-th eigenvalue of the float copy of (d, e),
-    bisected in double precision; two counts in the caller's type certify
-    the result, and [lo, hi] is kept where they do not."""
-    flo, fhi = float(lo), float(hi)
-    if not (math.isfinite(flo) and math.isfinite(fhi)):  # beyond double range
-        return lo, hi
-    df, ef = [float(v) for v in d], [float(v) for v in e]
-    flo, fhi = _bisect(df, ef, k, flo, fhi, _FLOAT_BRACKET * max(abs(flo), abs(fhi)))
-    clo, chi = type(lo)(flo), type(lo)(fhi)
-    if count_below(d, e, clo) <= k < count_below(d, e, chi):
-        return clo, chi
-    return lo, hi

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .elliptic import ellip_K, jacobi_sn_cn_dn
-from .errors import DomainError, require_positive
+from .errors import ConvergenceError, DomainError, require_positive
 from .jacobi_exact import _cn2_flipped, _nc2_flipped, _sd2, sd_squared_taylor
 from .series import PolyB
 
@@ -335,6 +335,10 @@ def _phi_tail(x, p: int):
     return x ** (p + 1) * J
 
 
+# deepest optimal truncation the Borel check expands to: hbar >= about 0.01
+_MAX_BOREL_ORDER = 200
+
+
 def borel_lateral_check(
     m: Q,
     hbar_list,
@@ -375,7 +379,13 @@ def borel_lateral_check(
     if n_cut is not None:
         deepest = [n_cut]
     else:
-        deepest = [math.ceil(float(s_min) / float(hb)) + 2 for hb in hbar_list]
+        depths = [float(s_min) / float(hb) for hb in hbar_list]
+        if not max(depths, default=0.0) + 4 <= _MAX_BOREL_ORDER:
+            raise ConvergenceError(
+                f"the smallest term of hbar={min(hbar_list)!r} lies past order "
+                f"{_MAX_BOREL_ORDER}, the deepest the Borel check keeps"
+            )
+        deepest = [math.ceil(x) + 2 for x in depths]
     order_needed = max([34, *deepest]) + 2
     sads = _lame_saddles(m, max(j_max + 2, order_needed), max(j_max, 0))
     vac = sads["vacuum"].coeffs
@@ -427,4 +437,6 @@ def borel_lateral_check(
                     "imag_ambiguity": ambiguity,
                 }
             )
+            if not all(math.isfinite(v) for v in rows[-1].values()):
+                raise DomainError(f"Borel check not finite in double precision at hbar={hb!r}")
     return rows

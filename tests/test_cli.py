@@ -168,6 +168,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["spectrum", "--hbar", "1e-200", "--bands", "2"], EXIT_CONVERGENCE),
+            (["spectrum", "--hbar", "1e-6", "--bands", "2"], EXIT_CONVERGENCE),
+            (["spectrum", "--hbar", "1e200", "--bands", "2"], EXIT_DOMAIN),
+            (["strong", "--N", "1", "--order", "4", "--hbar", "1e200"], EXIT_DOMAIN),
+            (["strong", "--N", "1", "--order", "4", "--hbar", "1e-200"], EXIT_DOMAIN),
+            (["widths", "--kind", "band", "--N", "0", "--hbar", "1e200"], EXIT_DOMAIN),
+            (["widths", "--kind", "gap", "--N", "1", "--hbar", "1e-200"], EXIT_CONVERGENCE),
+            (["pert", "--order", "2", "--N", "0", "--hbar", "1e200"], EXIT_DOMAIN),
+            (["zerodim", "--check", "borel", "--hbar", "1e-200"], EXIT_CONVERGENCE),
+            (["zerodim", "--check", "borel", "--hbar", "1e200"], EXIT_DOMAIN),
+        ],
+    )
+    def test_hbar_at_the_ends_of_the_float_range(self, capsys, argv, code):
+        # a Fourier truncation past the cap, a Hill matrix or a series
+        # value beyond double precision: typed errors, neither a traceback,
+        # nor Infinity in the payload, nor a truncation too large to build
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
     def test_lame_parameter_out_of_domain(self, capsys):
         argv = ["benderwu", "--potential", "lame", "--m", "3/2", "--order", "2"]
         assert main(argv) == EXIT_DOMAIN
@@ -222,15 +245,28 @@ class TestExitCodes:
 
 class TestOutputPlumbing:
     def test_determinism(self, capsys):
-        _, a = run(capsys, "pert", "--order", "4", "--poly")
-        _, b = run(capsys, "pert", "--order", "4", "--poly")
-        assert a == b
+        for argv in (
+            ["pert", "--order", "4", "--poly"],
+            ["figure1", "--hbar-min", "0.7", "--hbar-max", "1.1", "--points", "2", "--bands", "3",
+             "--format", "csv"],
+        ):
+            _, a = run(capsys, *argv)
+            _, b = run(capsys, *argv)
+            assert a == b
 
     def test_csv_format(self, capsys):
         code, out = run(capsys, "spectrum", "--hbar", "1.0", "--bands", "1", "--format", "csv")
         lines = out.strip().split("\n")
         assert lines[0].startswith("#")
-        assert any(line.startswith("hbar,") for line in lines)
+        header = lines.index("hbar,Q,N,edge,u,err")
+        cells = [line.split(",") for line in lines[header + 1:]]
+        # the rows of the JSON payload, with u to 17 significant digits
+        _, out = run(capsys, "spectrum", "--hbar", "1.0", "--bands", "1")
+        rows = json.loads(out)["rows"]
+        assert len(cells) == len(rows) == 4
+        for cell, row in zip(cells, rows):
+            assert cell[4] == format(row["u"], ".17g") and float(cell[4]) == row["u"]
+            assert len(cell[4].replace("-", "").replace(".", "").lstrip("0")) >= 15
 
     def test_csv_keeps_every_payload_key(self, capsys):
         _, out = run(capsys, "pinst", "--order", "2", "--N", "0")
@@ -360,7 +396,9 @@ class TestGrids:
 
 
 # hbar and Q values of every kind the domain checks must meet
-_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.5, -3.0])
+_SPECIAL = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.5, -3.0, 1e-308, 1e-200, 1e200, 1e308]
+)
 
 
 def _scale(lo, hi):

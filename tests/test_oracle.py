@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -8,8 +7,6 @@ from mathieu_resurgence.oracle import (
     HillConfig,
     band_edges,
     crossing_Q,
-    dataset_to_csv,
-    dataset_to_json,
     discriminant,
     figure1_dataset,
     figure2_dataset,
@@ -183,7 +180,16 @@ class TestFloatTier:
             band_edges(1.0, 17, HillConfig(truncation=8))
         assert len(band_edges(1.0, 16, HillConfig(truncation=8))) == 34
 
-    @pytest.mark.parametrize("hbar", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_truncation_cap(self):
+        # a truncation past the cap is refused before any matrix is built
+        with pytest.raises(ConvergenceError, match="M=2.454e"):
+            band_edges(1e-6, 2)
+        with pytest.raises(ConvergenceError, match="M=1e"):
+            band_edges(1.0, 2, HillConfig(truncation=10**100))
+        with pytest.raises(ConvergenceError, match="M=inf"):
+            width_num(1e-308, 0, "band")
+
+    @pytest.mark.parametrize("hbar", [0.0, -0.5, math.nan, math.inf, -math.inf, 1e200])
     def test_hbar_domain(self, hbar):
         with pytest.raises(DomainError):
             band_edges(hbar, 2)
@@ -228,15 +234,51 @@ class TestExtendedPrecision:
         from mathieu_resurgence import tridiag
 
         calls = []
-        real = tridiag.eigenvalue
-        monkeypatch.setattr(
-            tridiag, "eigenvalue", lambda d, e, k, tol: calls.append(k) or real(d, e, k, tol)
-        )
+        real = tridiag.eigenvalues
+
+        def counted(d, e, ks, tol=None):
+            ks = list(ks)
+            if tol is not None:  # not the float copy an mp call brackets from
+                calls.extend((len(d), k) for k in ks)
+            return real(d, e, ks, tol)
+
+        monkeypatch.setattr(tridiag, "eigenvalues", counted)
         width_num(0.2, 3, "band")
-        assert sorted(calls) == [3, 3, 3, 3]  # two edges at two truncations
+        # two edges at two truncations, each index 3 of its sector: index 1
+        # of the upper parity block
+        assert sorted(k for _, k in calls) == [1, 1, 1, 1]
         calls.clear()
         width_num(8.0, 6, "gap")
-        assert sorted(calls) == [5, 5, 6, 6]  # adjacent indices in one sector
+        # adjacent indices 5 and 6 of one sector, in different blocks
+        assert sorted(k for _, k in calls) == [2, 2, 3, 3]
+        assert len({n for n, _ in calls}) == 4  # two block sizes per truncation
+
+    @pytest.mark.parametrize(
+        "call, edges",
+        [
+            (lambda: width_num(8.0, 6, "gap"), 2),
+            (lambda: band_edges(3.5, 19, HillConfig(truncation=26, dps=30)), 40),
+        ],
+        ids=["gap-8-6", "band-edges-3.5"],
+    )
+    def test_newton_pass_budget_per_edge(self, monkeypatch, call, edges):
+        # each edge starts from its double-precision value, one eigenvalue of
+        # its parity block, so Newton converges quadratically (2 mpf passes
+        # per edge measured); an unsplit sector, whose near-double gap pairs
+        # share one bracket, needs 30 and 46 on average here
+        from mathieu_resurgence import tridiag
+
+        passes = []
+        real = tridiag._count_and_step
+
+        def counted(d, e, x):
+            if not isinstance(x, float):
+                passes.append(x)
+            return real(d, e, x)
+
+        monkeypatch.setattr(tridiag, "_count_and_step", counted)
+        call()
+        assert len(passes) <= 4 * 2 * edges  # two truncations per edge
 
     def test_truncation_sized_from_dps(self):
         base = HillConfig().resolve_truncation(0.1, 0)
@@ -263,6 +305,40 @@ class TestExtendedPrecision:
             assert p.u == full[(p.N, p.edge)].u
 
 
+class TestParityBlocks:
+    """The two parity blocks of each Bloch sector against the full
+    plane-wave matrix of the same momenta, both diagonalised by mpmath."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, 0.5, 2.0])
+    def test_blocks_merge_into_the_full_sector(self, kappa, lam):
+        import mpmath
+
+        from mathieu_resurgence.oracle import _block
+
+        hbar, M = 0.7, 8
+        with mpmath.workdps(40):
+            one = mpmath.mpf(1)
+
+            def spectrum(d, e):
+                n = len(d)
+                A = mpmath.matrix(n, n)
+                for i in range(n):
+                    A[i, i] = d[i]
+                    if i + 1 < n:
+                        A[i, i + 1] = A[i + 1, i] = e[i]
+                return sorted(mpmath.eigsy(A, eigvals_only=True))
+
+            # plane waves exp(i (k + kappa) x): k = -M..M, or -M-1..M
+            ks = range(-M - (kappa > 0), M + 1)
+            full = spectrum([one * hbar * hbar / 2 * (k + one * kappa) ** 2 for k in ks],
+                            [one * lam / 2] * (len(ks) - 1))
+            blocks = [spectrum(*_block(hbar, kappa, upper, M, lam, one)) for upper in (0, 1)]
+            assert len(blocks[0]) + len(blocks[1]) == len(full)
+            for i, v in enumerate(full):
+                assert abs(blocks[i % 2][i // 2] - v) <= mpmath.mpf(10) ** -35
+
+
 class TestCrossings:
     def test_gap_edge_crossings_match_quarter_shifts(self):
         for N in (3, 6):
@@ -286,22 +362,3 @@ class TestDatasets:
     def test_figure2_rows(self):
         rows = figure2_dataset([10.0], N_max=4)
         assert all(abs(r["Q"] - 10.0) < 1e-12 for r in rows)
-
-    def test_csv_shape_and_17_digits(self):
-        rows = figure1_dataset([0.9], N_max=1)
-        text = dataset_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "hbar,Q,N,edge,u,err"
-        cell = lines[1].split(",")[4]
-        assert len(cell.replace("-", "").replace(".", "").lstrip("0")) >= 15
-
-    def test_json_mirrors_csv(self):
-        rows = figure1_dataset([0.9], N_max=1)
-        payload = json.loads(dataset_to_json(rows, metadata={"u_lines": [-1, 1]}))
-        assert payload["metadata"]["u_lines"] == [-1, 1]
-        assert len(payload["rows"]) == len(rows)
-
-    def test_determinism(self):
-        a = dataset_to_csv(figure1_dataset([0.7, 1.1], N_max=3))
-        b = dataset_to_csv(figure1_dataset([0.7, 1.1], N_max=3))
-        assert a == b

@@ -1,10 +1,10 @@
 """Tridiagonal eigenvalues against a plain bisection.
 
-`tridiag.eigenvalue` brackets an mpf eigenvalue in double precision and
-refines it by Newton steps, and `tridiag.eigenvalues` isolates a set of
-float eigenvalues together before refining each; these tests hold both to
-the k-th eigenvalue found by a bisection written here, at 40 digits, and
-to their Sturm certificates.
+`tridiag.eigenvalues` isolates a set of float eigenvalues together before
+refining each by Newton steps, and for mpf entries brackets each in double
+precision before refining it in mpf; these tests hold both to the k-th
+eigenvalue found by a bisection written here, at 40 digits, and to their
+Sturm certificates.
 """
 import contextlib
 import sys
@@ -91,14 +91,14 @@ def test_eigenvalue_against_bisection(exponent, case):
         scale = mpmath.mpf(10) ** exponent
         d, e, tol = [scale * v for v in d], [scale * v for v in e], scale * TOL
         with _pass_budget(500):
-            v = tridiag.eigenvalue(d, e, k, tol)
+            v = tridiag.eigenvalues(d, e, [k], tol)[k]
         assert isinstance(v, mpmath.mpf)
         assert abs(v - _bisection(d, e, k, tol)) <= tol
         # the Sturm certificate, from both counts
         assert tridiag.count_below(d, e, v - tol / 2) <= k < tridiag.count_below(d, e, v + tol / 2)
         assert _sturm(d, e, v - tol / 2) <= k < _sturm(d, e, v + tol / 2)
     if exponent == 0:
-        vf = tridiag.eigenvalue([float(x) for x in d], [float(x) for x in e], k, 1e-13)
+        vf = tridiag.eigenvalues([float(x) for x in d], [float(x) for x in e], [k], 1e-13)[k]
         assert isinstance(vf, float)
         assert abs(float(v) - vf) <= 1e-10
 
@@ -111,7 +111,8 @@ def test_free_particle_pairs():
         d = [mpmath.mpf(hbar) ** 2 / 2 * k * k for k in range(-M, M + 1)]
         e = [mpmath.mpf(1) / 2] * (2 * M)
         tol = TOL * d[0]
-        pair = [tridiag.eigenvalue(d, e, k, tol) for k in (5, 6)]
+        vals = tridiag.eigenvalues(d, e, (5, 6), tol)
+        pair = [vals[5], vals[6]]
         for k, v in zip((5, 6), pair):
             assert tridiag.count_below(d, e, v - tol / 2) <= k < tridiag.count_below(d, e, v + tol / 2)
             assert abs(v - _bisection(d, e, k, tol)) <= tol
@@ -203,4 +204,4 @@ def test_index_out_of_range():
     with pytest.raises(ValueError):
         tridiag.eigenvalues([0.0, 1.0], [0.5], [2])
     with pytest.raises(ValueError):
-        tridiag.eigenvalue([0.0, 1.0], [0.5], -1, 1e-12)
+        tridiag.eigenvalues([0.0, 1.0], [0.5], [-1], 1e-12)
