@@ -24,9 +24,7 @@ from .errors import ConvergenceError, DomainError, RegimeWarning, require_positi
 # them, so a cache hit loads none of them.  Those modules import mpmath
 # only inside the functions that do multiprecision arithmetic, so it loads
 # only when a run reaches one: the mp Hill tier behind `widths`, and
-# `zerodim --check relation` and `--check borel`.  No subcommand loads
-# numpy or scipy: only `oracle.discriminant`, which no subcommand calls,
-# needs scipy.
+# `zerodim --check relation` and `--check borel`.
 
 __all__ = ["main", "build_parser"]
 
@@ -148,7 +146,9 @@ _OUTPUT_OPTIONS = ("format", "output", "pretty")
 # > 0, which schema 1 evaluated (printing NaN) or dropped.
 # spectrum, figure1, figure2: 3 and widths: 4 split both Bloch sectors into
 # parity blocks and widen the antiperiodic basis by one momentum, which
-# moves last digits.
+# moves last digits.  widths: 5 sizes every narrow gap on the mp tier, not
+# only at hbar >= 2.  benderwu: 2 leaves --m unset (config "None") for the
+# mathieu potential, which has no parameter.
 _PAYLOAD_SCHEMA = {
     "pert": 2,
     "strong": 2,
@@ -158,9 +158,9 @@ _PAYLOAD_SCHEMA = {
     "spectrum": 3,
     "figure1": 3,
     "figure2": 3,
-    "widths": 4,
+    "widths": 5,
     "zerodim": 1,
-    "benderwu": 1,
+    "benderwu": 2,
 }
 
 
@@ -274,11 +274,25 @@ def build_parser() -> _Parser:
 
     s = sub_parser("benderwu", help="perturbative oracle series")
     s.add_argument("--potential", choices=("mathieu", "lame"), default="mathieu")
-    s.add_argument("--m", type=_fraction, default="1/2")
+    s.add_argument("--m", type=_fraction, help="elliptic parameter of lame (default 1/2)")
     s.add_argument("--N", type=int, default=0)
     s.add_argument("--order", type=int, default=6)
     s.add_argument("--poly", action="store_true")
     return p
+
+
+def _check_options(args) -> None:
+    """Refuse an option that the chosen mode would drop without a word, and
+    fill the defaults that depend on the mode."""
+    if args.command == "pert" and args.hbar is not None and args.N is None:
+        raise _UsageError("pert --hbar evaluates the series at one level: give --N")
+    if args.command == "zerodim" and args.hbar and args.check != "borel":
+        raise _UsageError("zerodim --hbar is used only by --check borel")
+    if args.command == "benderwu":
+        if args.potential == "mathieu" and args.m is not None:
+            raise _UsageError("benderwu --m is the parameter of --potential lame only")
+        if args.potential == "lame" and args.m is None:
+            args.m = Q(1, 2)
 
 
 def _require_level(N) -> None:
@@ -540,6 +554,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_options(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -1,10 +1,11 @@
 """Ground-truth numerics for the band problem: Fourier (Hill) matrix band
-edges, the ODE-monodromy discriminant, numeric widths, and the plot-ready
+edges, the monodromy discriminant, numeric widths, and the plot-ready
 spectrum datasets.
 
 Two independent methods are kept on purpose: the plane-wave matrix at Bloch
 momentum 0 and 1/2 gives the edges, and the discriminant of the monodromy
-over one period gives the same edges as roots of |cos theta| = 1.  Every
+over one period, from Frobenius series about the symmetry points x = 0 and
+x = pi, gives the same edges as roots of |cos theta| = 1.  Every
 asymptotic formula in the package is ultimately tested against these.
 
 The Hill matrix has two tiers, which share one code path.  Each Bloch
@@ -16,15 +17,15 @@ precision; the extended-precision (mp) tier refines each edge from a
 double-precision bracket in mpmath, with the Fourier truncation grown from
 the precision.  Truncation M keeps the momenta |k| <= M of the periodic
 sector and |k + 1/2| <= M + 1/2 of the antiperiodic one.  `width_num`
-moves narrow bands and narrow strong-coupling gaps to the mp tier.
+moves narrow bands and narrow gaps to the mp tier.
 
-Only the monodromy integration (`discriminant`) imports scipy.  The float
-tier of the Hill matrix runs on the standard library alone; only the mp
-tier imports mpmath.
+The float tier of the Hill matrix runs on the standard library alone; the
+mp tier and `discriminant` import mpmath, inside the functions that use it.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import tridiag
@@ -47,6 +48,9 @@ _MAX_TRUNCATION = 10_000
 # Largest hbar: the diagonal entries hbar^2 k^2 / 2 stay far inside double
 # precision below it.
 _HBAR_MAX = 1e100
+# Largest working precision of `discriminant`: it is reached near hbar = 3e-3 at
+# the bottom of the well, where one call takes several seconds.
+_MAX_DISCRIMINANT_DPS = 2_000
 
 
 def _require_hbar(hbar: float) -> None:
@@ -222,32 +226,65 @@ def band_edges(
     return out
 
 
+def _frobenius(c, lam, u, rho, eps):
+    """Value and t-derivative at t = 1 of the Frobenius solution
+    t^rho sum_k a_k t^k (a_0 = 1) about t = 1 - cos x = 0, and the sum of
+    its terms' magnitudes, which bounds the roundoff of both."""
+    import mpmath
+
+    a2, a1 = 0, mpmath.mpf(1)
+    v, d, bound, top = a1, rho * a1, a1 + rho, a1
+    # past k^2 ~ c (|lam| + |u|) the terms fall by about 1/2 each
+    k, kmin = 0, 2 * math.sqrt(float(c * (abs(lam) + abs(u)))) + 2
+    cl, cu = c * lam, c * u  # products in mpf: lam - u in floats would round
+    while True:
+        k += 1
+        a = (((k - 1 + rho) ** 2 + cl - cu) * a1 - cl * a2) / ((k + rho) * (2 * k + 2 * rho - 1))
+        v, d, m = v + a, d + (k + rho) * a, abs(a) * (1 + k + rho)
+        bound, top = bound + m, max(top, m)
+        if k > kmin and m + abs(a1) * (k + rho) < eps * top:
+            return v, d, bound
+        a2, a1 = a1, a
+
+
 def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> float:
-    """cos(theta) = psi_1(x0 + 2 pi) for the monodromy from identity data
-    at x0 = -pi (a symmetry point of V = lam cos x), integrated with a
-    high-order adaptive explicit scheme.
+    """cos(theta), the half trace of the monodromy over one period, from the
+    Frobenius solutions about the symmetry points x = 0 and x = pi.
+
+    In z = cos x the equation reads (1 - z^2) psi'' - z psi' = c (lam z - u) psi,
+    c = 2/hbar^2, regular singular at z = +-1 with exponents 0 (the even
+    solution) and 1/2 (the odd one).  The series in t = 1 - z and s = 1 + z
+    (the same with lam -> -lam) are summed at z = 0, inside their radius 2.
+    The canonical y1, y2 at x = 0 are even_0 and sqrt(2) odd_0 (t^(1/2) =
+    sqrt(2) sin(x/2)), so cos(theta) = y1(pi) y2'(pi) + y1'(pi) y2(pi) is, in
+    z-Wronskians with W(even_pi, odd_pi) = 1/sqrt(2) at z = 0,
+    2 [W(e0, o_pi) W(o0, e_pi) + W(e0, e_pi) W(o0, o_pi)].  u may be an mpf.
+    The terms cancel to O(1) from up to about e^(8/hbar), so the precision is
+    sized from c (|lam| + |u|) and checked against the terms' magnitudes.
     """
-    from scipy.integrate import solve_ivp
+    import mpmath
 
     cfg = cfg or HillConfig()
+    require_positive("hbar", hbar)
     lam = cfg.potential_scale
-
-    def rhs(x, y):
-        v = 2.0 * (lam * math.cos(x) - u) / (hbar * hbar)
-        return [y[1], v * y[0], y[3], v * y[2]]
-
-    sol = solve_ivp(
-        rhs,
-        (-math.pi, math.pi),
-        [1.0, 0.0, 0.0, 1.0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-13,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"monodromy integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    if not (mpmath.isfinite(u) and math.isfinite(lam)):
+        raise DomainError(f"finite u and potential scale required, got {u!r}, {lam!r}")
+    dps = 20 + 3 * math.sqrt(2 * (abs(lam) + abs(float(u)))) / hbar  # 3 sqrt(c (|lam| + |u|))
+    while dps <= _MAX_DISCRIMINANT_DPS:
+        dps = int(dps)
+        with mpmath.workdps(dps):
+            c, eps = 2 / mpmath.mpf(hbar) ** 2, mpmath.mpf(10) ** -dps
+            (e0, o0), (ep, op) = ([_frobenius(c, sign * lam, u, rho, eps) for rho in (0, 0.5)]
+                                  for sign in (1, -1))
+            # each pairs a t-solution with an s-solution, and dt/dz = -ds/dz
+            W = lambda f, g: f[0] * g[1] + f[1] * g[0]
+            delta = 2 * (W(e0, op) * W(o0, ep) + W(e0, ep) * W(o0, op))
+            need = 20 + int(mpmath.log10(e0[2] * o0[2] * ep[2] * op[2]))
+        if need <= dps:
+            return float(delta)
+        dps = need + 5
+    raise ConvergenceError(f"discriminant needs more than {_MAX_DISCRIMINANT_DPS} digits "
+                           f"at hbar={hbar!r}, u={u!r}")
 
 
 def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> dict:
@@ -255,8 +292,10 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
 
     Widths narrower than double precision can resolve are computed on the
     extended-precision tier, with dps sized from a leading estimate of the
-    width relative to its edges: the one-instanton band width, or (on the
-    strong-coupling side hbar >= 2, q = 4/hbar^2 <= 1) the order-q^N gap.
+    width relative to its edges: the one-instanton band width, or the
+    strong-coupling order-q^N gap (q = 4/hbar^2), which also holds above the
+    barrier at q > 1 and is far above one below it.  A width whose estimate
+    lies below the double range is refused before any matrix is built.
     Only the two edges are computed.  Returns {"width", "error_bound",
     "dps_used" (None on the float tier), "truncation" (Fourier M)}.
     """
@@ -268,41 +307,48 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
     if N < 0:
         raise DomainError("band label N >= 0 required")
     _require_hbar(hbar)
+    cfg.resolve_truncation(hbar, N)  # past the cap first: the estimates overflow there
     dps = cfg.dps
     if dps is None:
-        log10w = 0.0
         if kind == "band":
             log10w = (
                 math.log10(2 * hbar / math.sqrt(2 * math.pi) / math.factorial(N))
                 + (N + 0.5) * math.log10(32 / hbar)
                 - 8 / hbar * math.log10(math.e)
             )
-        elif hbar >= 2:
+        else:
             # (hbar^2/4) (2/hbar)^(2N) / (2^(N-1) (N-1)!)^2 at u ~ (N hbar)^2/8
             log10w = (
                 2 * math.log10(hbar / 2) + 2 * N * math.log10(2 / hbar)
                 - 2 * math.log10(2 ** (N - 1) * math.factorial(N - 1))
                 - math.log10(max(1.0, (N * hbar) ** 2 / 8))
             )
+        if log10w < math.log10(sys.float_info.min):
+            raise ConvergenceError(
+                f"{kind} width estimate 1e{log10w:.1f} below the double range "
+                f"(smallest normal double {sys.float_info.min:.3g})"
+            )
         if log10w < -9:
             dps = int(-log10w) + 18
     use = HillConfig(truncation=cfg.truncation, potential_scale=cfg.potential_scale, dps=dps)
     edges = [(N, "bottom"), (N, "top")] if kind == "band" else [(N - 1, "top"), (N, "bottom")]
     lo, hi = band_edges(hbar, N, use, edges=edges)
+    # the checks run in the tier's own arithmetic (float or mpf), in which
+    # a width below the double range does not underflow to zero
+    ten = type(hi.u)(10)
     width = hi.u - lo.u
-    err = abs(hi.u) * 10.0 ** (-hi.converged_digits) + abs(lo.u) * 10.0 ** (
-        -lo.converged_digits
-    )
-    width = float(width)
-    err = float(err)
+    err = abs(hi.u) * ten ** (-hi.converged_digits) + abs(lo.u) * ten ** (-lo.converged_digits)
     if width <= 0:
         raise ConvergenceError("width not resolved: non-positive difference")
+    if width < sys.float_info.min:
+        raise ConvergenceError(f"width {width} below the double range")
     if err > 0.2 * width:
         raise ConvergenceError(
-            f"width {width:.3e} below achievable precision (bound {err:.3e})"
+            f"width {float(width):.3e} below achievable precision (bound {float(err):.3e})"
         )
-    return {"width": width, "error_bound": err, "dps_used": dps,
-            "truncation": use.resolve_truncation(hbar, N)}
+    # a bound below the double range reads as the smallest double
+    return {"width": float(width), "error_bound": max(float(err), math.ulp(0.0)),
+            "dps_used": dps, "truncation": use.resolve_truncation(hbar, N)}
 
 
 def _rows(points: list[SpectralPoint], Q: float) -> list[dict]:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -122,8 +123,34 @@ class TestExitCodes:
         assert main(["widths", "--kind", "gap", "--N", "0", "--hbar", "6.0"]) == EXIT_DOMAIN
 
     def test_convergence(self, capsys):
-        # a gap far below double-precision resolution cannot be resolved
-        assert main(["widths", "--kind", "gap", "--N", "14", "--hbar", "0.7"]) == EXIT_CONVERGENCE
+        # a width far below the double range cannot be reported
+        assert main(["widths", "--kind", "band", "--N", "0", "--hbar", "0.008"]) == EXIT_CONVERGENCE
+
+    @pytest.mark.parametrize("hbar", ["0.008", "0.001"])
+    def test_width_below_the_double_range_fails_fast(self, capsys, hbar):
+        # refused from its estimate (~1e-435 and ~1e-3475) before any matrix
+        # is built, not after an mp run at thousands of digits
+        start = time.perf_counter()
+        assert main(["widths", "--kind", "band", "--N", "0", "--hbar", hbar]) == EXIT_CONVERGENCE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "below the double range" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pert", "--order", "2", "--hbar", "0.1"],
+            ["zerodim", "--check", "rows", "--hbar", "0.1"],
+            ["zerodim", "--check", "relation", "--hbar", "0.1"],
+            ["benderwu", "--potential", "mathieu", "--m", "1/4"],
+            ["benderwu", "--m", "1/4"],
+        ],
+    )
+    def test_option_the_mode_would_drop_is_usage(self, capsys, argv):
+        # an option that would be accepted and silently ignored
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -472,7 +499,7 @@ _exact_argv = st.one_of(
     _command("actions", _req("--region", st.sampled_from(["well", "high"])),
              _req("--n", _orders), _req("--order", _orders)),
     _command("benderwu", _req("--potential", st.sampled_from(["mathieu", "lame"])),
-             _req("--m", _m), _req("--N", _orders), _req("--order", _orders), _switch("--poly")),
+             _opt("--m", _m), _req("--N", _orders), _req("--order", _orders), _switch("--poly")),
     _command("zerodim", _req("--m", _m), _req("--order", _orders),
              _req("--check", st.sampled_from(["rows", "relation", "borel"])),
              st.lists(_req("--hbar", _hbar), max_size=2).map(lambda hs: sum(hs, ()))),

@@ -64,6 +64,21 @@ class TestBandEdges:
             band_edges(1.0, 2, HillConfig(truncation=4))
 
 
+def _hill_determinant_discriminant(hbar, u, K):
+    """cos(theta) by Hill's determinant: in y'' + (a - 2q cos 2x) y = 0, with
+    a = 8u/hbar^2 and q = 4/hbar^2, 1 - D = det (1 - cos(pi sqrt(a))), det
+    the continuant of the rows n = -K..K with couplings q/(4n^2 - a)."""
+    import mpmath
+
+    h2 = mpmath.mpf(hbar) ** 2
+    a, q = 8 * mpmath.mpf(u) / h2, 4 / h2
+    f2, f1, gp = 1, 1, 0
+    for n in range(-K, K + 1):
+        g = q / (4 * n * n - a)
+        f2, f1, gp = f1, f1 - gp * g * f2, g
+    return 1 - f1 * (1 - mpmath.cos(mpmath.pi * mpmath.sqrt(a))).real
+
+
 class TestDiscriminant:
     def test_free_particle_closed_form(self):
         cfg = HillConfig(potential_scale=0.0)
@@ -104,6 +119,46 @@ class TestDiscriminant:
         assert discriminant(hbar, tb[(0, "bottom")]) == pytest.approx(1.0, abs=1e-6)
         assert discriminant(hbar, tb[(1, "bottom")]) == pytest.approx(-1.0, abs=1e-6)
         assert discriminant(hbar, tb[(2, "bottom")]) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("hbar", [0.3, 0.5])
+    def test_mid_band_against_hill_determinant(self, hbar):
+        # a third route, for the value between the edges: the ground band is
+        # 1.3e-11 wide at hbar = 0.3, so D moves by ~1e11 per unit of u there,
+        # and u must enter the recurrences without rounding
+        import mpmath
+
+        tb = {(p.N, p.edge): p.u for p in band_edges(hbar, 0)}
+        u = (tb[(0, "bottom")] + tb[(0, "top")]) / 2
+        with mpmath.workdps(30):
+            # the truncation error falls like 1/K^3: one Richardson step
+            coarse, fine = (_hill_determinant_discriminant(hbar, u, K) for K in (2000, 4000))
+            want = float((8 * fine - coarse) / 7)
+        assert discriminant(hbar, u) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_u_is_a_domain_error(self, u):
+        # a NaN would never meet the series' stopping rule
+        with pytest.raises(DomainError):
+            discriminant(1.0, u)
+
+    @pytest.mark.parametrize("hbar", [1e-3, 1e-200])
+    def test_precision_cap(self, hbar):
+        # 6,000 digits and more would be needed: refused before any series runs
+        with pytest.raises(ConvergenceError, match="more than 2000 digits"):
+            discriminant(hbar, -1.0)
+
+    @pytest.mark.parametrize("hbar", [0.3, 0.1, 0.07])
+    def test_deep_edges_of_the_extended_precision_tier(self, hbar):
+        # bands down to ~1e-50 wide, far below what a double-precision
+        # integration can see: D = +1 at the periodic edges (bottom of an
+        # even band, top of an odd one), -1 at the antiperiodic ones, and
+        # |D| > 1 inside every gap
+        tb = {(p.N, p.edge): p.u for p in band_edges(hbar, 3, HillConfig(dps=60))}
+        for (N, edge), u in tb.items():
+            want = 1.0 if (N + (edge == "top")) % 2 == 0 else -1.0
+            assert discriminant(hbar, u) == pytest.approx(want, abs=1e-6), (N, edge)
+        for N in range(1, 4):
+            assert abs(discriminant(hbar, (tb[(N - 1, "top")] + tb[(N, "bottom")]) / 2)) > 1
 
 
 class TestWidths:
@@ -217,7 +272,7 @@ class TestFloatTier:
 
 
 class TestExtendedPrecision:
-    @pytest.mark.parametrize("hbar, N", [(8.0, 5), (8.0, 6), (10.0, 6)])
+    @pytest.mark.parametrize("hbar, N", [(8.0, 5), (8.0, 6), (10.0, 6), (0.7, 14), (1.0, 12)])
     def test_narrow_gaps_switch_tier(self, hbar, N):
         from mathieu_resurgence.widths import gap_width
 
@@ -225,6 +280,11 @@ class TestExtendedPrecision:
         assert got["dps_used"] is not None
         assert abs(gap_width(hbar, N).leading / got["width"] - 1) < 0.10
         assert got["error_bound"] <= 1e-6 * got["width"]
+
+    def test_bound_below_the_double_range_stays_positive(self):
+        # a 7.4e-307 band at dps 324: its bound, ~2e-324, rounds to zero in float()
+        got = width_num(0.01135, 0, "band")
+        assert 0 < got["error_bound"] <= 1e-6 * got["width"]
 
     def test_wide_gaps_stay_float(self):
         for hbar, N in ((4.0, 1), (8.0, 3), (0.7, 3)):

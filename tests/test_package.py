@@ -41,3 +41,24 @@ def test_benderwu_does_not_use_the_series_solver():
             isinstance(node, ast.Attribute) and node.attr in ("newton_solve", "reversion")
             for node in ast.walk(tree)
         ), module
+
+
+def _imported_modules(node) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_module_imports_scipy_or_numpy():
+    # the package depends on mpmath alone: both oracles, the Hill matrix and
+    # the Frobenius monodromy, run on the standard library and mpmath
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PKG_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _imported_modules(node)
+        if name.split(".")[0] in ("scipy", "numpy")
+    ]
+    assert found == []
