@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -113,6 +114,37 @@ class TestSubcommands:
         payload = json.loads(out)
         vals = [r["coefficient"] for r in payload["rows"]]
         assert vals == ["0", "1/2", "0", "-3/64", "0"]
+
+
+class TestExactPayloadDigests:
+    """No rational coefficient may move: sha256 of each payload with its
+    metadata removed, as sorted compact JSON, pinned from the implementation
+    whose exact algebra held every coefficient as a ``Fraction``."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("pert --order 10 --poly",
+             "7d63c7efddcfe6c9a7dcc8ce0b9a2381d71bb1f9ea7962afe6becec1a8ce7f48"),
+            ("zjj --order 7",
+             "59ebd7360632ee59ffbb6fc32621cb128ae13b81b891eb6c9baa2609990559c1"),
+            # the same digest as pert: Bender-Wu equals the WKB inversion
+            ("benderwu --potential mathieu --poly --order 10",
+             "7d63c7efddcfe6c9a7dcc8ce0b9a2381d71bb1f9ea7962afe6becec1a8ce7f48"),
+            ("strong --N 2 --order 10 --hbar 7",
+             "a3da90bf3641b7c955308f64481023fa93e281f0b7c95ff7ddf3c82db35262eb"),
+            ("zerodim --m 1/4 --check rows",
+             "b1d7223bf5b4989f5c26fd4bc586a06b806fed513b03f1ad1144338779f5e160"),
+        ],
+    )
+    def test_payload_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
+        code, out = run(capsys, *argv.split())
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        del payload["metadata"]
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,162 @@ class TestSerialization:
     def test_json_integers_are_strings(self):
         d = S([Q(1, 3)]).to_json_dict()
         assert d["coeffs"][0][0] == ["1", "3"]
+
+
+# -- PolyB against a plain list[Fraction] reference -------------------------
+# The reference ring is written out here without PolyB, so that a fault in
+# PolyB's representation cannot hide behind identities (WKB == Bender-Wu)
+# whose both sides run on it.
+
+_rational = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4))
+# trailing zeros on purpose: construction must trim them
+_coeffs = st.builds(lambda c, z: c + [0] * z, st.lists(_rational, max_size=6), st.integers(0, 2))
+
+
+def _trim(c):
+    c = [Q(x) for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_add(a, b):
+    a, b = _trim(a), _trim(b)
+    n = max(len(a), len(b))
+    return _trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def _ref_mul(a, b):
+    a, b = _trim(a), _trim(b)
+    out = [Q(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_repr(c):
+    terms = [str(x) if k == 0 else f"{x}*B" if k == 1 else f"{x}*B^{k}"
+             for k, x in enumerate(_trim(c)) if x]
+    return "PolyB(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+def _same(p, ref):
+    """p holds exactly the reference coefficients, each a Fraction."""
+    ref = _trim(ref)
+    assert isinstance(p, PolyB)
+    assert p.c == tuple(ref) and all(type(x) is Q for x in p.c)
+    assert p.degree == len(ref) - 1 and bool(p) == bool(ref)
+    got = [p[k] for k in range(-1, len(ref) + 2)]
+    assert got == [0] + ref + [0, 0] and all(type(x) is Q for x in got)
+    assert repr(p) == _ref_repr(ref)
+
+
+class TestRingAgainstFractionLists:
+    @given(_coeffs, _coeffs)
+    @settings(deadline=None)
+    def test_construction_add_sub_neg(self, a, b):
+        p, q = PolyB(a), PolyB(b)
+        _same(p, a)
+        _same(p + q, _ref_add(a, b))
+        _same(p - q, _ref_add(a, [-x for x in b]))
+        _same(-p, [-x for x in a])
+
+    @given(_coeffs, _rational)
+    @settings(deadline=None)
+    def test_scalar_add_sub(self, a, r):
+        p = PolyB(a)
+        _same(p + r, _ref_add(a, [r]))
+        _same(r + p, _ref_add(a, [r]))
+        _same(p - r, _ref_add(a, [-r]))
+        _same(r - p, _ref_add([-x for x in a], [r]))
+
+    @given(_coeffs, _coeffs, _rational)
+    @settings(deadline=None)
+    def test_mul(self, a, b, r):
+        p, q = PolyB(a), PolyB(b)
+        _same(p * q, _ref_mul(a, b))
+        _same(p * r, [x * r for x in a])
+        _same(r * p, [x * r for x in a])
+        _same(p * PolyB.const(r), [x * r for x in a])
+
+    @given(_coeffs, _rational)
+    @settings(deadline=None)
+    def test_div(self, a, r):
+        p = PolyB(a)
+        if r == 0:
+            if _trim(a):
+                with pytest.raises(ZeroDivisionError):
+                    p / r
+        else:
+            _same(p / r, [Q(x) / r for x in a])
+
+    @given(st.lists(_rational, max_size=4), st.integers(0, 4))
+    @settings(deadline=None)
+    def test_pow(self, a, n):
+        ref = [1]
+        for _ in range(n):
+            ref = _ref_mul(ref, a)
+        _same(PolyB(a) ** n, ref)
+        with pytest.raises(ValueError):
+            PolyB(a) ** -1
+
+    @given(_coeffs, st.lists(_rational, max_size=3), st.fractions(max_denominator=100))
+    @settings(deadline=None)
+    def test_derivative_compose_call(self, a, b, x):
+        p, c = PolyB(a), _trim(a)
+        _same(p.derivative(), [k * c[k] for k in range(1, len(c))])
+        ref, power = [], [1]
+        for ck in c:
+            ref = _ref_add(ref, [ck * y for y in power])
+            power = _ref_mul(power, b)
+        _same(p.compose(PolyB(b)), ref)
+        value = p(x)
+        assert value == sum((ck * x**k for k, ck in enumerate(c)), Q(0))
+        assert type(value) is Q
+
+    @given(_coeffs, st.floats(-4, 4))
+    @settings(deadline=None)
+    def test_numeric_evaluation_is_horner_over_the_fractions(self, a, x):
+        # bit-identical to the Fraction-coefficient Horner at a float or mpf
+        p, c = PolyB(a), _trim(a)
+        got, want = p(x), horner(c, x)
+        assert type(got) is type(want) and (got == want or got != got and want != want)
+        with mpmath.workdps(30):
+            assert p(mpmath.mpf(x)) == horner(c, mpmath.mpf(x))
+
+    @given(_coeffs)
+    @settings(deadline=None)
+    def test_const_value(self, a):
+        c = _trim(a)
+        if len(c) <= 1:
+            value = PolyB(a).const_value()
+            assert value == (c[0] if c else 0) and type(value) is Q
+        else:
+            with pytest.raises(StructureError):
+                PolyB(a).const_value()
+
+    @given(_coeffs, _coeffs, _rational)
+    @settings(deadline=None)
+    def test_equality_and_hash(self, a, b, r):
+        p, q = PolyB(a), PolyB(b)
+        assert (p == q) == (_trim(a) == _trim(b))
+        if p == q:
+            assert hash(p) == hash(q)
+        padded = PolyB(list(a) + [0, Q(0)])
+        assert padded == p and hash(padded) == hash(p)
+        assert PolyB.const(r) == r and PolyB.const(r) == Q(r)
+        assert (p == r) == (_trim(a) == _trim([r]))
+        assert p != "not a polynomial"
+
+    @given(st.lists(_coeffs, min_size=1, max_size=4), st.integers(0, 2))
+    @settings(deadline=None)
+    def test_polyseries_json_round_trip(self, cs, extra):
+        s = PolySeries("hbar", len(cs) - 1 + extra, [PolyB(c) for c in cs])
+        d = s.to_json_dict()
+        want = [[[str(x.numerator), str(x.denominator)] for x in _trim(c)] for c in cs]
+        assert d["coeffs"] == want + [[]] * extra
+        assert PolySeries.from_json(s.to_json()) == s
 
 
 class TestNamedSurface:
