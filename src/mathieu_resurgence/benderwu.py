@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError, StructureError
@@ -119,57 +120,67 @@ def rs_series(
         )
 
     # Q0: polynomial solution of -Q''/2 + w y Q' - w N Q = 0, degree N.
-    deg0 = N
-    q0 = [Q(0)] * (deg0 + 1)
+    q0 = [Q(0)] * (N + 1)
     q0[N] = Q(1)
     for t in range(N - 2, -1, -1):
         q0[t] = (t + 2) * (t + 1) * q0[t + 2] / (2 * w * (t - N))
-    Qs = [q0]
+    # Each Q_j is kept as (integer numerators, one denominator), so that the
+    # O(j^2) accumulation below runs on Python integers.
+    q0d = lcm(*(x.denominator for x in q0))
+    q0n = [x.numerator * (q0d // x.denominator) for x in q0]
+    Qs = [(q0n, q0d)]
     e: list[Q] = [Q(0)]  # e[j] multiplies delta^j, delta = sqrt(hbar)
 
-    def apply_rhs(j: int) -> list[Q]:
-        """Known part of RHS_j = sum_{i=1..j} (e_i - v_{i+2} y^{i+2}) Q_{j-i};
+    def apply_rhs(j: int) -> tuple[list[int], int]:
+        """Known part of RHS_j = sum_{i=1..j} (e_i - v_{i+2} y^{i+2}) Q_{j-i}
+        as integer numerators over one denominator, the lcm of the terms';
         the unknown e_j Q0 piece is folded in during the solve."""
-        out: list[Q] = []
+        terms = []  # (rational factor, power of y, Q_{j-i})
         for i in range(1, j + 1):
-            Qji = Qs[j - i]
-            if i < j and e[i] != 0:
-                for t, c in enumerate(Qji):
-                    if c:
-                        while len(out) <= t:
-                            out.append(Q(0))
-                        out[t] += e[i] * c
+            if i < j and e[i]:
+                terms.append((e[i], 0, Qs[j - i]))
             v = V.taylor[i + 2]
             if v:
-                for t, c in enumerate(Qji):
-                    if c:
-                        tt = t + i + 2
-                        while len(out) <= tt:
-                            out.append(Q(0))
-                        out[tt] -= v * c
-        return out
+                terms.append((-v, i + 2, Qs[j - i]))
+        den = lcm(*(f.denominator * d for f, _, (_, d) in terms))
+        out = [0] * max((len(n) + k for _, k, (n, _) in terms), default=0)
+        for f, k, (n, d) in terms:
+            scale = f.numerator * (den // (f.denominator * d))
+            for t, c in enumerate(n, start=k):
+                if c:
+                    out[t] += scale * c
+        return out, den
 
+    wn, wd = w.numerator, w.denominator
     for j in range(1, jmax + 1):
-        rhs = apply_rhs(j)
+        rhs, den = apply_rhs(j)
         deg = max(len(rhs) - 1, N)
-        q = [Q(0)] * (deg + 3)
-        # Solve -Q''/2 + w y Q' - w N Q = RHS + e_j Q0 downward in degree;
-        # the y^N row has zero diagonal and instead determines e_j.
-        ej = Q(0)
+        rhs += [0] * (deg + 1 - len(rhs))
+        # Solve -Q''/2 + w y Q' - w N Q = RHS + e_j Q0 downward in degree.
+        # Entry t of den Q_j is held as the unreduced ratio a[t] / b[t], with
+        # b[t] = b[t+2] (numerator of w) (t - N): each b divides the later ones
+        # of its parity chain, and lcm(b[0], b[1]) is a common denominator.
+        # The y^N row has zero diagonal and instead fixes e_j (resonance);
+        # there a[N] = 0 and b[N] = b[N+2] (denominator of Q0), the
+        # denominator over which the e_j Q0 term enters the rows below.
+        a, b = [0] * (deg + 3), [1] * (deg + 3)
         for t in range(deg, -1, -1):
-            r = rhs[t] if t < len(rhs) else Q(0)
-            r += (t + 2) * (t + 1) * q[t + 2] / 2
-            if t < N and q0[t] != 0:
-                r += ej * q0[t]
+            r = rhs[t] * b[t + 2] + (t + 2) * (t + 1) // 2 * a[t + 2]  # over b[t+2]
             if t == N:
-                ej = -r  # resonance condition fixes the energy correction
-                q[t] = Q(0)
-            else:
-                q[t] = r / (w * (t - N))
+                ej, r_res = Q(-r, b[t + 2] * den), r
+                b[t] = b[t + 2] * q0d
+                continue
+            if t < N and q0n[t]:
+                r -= r_res * q0n[t] * (b[t + 2] // b[N])
+            a[t] = r * wd
+            b[t] = b[t + 2] * wn * (t - N)
         e.append(ej)
-        while len(q) > 1 and q[-1] == 0:
-            q.pop()
-        Qs.append(q)
+        common = lcm(b[0], b[1])
+        num = [a[t] * (common // b[t]) for t in range(deg + 1)]
+        while len(num) > 1 and not num[-1]:
+            num.pop()
+        g = gcd(den * common, *num)
+        Qs.append(([x // g for x in num], den * common // g))
         if progress is not None:
             progress(j / jmax)
 

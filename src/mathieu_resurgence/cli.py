@@ -268,14 +268,14 @@ def build_parser() -> _Parser:
 
     s = sub_parser("zerodim", help="saddle expansions and resurgence checks")
     s.add_argument("--m", type=_fraction, default="1/4", help="elliptic parameter (fraction)")
-    s.add_argument("--order", type=int, default=8)
+    s.add_argument("--order", type=int, help="truncation order of rows and relation (default 8)")
     s.add_argument("--check", choices=("rows", "relation", "borel"), default="rows")
     s.add_argument("--hbar", type=float, action="append")
 
     s = sub_parser("benderwu", help="perturbative oracle series")
     s.add_argument("--potential", choices=("mathieu", "lame"), default="mathieu")
     s.add_argument("--m", type=_fraction, help="elliptic parameter of lame (default 1/2)")
-    s.add_argument("--N", type=int, default=0)
+    s.add_argument("--N", type=int, help="level (default 0); not with --poly")
     s.add_argument("--order", type=int, default=6)
     s.add_argument("--poly", action="store_true")
     return p
@@ -286,13 +286,22 @@ def _check_options(args) -> None:
     fill the defaults that depend on the mode."""
     if args.command == "pert" and args.hbar is not None and args.N is None:
         raise _UsageError("pert --hbar evaluates the series at one level: give --N")
-    if args.command == "zerodim" and args.hbar and args.check != "borel":
-        raise _UsageError("zerodim --hbar is used only by --check borel")
+    if args.command == "zerodim":
+        if args.hbar and args.check != "borel":
+            raise _UsageError("zerodim --hbar is used only by --check borel")
+        if args.order is not None and args.check == "borel":
+            raise _UsageError("zerodim --order is not used by --check borel")
+        if args.order is None:
+            args.order = 8
     if args.command == "benderwu":
         if args.potential == "mathieu" and args.m is not None:
             raise _UsageError("benderwu --m is the parameter of --potential lame only")
         if args.potential == "lame" and args.m is None:
             args.m = Q(1, 2)
+        if args.poly and args.N is not None:
+            raise _UsageError("benderwu --poly covers every level: --N is not used")
+        if args.N is None:
+            args.N = 0
 
 
 def _require_level(N) -> None:

@@ -183,16 +183,11 @@ def _riccati(ring: _QuadRing, n_orders: int) -> list:
 
 
 def _gamma_half_ratio(k: int) -> Q:
-    """Gamma(k + 1/2) / sqrt(pi) as an exact rational, any integer k."""
-    q = Q(1)
+    """Gamma(k + 1/2) / sqrt(pi) as an exact rational, any integer k:
+    (2k)! / (4^k k!), and (-4)^m m! / (2m)! at k = -m < 0."""
     if k >= 0:
-        for i in range(k):
-            q *= Q(2 * i + 1, 2)
-    else:
-        for i in range(1, -k + 1):
-            # Gamma(x) = Gamma(x+1)/x with x = 1/2 - i
-            q /= Q(1 - 2 * i, 2)
-    return q
+        return Q(factorial(2 * k), 4**k * factorial(k))
+    return Q((-4) ** -k * factorial(-k), factorial(-2 * k))
 
 
 def well_action_series(n_max: int, eps_order: int) -> list[list[Q]]:

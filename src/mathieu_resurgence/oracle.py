@@ -247,7 +247,7 @@ def _frobenius(c, lam, u, rho, eps):
         a2, a1 = a1, a
 
 
-def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> float:
+def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> "float | mpf":
     """cos(theta), the half trace of the monodromy over one period, from the
     Frobenius solutions about the symmetry points x = 0 and x = pi.
 
@@ -261,6 +261,8 @@ def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> float:
     2 [W(e0, o_pi) W(o0, e_pi) + W(e0, e_pi) W(o0, o_pi)].  u may be an mpf.
     The terms cancel to O(1) from up to about e^(8/hbar), so the precision is
     sized from c (|lam| + |u|) and checked against the terms' magnitudes.
+    The value is a float, or the mpf itself when it lies outside the double
+    range (deep in a gap at small hbar), where a float would read +-inf.
     """
     import mpmath
 
@@ -281,7 +283,8 @@ def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> float:
             delta = 2 * (W(e0, op) * W(o0, ep) + W(e0, ep) * W(o0, op))
             need = 20 + int(mpmath.log10(e0[2] * o0[2] * ep[2] * op[2]))
         if need <= dps:
-            return float(delta)
+            value = float(delta)
+            return value if math.isfinite(value) else delta
         dps = need + 5
     raise ConvergenceError(f"discriminant needs more than {_MAX_DISCRIMINANT_DPS} digits "
                            f"at hbar={hbar!r}, u={u!r}")

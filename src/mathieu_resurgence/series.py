@@ -1,14 +1,21 @@
 """Exact-rational formal algebra: polynomials in B, truncated one-variable
 series with polynomial coefficients, and trans-series containers.
 
-Everything here is closed over ``fractions.Fraction``; no floating point
-enters any arithmetic path.  Binary operations truncate to the minimum
-order of their operands, so precision loss is always explicit.
+Every coefficient is an exact rational; no floating point enters any
+arithmetic path.  ``PolyB`` keeps its coefficients fraction-free, as
+integer numerators over one common denominator, so that a ring operation
+pays one gcd per result rather than one per coefficient operation; at its
+surface (``c``, ``[k]``, ``const_value``, evaluation at a rational) every
+coefficient is a ``fractions.Fraction``.  ``PolySeries``, ``horner`` and
+``newton_solve`` are generic over the coefficient ring.  Binary operations
+truncate to the minimum order of their operands, so precision loss is
+always explicit.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ConvergenceError, StructureError, TruncationError
@@ -38,68 +45,104 @@ def _as_q(x: QLike) -> Q:
 class PolyB:
     """Polynomial in the band variable B = N + 1/2 over the rationals.
 
-    Trailing zero coefficients are trimmed on construction, so ``degree``
-    is well defined (-1 for the zero polynomial).
+    Stored as integer numerators ``n`` over one denominator ``d > 0`` in
+    lowest terms (gcd(d, *n) == 1), with trailing zeros trimmed, so the
+    representation is unique and ``degree`` is well defined (-1 for the
+    zero polynomial, n = () over d = 1).  ``c`` and ``[k]`` read the
+    coefficients as Fractions.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs: Iterable[QLike] = ()):
         c = [_as_q(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c: tuple[Q, ...] = tuple(c)
+        d = lcm(*(x.denominator for x in c))
+        p = PolyB._from([x.numerator * (d // x.denominator) for x in c], d)
+        self.n: tuple[int, ...] = p.n
+        self.d: int = p.d
+
+    @staticmethod
+    def _from(n: list[int], d: int) -> "PolyB":
+        """The PolyB n/d (d > 0), trimmed and reduced by one gcd."""
+        while n and not n[-1]:
+            n.pop()
+        g = gcd(d, *n)
+        if g != 1:
+            n = [x // g for x in n]
+            d //= g
+        p = object.__new__(PolyB)
+        p.n, p.d = tuple(n), d
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, x: QLike) -> "PolyB":
-        return cls((x,))
+        x = _as_q(x)
+        return PolyB._from([x.numerator], x.denominator)
 
     # -- structure ----------------------------------------------------
     @property
+    def c(self) -> tuple[Q, ...]:
+        return tuple(Q(x, self.d) for x in self.n)
+
+    @property
     def degree(self) -> int:
-        return len(self.c) - 1
+        return len(self.n) - 1
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.n
 
     def is_const(self) -> bool:
-        return len(self.c) <= 1
+        return len(self.n) <= 1
 
     def const_value(self) -> Q:
         if not self.is_const():
             raise StructureError(f"polynomial {self} is not constant")
-        return self.c[0] if self.c else Q(0)
+        return self[0]
 
     def __getitem__(self, k: int) -> Q:
-        return self.c[k] if 0 <= k < len(self.c) else Q(0)
+        return Q(self.n[k], self.d) if 0 <= k < len(self.n) else Q(0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyB):
-            return self.c == other.c
+            return self.n == other.n and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self == PolyB.const(other)
+            return self.n == ((other.numerator,) if other else ()) and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        # a constant equals its Fraction, so it hashes like one
+        return hash(self[0]) if len(self.n) <= 1 else hash((self.n, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.c)
+        return bool(self.n)
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other: "PolyB | QLike") -> "PolyB":
+    def _plus(self, other: "PolyB | QLike", sign: int) -> "PolyB":
+        """self + sign * other over the lcm of the two denominators."""
         o = other if isinstance(other, PolyB) else PolyB.const(other)
-        n = max(len(self.c), len(o.c))
-        return PolyB(self[k] + o[k] for k in range(n))
+        if not o.n:
+            return self
+        if not self.n:
+            return o if sign > 0 else -o
+        g = gcd(self.d, o.d)
+        fa, fb = o.d // g, sign * (self.d // g)
+        n = [x * fa for x in self.n]
+        n += [0] * (len(o.n) - len(n))
+        for k, y in enumerate(o.n):
+            n[k] += y * fb
+        return PolyB._from(n, self.d * fa)
+
+    def __add__(self, other: "PolyB | QLike") -> "PolyB":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyB":
-        return PolyB(-x for x in self.c)
+        return PolyB._from([-x for x in self.n], self.d)
 
     def __sub__(self, other: "PolyB | QLike") -> "PolyB":
-        return self + (-(other if isinstance(other, PolyB) else PolyB.const(other)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other: QLike) -> "PolyB":
         return PolyB.const(other) - self
@@ -107,19 +150,27 @@ class PolyB:
     def __mul__(self, other: "PolyB | QLike") -> "PolyB":
         if isinstance(other, (int, Fraction)):
             q = _as_q(other)
-            return PolyB(x * q for x in self.c)
-        out = [Q(0)] * (len(self.c) + len(other.c))
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    out[i + j] += a * b
-        return PolyB(out)
+            return PolyB._from([x * q.numerator for x in self.n], self.d * q.denominator)
+        if not isinstance(other, PolyB):
+            return NotImplemented
+        a, b = self.n, other.n
+        if not (a and b):
+            return _ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return PolyB._from(out, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: QLike) -> "PolyB":
         q = _as_q(other)
-        return PolyB(x / q for x in self.c)
+        if not q:
+            raise ZeroDivisionError("PolyB division by zero")
+        s = q.denominator if q > 0 else -q.denominator
+        return PolyB._from([x * s for x in self.n], self.d * abs(q.numerator))
 
     def __pow__(self, n: int) -> "PolyB":
         if n < 0:
@@ -133,18 +184,30 @@ class PolyB:
         return out
 
     def derivative(self) -> "PolyB":
-        return PolyB(k * self.c[k] for k in range(1, len(self.c)))
+        return PolyB._from([k * self.n[k] for k in range(1, len(self.n))], self.d)
 
     def compose(self, inner: "PolyB") -> "PolyB":
-        """p(inner(B)) by Horner."""
-        return horner(self.c, inner)
+        """p(inner(B)) by Horner over the integer numerators."""
+        return horner(self.n, inner) / self.d
 
     def __call__(self, x):
-        """Evaluate at x (Fraction for exact work, float/mpf for numerics)."""
-        return horner(self.c, x)
+        """Evaluate at x.  A rational x gives the exact Fraction, by Horner
+        over the integer numerators; any other x (float, mpf, a ring
+        element) takes Horner over the Fraction coefficients."""
+        if not isinstance(x, (int, Fraction)):
+            return horner(self.c, x)
+        if not self.n:
+            return Q(0)
+        x = _as_q(x)
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1  # ends as d q^deg p(x), with qk = q^(deg+1)
+        for a in reversed(self.n):
+            acc = acc * p + a * qk
+            qk *= q
+        return Q(acc, self.d * (qk // q))
 
     def __repr__(self) -> str:
-        if not self.c:
+        if not self.n:
             return "PolyB(0)"
         terms = []
         for k, a in enumerate(self.c):

@@ -73,7 +73,7 @@ def _dfac(n: int) -> int:
 def _common_denominator(xs) -> tuple[list, int]:
     """(numerators, D): the entries of xs over one common denominator D.
     A rational becomes an int, a PolyB an integer-coefficient PolyB."""
-    D = math.lcm(*(c.denominator for x in xs for c in (x.c if isinstance(x, PolyB) else (x,))))
+    D = math.lcm(*(x.d if isinstance(x, PolyB) else x.denominator for x in xs))
     return [x * D if isinstance(x, PolyB) else x.numerator * (D // x.denominator) for x in xs], D
 
 
@@ -81,7 +81,7 @@ def _reduce(vals: list, den: int) -> tuple[list, int]:
     """Divide integer entries (ints or integer-coefficient PolyB) and their
     common denominator by one gcd."""
     g = math.gcd(den, *(v for v in vals if isinstance(v, int)),
-                 *(c.numerator for v in vals if isinstance(v, PolyB) for c in v.c))
+                 *(c for v in vals if isinstance(v, PolyB) for c in v.n))
     if g == 1:
         return vals, den
     return [v / g if isinstance(v, PolyB) else v // g for v in vals], den // g

@@ -176,6 +176,10 @@ class TestExitCodes:
             ["zerodim", "--check", "relation", "--hbar", "0.1"],
             ["benderwu", "--potential", "mathieu", "--m", "1/4"],
             ["benderwu", "--m", "1/4"],
+            ["benderwu", "--poly", "--order", "3", "--N", "2"],
+            ["benderwu", "--poly", "--order", "3", "--N", "0"],
+            ["zerodim", "--check", "borel", "--hbar", "0.2", "--order", "4"],
+            ["zerodim", "--check", "borel", "--order", "8"],
         ],
     )
     def test_option_the_mode_would_drop_is_usage(self, capsys, argv):
@@ -183,6 +187,22 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["benderwu", "--poly", "--order", "3"], "N", "0"),
+            (["benderwu", "--order", "3"], "N", "0"),
+            (["zerodim", "--check", "borel", "--hbar", "0.2"], "order", "8"),
+            (["zerodim", "--check", "rows", "--order", "2"], "order", "2"),
+        ],
+    )
+    def test_mode_defaults_are_filled_after_the_check(self, capsys, argv, key, value):
+        # the config (metadata and cache key) reads as it did when the parser
+        # filled these defaults itself
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["metadata"]["config"][key] == value
 
     @pytest.mark.parametrize(
         "argv",
@@ -531,7 +551,7 @@ _exact_argv = st.one_of(
     _command("actions", _req("--region", st.sampled_from(["well", "high"])),
              _req("--n", _orders), _req("--order", _orders)),
     _command("benderwu", _req("--potential", st.sampled_from(["mathieu", "lame"])),
-             _opt("--m", _m), _req("--N", _orders), _req("--order", _orders), _switch("--poly")),
+             _opt("--m", _m), _opt("--N", _orders), _req("--order", _orders), _switch("--poly")),
     _command("zerodim", _req("--m", _m), _req("--order", _orders),
              _req("--check", st.sampled_from(["rows", "relation", "borel"])),
              st.lists(_req("--hbar", _hbar), max_size=2).map(lambda hs: sum(hs, ()))),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from mathieu_resurgence.errors import ConvergenceError, DomainError
@@ -68,8 +69,6 @@ def _hill_determinant_discriminant(hbar, u, K):
     """cos(theta) by Hill's determinant: in y'' + (a - 2q cos 2x) y = 0, with
     a = 8u/hbar^2 and q = 4/hbar^2, 1 - D = det (1 - cos(pi sqrt(a))), det
     the continuant of the rows n = -K..K with couplings q/(4n^2 - a)."""
-    import mpmath
-
     h2 = mpmath.mpf(hbar) ** 2
     a, q = 8 * mpmath.mpf(u) / h2, 4 / h2
     f2, f1, gp = 1, 1, 0
@@ -140,6 +139,12 @@ class TestDiscriminant:
         # a NaN would never meet the series' stopping rule
         with pytest.raises(DomainError):
             discriminant(1.0, u)
+
+    def test_value_past_the_double_range_stays_finite(self):
+        # |D| is about 1e620 here: a float would read -inf
+        d = discriminant(0.01, -0.99)
+        assert mpmath.isfinite(d) and d < 0 and abs(d) > 1e308
+        assert type(discriminant(0.5, 0.3)) is float
 
     @pytest.mark.parametrize("hbar", [1e-3, 1e-200])
     def test_precision_cap(self, hbar):
