@@ -16,11 +16,10 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from . import dunham
-from .elliptic import ellip_dE_dm, ellip_dK_dm, ellip_KE
 from .errors import DomainError, PoleError
 from .series import PolyB, PolySeries
 
@@ -38,26 +37,10 @@ __all__ = [
     "barrier_top_a0",
 ]
 
-_WELL_CACHE: dict[tuple[int, int], list[list[Q]]] = {}
-_HIGH_CACHE: dict[tuple[int, int], list[dict[int, Q]]] = {}
-
-
-def well_actions(n_max: int, eps_order: int) -> list[list[Q]]:
-    key = (n_max, eps_order)
-    if key not in _WELL_CACHE:
-        _WELL_CACHE[key] = dunham.well_action_series(n_max, eps_order)
-    return _WELL_CACHE[key]
-
-
-def high_actions(n_max: int, depth: int) -> list[dict[int, Q]]:
-    key = (n_max, depth)
-    if key not in _HIGH_CACHE:
-        _HIGH_CACHE[key] = dunham.high_action_series(n_max, depth)
-    return _HIGH_CACHE[key]
-
-
 def action_leading(u: float) -> tuple[float, complex]:
     """(a0, a0D) at energy u; u >= -1, valid below and above the barrier."""
+    from .elliptic import ellip_KE
+
     if u < -1:
         raise DomainError("energy below the bottom of the band spectrum")
     if u <= 1:
@@ -86,6 +69,8 @@ def action_leading(u: float) -> tuple[float, complex]:
 
 def action_leading_derivative(u: float) -> tuple[float, complex]:
     """(da0/du, da0D/du) from the elliptic derivative identities."""
+    from .elliptic import ellip_dE_dm, ellip_dK_dm, ellip_KE
+
     if u <= -1:
         raise DomainError("need u > -1")
     if u < 1:
@@ -112,6 +97,8 @@ def action_leading_derivative(u: float) -> tuple[float, complex]:
 
 
 def _a1_closed(u: float) -> float:
+    from .elliptic import ellip_KE
+
     if not -1 < u < 1:
         raise PoleError("a1 closed form has (1-u^2) poles; need -1 < u < 1")
     m = (1 + u) / 2
@@ -120,6 +107,8 @@ def _a1_closed(u: float) -> float:
 
 
 def _a2_closed(u: float) -> float:
+    from .elliptic import ellip_KE
+
     if not -1 < u < 1:
         raise PoleError("a2 closed form has (1-u^2) poles; need -1 < u < 1")
     m = (1 + u) / 2
@@ -146,8 +135,7 @@ def action_higher_dual(u: float, n: int) -> complex:
     return complex(0, action_higher(-u, n))
 
 
-@dataclass
-class ActionValue:
+class ActionValue(NamedTuple):
     """WKB cycle data at one energy: a = [a0, a1, ...], aD = duals."""
 
     u: float
@@ -166,7 +154,6 @@ def action_value(u: float, n_max: int = 2) -> ActionValue:
     return ActionValue(u=u, a=a, aD=aD)
 
 
-@dataclass
 class ActionSeries:
     """Region expansion of one WKB order.
 
@@ -175,10 +162,22 @@ class ActionSeries:
     region "top": leading barrier-top behavior (see ``barrier_top_a0``).
     """
 
-    region: str
-    n: int
-    well: PolySeries | None = None
-    high: dict[int, Q] = field(default_factory=dict)
+    def __init__(self, region: str, n: int, well: PolySeries | None = None,
+                 high: dict[int, Q] | None = None):
+        self.region = region
+        self.n = n
+        self.well = well
+        self.high = {} if high is None else high
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ActionSeries({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def eval_well(self, u: float) -> float:
         return self.well(u + 1.0)
@@ -192,11 +191,11 @@ def action_series(region: str, n: int, order: int) -> ActionSeries:
     if n < 0 or order < 0:
         raise DomainError(f"WKB order n >= 0 and order >= 0 required, got n={n}, order={order}")
     if region == "well":
-        coeffs = well_actions(n, order)[n]
+        coeffs = dunham.well_actions(n, order)[n]
         ser = PolySeries("u+1", order, [PolyB.const(c) for c in coeffs])
         return ActionSeries(region="well", n=n, well=ser)
     if region == "high":
-        table = high_actions(n, order)[n]
+        table = dunham.high_actions(n, order)[n]
         return ActionSeries(region="high", n=n, high=table)
     raise DomainError(f"unsupported region {region!r}")
 
@@ -225,6 +224,8 @@ def picard_fuchs_residual(u: float, h: float = 1e-4, dual: bool = False,
     if not -1 < u < 1:
         raise DomainError("need -1 < u < 1")
     import mpmath
+
+    from .elliptic import ellip_KE
 
     with mpmath.workdps(dps):
         uu, hh = mpmath.mpf(u), mpmath.mpf(h)

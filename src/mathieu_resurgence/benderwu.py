@@ -11,10 +11,9 @@ exact rationals, so the output coefficients can be compared as identities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, StructureError
 from .jacobi_exact import sd_squared_taylor
@@ -33,26 +32,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PotentialSeries:
-    """Taylor data of a potential about its minimum; exact coefficients.
-
-    ``taylor[k]`` multiplies x^k.  taylor[1] must vanish and taylor[2] > 0.
-    ``m`` tags the elliptic parameter when the coefficients came from a
-    parametric family (informational).
-    """
-
+class _PotentialFields(NamedTuple):
     name: str
     taylor: tuple[Q, ...]
     m: Q | None = None
 
-    def __post_init__(self):
-        if len(self.taylor) < 3:
+
+class PotentialSeries(_PotentialFields):
+    """Taylor data of a potential about its minimum; exact coefficients.
+
+    ``taylor[k]`` multiplies x^k.  taylor[1] must vanish and taylor[2] > 0.
+    ``m`` tags the elliptic parameter when the coefficients came from a
+    parametric family (informational).  Immutable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, taylor: tuple[Q, ...], m: Q | None = None):
+        if len(taylor) < 3:
             raise DomainError("potential needs Taylor data through x^2")
-        if self.taylor[1] != 0:
+        if taylor[1] != 0:
             raise DomainError("expansion point is not a stationary point")
-        if self.taylor[2] <= 0:
+        if taylor[2] <= 0:
             raise DomainError("minimum must be harmonic: V''(0) > 0")
+        return super().__new__(cls, name, taylor, m)
 
 
 def mathieu_well_potential(order: int) -> PotentialSeries:

@@ -9,22 +9,23 @@ reproduced byte for byte; no timestamps on purpose.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import re
 import sys
-from fractions import Fraction as Q
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, RegimeWarning, require_positive
 
-# Generator and oracle modules are imported inside the runners that use
-# them, so a cache hit loads none of them.  Those modules import mpmath
-# only inside the functions that do multiprecision arithmetic, so it loads
-# only when a run reaches one: the mp Hill tier behind `widths`, and
-# `zerodim --check relation` and `--check borel`.
+# Each module imports at top level only what all of its callers use.  Here
+# the generator and oracle modules, `fractions` and `zlib` are imported
+# inside the functions that use them, and `--m` is parsed to lowest-terms
+# text, so a cache hit loads none of them.  `spectral` takes the action
+# tables from `dunham`, so the exact-series subcommands other than
+# `actions` load neither `actions` nor `elliptic`.  mpmath loads only where
+# a run does multiprecision arithmetic: the mp Hill tier behind `widths`,
+# and `zerodim --check relation` and `--check borel`.
 
 __all__ = ["main", "build_parser"]
 
@@ -49,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _q_str(x: Q) -> str:
+def _q_str(x) -> str:
+    """A Fraction as "p/q", or "p" when it is an integer."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -167,32 +169,36 @@ _PAYLOAD_SCHEMA = {
 def _cached(key: dict, compute):
     """Content-addressed cache of expensive exact computations.
 
-    The key carries the package version and the caller puts the payload
-    schema of its subcommand in ``key``.  Entries are written to a
-    temporary file and renamed into place, so a reader never sees a
-    partial entry; an unreadable or corrupt entry counts as a miss and is
-    overwritten.
+    The key carries the package version and the caller puts the subcommand
+    and its payload schema in ``key``.  Each entry stores the canonical key
+    text next to the payload, under a short name: the subcommand and a
+    CRC-32 of that text.  An entry is served only when its stored key
+    equals the computed one, so a checksum collision, a foreign file or an
+    entry of an older layout is a miss and is overwritten.  Entries are
+    written to a temporary file and renamed into place, so a reader never
+    sees a partial entry; an unreadable or corrupt entry is a miss as well.
     """
     root = _cache_dir()
     if not root:
         return compute()
+    import zlib
+
     os.makedirs(root, exist_ok=True)
-    digest = hashlib.sha256(
-        json.dumps({"version": __version__, **key}, sort_keys=True).encode()
-    ).hexdigest()[:24]
-    path = os.path.join(root, digest + ".json")
+    key_text = json.dumps({"version": __version__, **key}, sort_keys=True)
+    path = os.path.join(root, f"{key['command']}-{zlib.crc32(key_text.encode()):08x}.json")
     try:
         with open(path) as fh:
-            value = json.load(fh)
+            entry = json.load(fh)
     except (OSError, ValueError):
-        value = None
-    if isinstance(value, dict):
-        return value
+        entry = None
+    if (isinstance(entry, dict) and entry.get("key") == key_text
+            and isinstance(entry.get("payload"), dict)):
+        return entry["payload"]
     value = compute()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(value, fh, sort_keys=True)
+            json.dump({"key": key_text, "payload": value}, fh, sort_keys=True)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -200,13 +206,21 @@ def _cached(key: dict, compute):
     return value
 
 
-def _fraction(text: str) -> Q:
-    """argparse type for an exact rational written as an integer or p/q."""
+def _fraction(text: str) -> str:
+    """argparse type for an exact rational written as an integer or p/q.
+
+    Returns it in lowest terms as ``str(Fraction(text))`` writes it ("p/q",
+    or "p" for an integer); the runners build the Fraction."""
     num, sep, den = text.partition("/")
     try:
-        return Q(int(num), int(den) if sep else 1)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
+        p, q = int(num), int(den) if sep else 1
+    except ValueError:
+        q = 0
+    if not q:
+        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}")
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def build_parser() -> _Parser:
@@ -297,7 +311,7 @@ def _check_options(args) -> None:
         if args.potential == "mathieu" and args.m is not None:
             raise _UsageError("benderwu --m is the parameter of --potential lame only")
         if args.potential == "lame" and args.m is None:
-            args.m = Q(1, 2)
+            args.m = "1/2"
         if args.poly and args.N is not None:
             raise _UsageError("benderwu --poly covers every level: --N is not used")
         if args.N is None:
@@ -310,6 +324,8 @@ def _require_level(N) -> None:
 
 
 def _run_pert(args) -> dict:
+    from fractions import Fraction as Q
+
     from . import spectral
 
     _require_level(args.N)
@@ -357,6 +373,8 @@ def _run_strong(args) -> dict:
 
 
 def _run_pinst(args) -> dict:
+    from fractions import Fraction as Q
+
     from . import widths
 
     _require_level(args.N)
@@ -504,9 +522,11 @@ def _run_widths(args) -> dict:
 
 
 def _run_zerodim(args) -> dict:
+    from fractions import Fraction as Q
+
     from . import zerodim
 
-    m = args.m
+    m = Q(args.m)
     if args.check == "rows":
         if not 0 <= m <= 1:
             raise DomainError("m in [0, 1]")
@@ -526,12 +546,14 @@ def _run_zerodim(args) -> dict:
 
 
 def _run_benderwu(args) -> dict:
+    from fractions import Fraction as Q
+
     from . import benderwu
 
     if args.potential == "mathieu":
         V = benderwu.mathieu_well_potential(2 * args.order + 4)
     else:
-        V = benderwu.lame_potential(args.m, 2 * args.order + 4)
+        V = benderwu.lame_potential(Q(args.m), 2 * args.order + 4)
     if args.poly:
         series = benderwu.polynomial_in_N(V, args.order)
         return {"rows": _series_rows(series, "hbar")}

@@ -36,6 +36,9 @@ carry no r part; the cycle integrals only read even orders.
 * high (u >> 1): x = cos y, r = sin y, sigma = -1, lam = u and
   p^2 = 2u - 2 cos y; the full-period average reduces to cosine moments
   after a binomial expansion in 1/u.
+
+`well_actions` and `high_actions` build each table once per process; the
+inversions in `spectral` and the expansions in `actions` read them there.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from math import comb, factorial, gcd, lcm
 
 from .errors import StructureError
 
-__all__ = ["well_action_series", "high_action_series"]
+__all__ = ["well_action_series", "high_action_series", "well_actions", "high_actions"]
 
 # A polynomial in (x, lam) is a dict {key: coefficient} with
 # key = (power of x) << _SHIFT | (power of lam), so products add keys.
@@ -203,29 +206,35 @@ def well_action_series(n_max: int, eps_order: int) -> list[list[Q]]:
         # reaches eps^k only for 2t <= 2 eps_order + j - 1, j odd
         top = 2 * eps_order + j
         imax = max(top // 2, 0)
+        inv_r = [comb(2 * i, i) * 16 ** (imax - i) for i in range(imax + 1)]
         integrand: dict[tuple[int, int], int] = {}
+        get = integrand.get
         for key, c in P.items():
             a, d = key >> _SHIFT, key & _LAM
             for i in range((top - a) // 2 + 1):
                 ti = (a + 2 * i, d)
-                integrand[ti] = integrand.get(ti, 0) + c * comb(2 * i, i) * 16 ** (imax - i)
-        scale = Q(1, den * 16**imax)
-        coeffs = [Q(0)] * (eps_order + 1)
+                integrand[ti] = get(ti, 0) + c * inv_r[i]
+        # w^(2t) eps^d integrates to scale * weight[t] * eps^(powR + d), with
+        # powR the power of R^2 = 2 eps; the regularized integral vanishes
+        # unless mint > 0.  The weights share one denominator, so the sums
+        # run on integers and each coefficient is one Fraction.
+        weight: dict[int, Q] = {}
+        for t2, _d in integrand:
+            t, mint = t2 // 2, t2 // 2 + (3 - j) // 2
+            if t2 % 2 == 0 and mint > 0 and t not in weight:
+                powR = (2 * t + 1 - j) // 2
+                weight[t] = _gamma_half_ratio(t) * Q(2) ** powR / factorial(mint - 1)
+        wden = lcm(*(w.denominator for w in weight.values()))
+        wnum = {t: w.numerator * (wden // w.denominator) for t, w in weight.items()}
+        sums = [0] * (eps_order + 1)
         for (t2, d), cd in integrand.items():
-            if t2 % 2 or not cd:
-                continue
-            t = t2 // 2
-            mint = t + (3 - j) // 2
-            if mint <= 0:
-                continue  # regularized integral vanishes
-            powR = (2 * t + 1 - j) // 2  # power of R^2 = 2 eps
-            k = powR + d
-            if 0 <= k <= eps_order:
-                base = _gamma_half_ratio(t) * _gamma_half_ratio((1 - j) // 2) / factorial(mint - 1)
-                # (2 eps)^powR * eps^d; the 1/(2 pi) and the pi from the
-                # beta integral leave a bare 1/2.
-                coeffs[k] += (-1) ** n * cd * scale * base * Q(2) ** powR / 2
-        out.append(coeffs)
+            if t2 % 2 == 0 and t2 // 2 in wnum:
+                k = (t2 + 1 - j) // 2 + d
+                if 0 <= k <= eps_order:
+                    sums[k] += cd * wnum[t2 // 2]
+        # the 1/(2 pi) and the pi from the beta integral leave a bare 1/2
+        scale = (-1) ** n * _gamma_half_ratio((1 - j) // 2) / (2 * den * 16**imax * wden)
+        out.append([scale * s for s in sums])
     return out
 
 
@@ -264,3 +273,23 @@ def high_action_series(n_max: int, depth: int) -> list[dict[int, Q]]:
                     acc[h] = acc.get(h, Q(0)) + val
         out.append({h: c for h, c in sorted(acc.items(), reverse=True) if c != 0})
     return out
+
+
+_WELL_CACHE: dict[tuple[int, int], list[list[Q]]] = {}
+_HIGH_CACHE: dict[tuple[int, int], list[dict[int, Q]]] = {}
+
+
+def well_actions(n_max: int, eps_order: int) -> list[list[Q]]:
+    """``well_action_series``, computed once per argument pair."""
+    key = (n_max, eps_order)
+    if key not in _WELL_CACHE:
+        _WELL_CACHE[key] = well_action_series(n_max, eps_order)
+    return _WELL_CACHE[key]
+
+
+def high_actions(n_max: int, depth: int) -> list[dict[int, Q]]:
+    """``high_action_series``, computed once per argument pair."""
+    key = (n_max, depth)
+    if key not in _HIGH_CACHE:
+        _HIGH_CACHE[key] = high_action_series(n_max, depth)
+    return _HIGH_CACHE[key]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tridiag
 from .errors import ConvergenceError, DomainError, require_positive
@@ -67,8 +67,7 @@ def _capped(M):
     return M
 
 
-@dataclass(frozen=True)
-class HillConfig:
+class HillConfig(NamedTuple):
     truncation: int = 0  # 0: choose automatically
     potential_scale: float = 1.0  # 0 switches the free-particle test mode on
     dps: int | None = None  # extended-precision tier when set
@@ -97,8 +96,7 @@ class HillConfig:
         return _capped(max(M, 2 * K + 1))
 
 
-@dataclass
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     hbar: float
     N: int
     edge: str  # "bottom" | "top"
@@ -314,8 +312,9 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
     dps = cfg.dps
     if dps is None:
         if kind == "band":
+            # N! as lgamma: as a float it overflows from N = 171
             log10w = (
-                math.log10(2 * hbar / math.sqrt(2 * math.pi) / math.factorial(N))
+                math.log10(2 * hbar / math.sqrt(2 * math.pi)) - math.lgamma(N + 1) / math.log(10)
                 + (N + 0.5) * math.log10(32 / hbar)
                 - 8 / hbar * math.log10(math.e)
             )

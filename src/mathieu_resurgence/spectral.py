@@ -8,11 +8,10 @@ transcendental band-edge condition numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from . import actions, charvalues
+from . import dunham
 from .errors import ConvergenceError, DomainError, StructureError, require_positive
 from .series import PolyB, PolySeries, horner, newton_solve
 
@@ -48,7 +47,7 @@ def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) 
     # F(v) = 2 sum_n hbar^(2n) a_n(v) as a polynomial in v = u + 1 whose
     # coefficients are series in hbar; solve F(v) = hbar B for v = O(hbar).
     graded = [PolyB()] * (order + 1)
-    for n, an in enumerate(actions.well_actions(order // 2, order)):
+    for n, an in enumerate(dunham.well_actions(order // 2, order)):
         graded[2 * n] = PolyB(2 * c for c in an)
     F = PolySeries("hbar", order, graded).coeffs_in_B()
     target = PolySeries("hbar", order, [PolyB(), _B])
@@ -63,8 +62,7 @@ def u_pert(order: int) -> PolySeries:
     return bs_invert_weak(order)
 
 
-@dataclass
-class StrongExpansion:
+class StrongExpansion(NamedTuple):
     """u as a double expansion at strong coupling.
 
     terms[(i, k)] multiplies hbar^(2i) * a^(2-k) with a = N hbar / 2.
@@ -90,7 +88,7 @@ def bs_invert_strong(order: int, depth: int = 8) -> StrongExpansion:
     """
     if order < 0 or depth < 0:
         raise DomainError("order >= 0 and depth >= 0 required")
-    acts = actions.high_actions(order, depth + 2 * order + 2)
+    acts = dunham.high_actions(order, depth + 2 * order + 2)
     # Each a_n is sum_h c_{n,h} s^h with s = sqrt(2u).  With t = 1/a,
     # y = hbar^2 and s = a (1 + d), the condition over a reads
     # 1 = sum_{n,h} c_{n,h} y^n t^(1-h) (1+d)^h: a polynomial in d whose
@@ -117,8 +115,7 @@ def bs_invert_strong(order: int, depth: int = 8) -> StrongExpansion:
     )
 
 
-@dataclass
-class ZjjFunctions:
+class ZjjFunctions(NamedTuple):
     """The two quantization functions in both variable conventions.
 
     A carries an explicit 16/hbar leading term on top of its power series.
@@ -240,8 +237,7 @@ def zjj_quantization_solve(
     }
 
 
-@dataclass
-class GapEdges:
+class GapEdges(NamedTuple):
     """Strong-coupling edges of gap N: u = (hbar^2/8) * [b_N | a_N](4/hbar^2).
 
     ``lower``/``upper`` are the characteristic-value series; for N = 0 only
@@ -277,6 +273,8 @@ def _edge_value(series: PolySeries, hbar: float) -> float:
 
 def gap_edge_series(N: int, order: int) -> GapEdges:
     """Exact strong-coupling expansions of the two edges of gap N."""
+    from . import charvalues
+
     if N < 0:
         raise DomainError("N >= 0")
     if order < 0:

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import Callable, NamedTuple
 
-from . import actions, spectral
+from . import spectral
 from .errors import DomainError, RegimeWarning, StructureError, require_positive
 from .series import PolyB, PolySeries
 
@@ -28,14 +28,33 @@ __all__ = [
 INSTANTON_ACTION = 8  # sqrt(2) * integral of sqrt(1 + cos x) over a period
 
 
-@dataclass
-class WidthEstimate:
+class WidthEstimate(NamedTuple):
     hbar: float
     N: int
     kind: str  # "band" | "gap"
     leading: float
     with_fluctuations: float
     order_used: int
+
+
+def _in_double_range(what: str, direct: Callable[[], float], log_value: float) -> float:
+    """``direct()`` where it is a finite positive double, else the same
+    quantity as exp(log_value): the factorials and powers of the direct
+    form leave the double range at large N long before their quotient does.
+    DomainError when the quantity itself is not a positive finite double."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    if 0 < value < math.inf:
+        return value
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise DomainError(f"{what} e^{log_value:.1f} outside the double range")
+    return value
 
 
 def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
@@ -108,19 +127,20 @@ def band_width(hbar: float, N: int, order: int = 4) -> WidthEstimate:
             stacklevel=2,
         )
     B = Q(2 * N + 1, 2)
-    lead = (
-        4
-        * hbar
-        / math.sqrt(2 * math.pi)
-        / math.factorial(N)
-        * (32 / hbar) ** (N + 0.5)
-        * math.exp(-INSTANTON_ACTION / hbar)
+    lead = _in_double_range(
+        "band width",
+        lambda: 4 * hbar / math.sqrt(2 * math.pi) / math.factorial(N)
+        * (32 / hbar) ** (N + 0.5) * math.exp(-INSTANTON_ACTION / hbar),
+        math.log(4 * hbar / math.sqrt(2 * math.pi)) - math.lgamma(N + 1)
+        + (N + 0.5) * math.log(32 / hbar) - INSTANTON_ACTION / hbar,
     )
     P = p_inst(order)
-    pval = float(P(hbar, B))
+    with_fluctuations = lead * float(P(hbar, B))
+    if not math.isfinite(with_fluctuations):
+        raise DomainError(f"band width with fluctuations not finite at hbar={hbar!r}, N={N}")
     return WidthEstimate(
         hbar=hbar, N=N, kind="band", leading=lead,
-        with_fluctuations=lead * pval, order_used=order,
+        with_fluctuations=with_fluctuations, order_used=order,
     )
 
 
@@ -141,11 +161,18 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
             RegimeWarning,
             stacklevel=2,
         )
-    exact_pref = (
-        hbar * hbar / 4 * (2 / hbar) ** (2 * N)
-        / (2 ** (N - 1) * math.factorial(N - 1)) ** 2
+    exact_pref = _in_double_range(
+        "gap width",
+        lambda: hbar * hbar / 4 * (2 / hbar) ** (2 * N)
+        / (2 ** (N - 1) * math.factorial(N - 1)) ** 2,
+        2 * math.log(hbar / 2) + 2 * N * math.log(2 / hbar)
+        - 2 * ((N - 1) * math.log(2) + math.lgamma(N)),
     )
-    stirling = N * hbar * hbar / (2 * math.pi) * (math.e / (N * hbar)) ** (2 * N)
+    stirling = _in_double_range(
+        "Stirling gap width",
+        lambda: N * hbar * hbar / (2 * math.pi) * (math.e / (N * hbar)) ** (2 * N),
+        math.log(N * hbar * hbar / (2 * math.pi)) + 2 * N * (1 - math.log(N * hbar)),
+    )
     return WidthEstimate(
         hbar=hbar, N=N, kind="gap", leading=exact_pref,
         with_fluctuations=stirling, order_used=0,
@@ -160,6 +187,8 @@ def general_width_leading(hbar: float, u: float) -> float:
     -- and a warning is attached since the one-instanton formula is then
     uncontrolled.
     """
+    from . import actions
+
     if u == 1 or u == -1:
         raise DomainError("width formula singular exactly at |u| = 1")
     da0, _ = actions.action_leading_derivative(u)

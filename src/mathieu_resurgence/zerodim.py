@@ -10,8 +10,8 @@ coefficient relations, and lateral Borel-type resummation experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from .elliptic import ellip_K, jacobi_sn_cn_dn
 from .errors import ConvergenceError, DomainError, require_positive
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class SaddleExpansion:
+class SaddleExpansion(NamedTuple):
     """Fluctuation data of one saddle of exp(-f/hbar).
 
     The steepest-descent integral through the saddle is
@@ -187,18 +186,18 @@ def _lame_saddles(m: Q, order: int, rotated_order: int) -> dict[str, SaddleExpan
     f1 = [P[k] * one_m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(P))]
     # k = 0 entry: action S1 = 1/(1-m)
     f1[0] = 1 / one_m
-    real = saddle_series(f1, rotated_order, label="real", rotated=True)
     # the sigma-rescaling moved the physical curvature 1/(1-m) to 1;
     # restore it so sector_coeff carries the right Gaussian prefactor
-    real.curvature = 1 / one_m
+    real = saddle_series(f1, rotated_order, label="real", rotated=True)._replace(
+        curvature=1 / one_m)
 
     # imaginary saddle: f(i (K' + s)) = -C(s)/m, C = cn^2(s | 1-m);
     # rescale s -> sqrt(m) sigma.
     C = _cn2_flipped(need, m)
     f2 = [-C[k] * m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(C))]
     f2[0] = -1 / m
-    imag = saddle_series(f2, rotated_order, label="imag", rotated=True)
-    imag.curvature = 1 / m
+    imag = saddle_series(f2, rotated_order, label="imag", rotated=True)._replace(
+        curvature=1 / m)
     return {"vacuum": vacuum, "real": real, "imag": imag}
 
 

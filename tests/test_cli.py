@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -218,6 +219,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and "--m" in err
 
+    @given(num=st.integers(-10**20, 10**20), den=st.integers(-10**6, 10**6).filter(bool),
+           integer=st.booleans())
+    def test_fraction_text_is_the_lowest_terms_of_fraction(self, num, den, integer):
+        # --m is parsed without building a Fraction; its text (the config in
+        # metadata and in the cache key) must read as str(Fraction) does
+        from fractions import Fraction
+
+        if integer:
+            assert cli._fraction(str(num)) == str(Fraction(num))
+        else:
+            assert cli._fraction(f"{num}/{den}") == str(Fraction(num, den))
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -266,6 +279,37 @@ class TestExitCodes:
         # a Fourier truncation past the cap, a Hill matrix or a series
         # value beyond double precision: typed errors, neither a traceback,
         # nor Infinity in the payload, nor a truncation too large to build
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["widths", "--kind", "gap", "--N", "90", "--hbar", "0.05"],
+            ["widths", "--kind", "gap", "--N", "120", "--hbar", "0.02"],
+            ["widths", "--kind", "band", "--N", "171", "--hbar", "2"],
+        ],
+    )
+    def test_widths_at_large_N_stay_in_range(self, capsys, argv):
+        # the factorials and powers of the width formulas leave the double
+        # range at these N although the widths do not: estimates, not an
+        # OverflowError traceback
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        (row,) = json.loads(out, parse_constant=_reject_constant)["rows"]
+        assert 0 < row["asymptotic_leading"] < math.inf
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["widths", "--kind", "gap", "--N", "171", "--hbar", "3"], EXIT_CONVERGENCE),
+            (["widths", "--kind", "band", "--N", "171", "--hbar", "0.5"], EXIT_CONVERGENCE),
+        ],
+    )
+    def test_widths_at_large_N_beyond_reach(self, capsys, argv, code):
+        # a convergence failure that names its cause, not an OverflowError
+        # in the width estimate that sizes the oracle's precision
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
@@ -404,6 +448,22 @@ class TestOutputPlumbing:
         assert [p.name for p in tmp_path.iterdir()] == [entry.name]
         assert json.loads(entry.read_text()) == json.loads(good)
 
+    def test_entry_with_another_key_is_recomputed(self, tmp_path, capsys, monkeypatch):
+        # a file under the expected name that carries another key (a
+        # checksum collision, or a file of another writer) is a miss
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        _, fresh = run(capsys, "pert", "--order", "3", "--poly")
+        (entry,) = tmp_path.iterdir()
+        assert entry.name.startswith("pert-")
+        good = json.loads(entry.read_text())
+        other = good["key"].replace('"order": "3"', '"order": "4"')
+        assert other != good["key"]
+        entry.write_text(json.dumps({"key": other, "payload": {"rows": [], "stale": True}}))
+        code, out = run(capsys, "pert", "--order", "3", "--poly")
+        assert code == EXIT_OK and out == fresh
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+        assert json.loads(entry.read_text()) == good
+
     def test_cache_key_carries_version(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         run(capsys, "pert", "--order", "2", "--poly")
@@ -484,7 +544,7 @@ def _scale(lo, hi):
     return st.one_of(_SPECIAL, st.floats(lo, hi)).map(lambda v: f"{v!r}")
 
 
-_labels = st.integers(-2, 25).map(str)
+_labels = st.integers(-2, 200).map(str)
 _points = st.integers(-2, 6).map(str)
 _argv = st.one_of(
     st.tuples(st.just("spectrum"), st.just("--hbar"), _scale(0.05, 10), st.just("--bands"), _labels),
@@ -589,9 +649,73 @@ def _probe(*argv, cache=None):
     return report["code"], set(report["modules"])
 
 
+@functools.lru_cache(maxsize=None)
+def _bare_modules() -> frozenset:
+    """The modules this interpreter loads with the probe's own imports
+    alone, so that a module some environment loads at start-up (a .pth
+    import, say) does not count against the CLI."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    return frozenset(json.loads(proc.stdout))
+
+
+# one cheap argv per subcommand; zerodim and benderwu lame parse --m
+_ONE_PER_SUBCOMMAND = [
+    ("pert", "--order", "3", "--N", "1", "--hbar", "0.1"),
+    ("strong", "--N", "1", "--order", "3", "--hbar", "6"),
+    ("pinst", "--order", "2", "--N", "0"),
+    ("zjj", "--order", "2"),
+    ("actions", "--region", "well", "--n", "1", "--order", "3"),
+    ("spectrum", "--hbar", "1.0", "--bands", "1"),
+    ("figure1", "--points", "1", "--bands", "1"),
+    ("figure2", "--points", "1", "--bands", "1"),
+    ("widths", "--kind", "gap", "--N", "1", "--hbar", "6"),
+    ("zerodim", "--m", "1/4", "--check", "rows", "--order", "2"),
+    ("benderwu", "--potential", "lame", "--order", "2"),
+]
+# modules a cache hit must not load
+_NOT_ON_A_HIT = {"hashlib", "fractions", "dataclasses", "inspect", "numpy", "scipy", "mpmath"}
+
+
 class TestImportCost:
     """Only the subcommands that need the numeric stack load it, and only
     runs that reach multiprecision arithmetic load mpmath."""
+
+    def test_every_subcommand_is_probed(self):
+        assert {argv[0] for argv in _ONE_PER_SUBCOMMAND} == set(cli._RUNNERS)
+
+    @pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND)
+    def test_cache_hit_loads_only_the_front_end(self, tmp_path, argv):
+        # a computing run loads no dataclasses (and its inspect); a cache
+        # hit loads no checksum, rational, generator or oracle module
+        code, mods = _probe(*argv, cache=tmp_path)
+        assert code == EXIT_OK
+        assert not {"dataclasses", "inspect"} & (mods - _bare_modules())
+        code, mods = _probe(*argv, cache=tmp_path)
+        assert code == EXIT_OK
+        extra = mods - _bare_modules()
+        assert not _NOT_ON_A_HIT & extra
+        assert {m for m in extra if m.startswith("mathieu_resurgence.")} == {
+            "mathieu_resurgence.cli", "mathieu_resurgence.errors"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pert", "--order", "4", "--N", "1", "--hbar", "0.1"),
+            ("zjj", "--order", "3"),
+            ("pinst", "--order", "2", "--N", "0"),
+            ("strong", "--N", "2", "--order", "4", "--hbar", "7"),
+            ("benderwu", "--potential", "mathieu", "--poly", "--order", "4"),
+        ],
+    )
+    def test_exact_series_loads_no_closed_forms(self, argv):
+        # the action tables come from dunham; the elliptic closed forms
+        # behind `actions` are not part of these runs
+        code, mods = _probe(*argv)
+        assert code == EXIT_OK
+        assert not {"mathieu_resurgence.actions", "mathieu_resurgence.elliptic"} & mods
 
     def test_import_loads_no_numeric_stack(self):
         _, mods = _probe()

@@ -62,3 +62,17 @@ def test_no_module_imports_scipy_or_numpy():
         if name.split(".")[0] in ("scipy", "numpy")
     ]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # every CLI run compiles the package from source; dataclasses (and the
+    # inspect it pulls in) would cost more to load than most classes it
+    # builds: value classes are NamedTuples or plain classes
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PKG_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _imported_modules(node)
+        if name.split(".")[0] == "dataclasses"
+    ]
+    assert found == []

@@ -143,6 +143,51 @@ class TestGapWidth:
             gap_width(0.3, 1)
 
 
+class TestLargeLabels:
+    """The factorials and powers of the width formulas leave the double range
+    long before the widths do; a width itself outside it is a DomainError."""
+
+    @pytest.mark.parametrize("hbar, N", [(0.5, 171), (2.0, 171), (0.05, 90)])
+    def test_band_width_past_the_float_factorial(self, hbar, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            w = band_width(hbar, N, order=2)
+        log_lead = (math.log(4 * hbar / math.sqrt(2 * math.pi)) - math.lgamma(N + 1)
+                    + (N + 0.5) * math.log(32 / hbar) - 8 / hbar)
+        assert math.log(w.leading) == pytest.approx(log_lead, rel=1e-12)
+        assert math.isfinite(w.with_fluctuations)
+
+    @pytest.mark.parametrize("hbar, N", [(0.05, 90), (0.02, 120), (1.0, 100)])
+    def test_gap_width_past_the_float_factorial(self, hbar, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            w = gap_width(hbar, N)
+        # exact rational form of (hbar^2/4) (2/hbar)^(2N) / (2^(N-1) (N-1)!)^2
+        h = Q(hbar)
+        exact = h * h / 4 * (2 / h) ** (2 * N) / (2 ** (N - 1) * math.factorial(N - 1)) ** 2
+        assert w.leading == pytest.approx(float(exact), rel=1e-12)
+        assert w.with_fluctuations / w.leading == pytest.approx(1, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "call", [lambda: gap_width(3.0, 171), lambda: gap_width(1e-3, 400),
+                 lambda: band_width(0.005, 0), lambda: band_width(1e-3, 2)],
+    )
+    def test_width_outside_the_double_range_is_a_domain_error(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DomainError, match="double range"):
+                call()
+
+    def test_values_in_range_keep_the_direct_formula(self):
+        # the logarithmic form is only the fallback: widths that the direct
+        # product reaches keep its last bits
+        w = gap_width(6.0, 3)
+        assert w.leading == 6.0 * 6.0 / 4 * (2 / 6.0) ** 6 / (2 ** 2 * math.factorial(2)) ** 2
+        b = band_width(0.3, 1, order=2)
+        assert b.leading == (4 * 0.3 / math.sqrt(2 * math.pi) / math.factorial(1)
+                             * (32 / 0.3) ** 1.5 * math.exp(-8 / 0.3))
+
+
 class TestGeneralWidth:
     def test_band_limit(self):
         # at the band location the single formula approaches the band width;
