@@ -16,7 +16,6 @@ from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConvergenceError, DomainError, StructureError
-from .jacobi_exact import sd_squared_taylor
 from .series import PolyB, PolySeries
 
 __all__ = [
@@ -71,6 +70,8 @@ def mathieu_well_potential(order: int) -> PotentialSeries:
 
 def lame_potential(m: Q, order: int) -> PotentialSeries:
     """sd^2(y | m)/2, the elliptic well in canonical normalization."""
+    from .jacobi_exact import sd_squared_taylor
+
     m = Q(m)
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")

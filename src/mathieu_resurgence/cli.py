@@ -149,7 +149,8 @@ _OUTPUT_OPTIONS = ("format", "output", "pretty")
 # spectrum, figure1, figure2: 3 and widths: 4 split both Bloch sectors into
 # parity blocks and widen the antiperiodic basis by one momentum, which
 # moves last digits.  widths: 5 sizes every narrow gap on the mp tier, not
-# only at hbar >= 2.  benderwu: 2 leaves --m unset (config "None") for the
+# only at hbar >= 2.  widths: 6 warns on every gap with N*hbar <= 2 sqrt(2),
+# not only below 1.  benderwu: 2 leaves --m unset (config "None") for the
 # mathieu potential, which has no parameter.
 _PAYLOAD_SCHEMA = {
     "pert": 2,
@@ -160,7 +161,7 @@ _PAYLOAD_SCHEMA = {
     "spectrum": 3,
     "figure1": 3,
     "figure2": 3,
-    "widths": 5,
+    "widths": 6,
     "zerodim": 1,
     "benderwu": 2,
 }

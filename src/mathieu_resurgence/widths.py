@@ -155,9 +155,9 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
     if N < 1:
         raise DomainError("no gap below the first band in this labeling")
     require_positive("hbar", hbar)
-    if N * hbar < 1.0:
+    if N * hbar <= 2 * math.sqrt(2):
         warnings.warn(
-            f"gap_width outside its regime: N*hbar = {N * hbar:.3g} not >> 1",
+            f"gap_width outside its regime, below the barrier: N*hbar = {N * hbar:.3g} <= 2 sqrt(2)",
             RegimeWarning,
             stacklevel=2,
         )

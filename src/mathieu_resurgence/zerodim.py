@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 from .elliptic import ellip_K, jacobi_sn_cn_dn
 from .errors import ConvergenceError, DomainError, require_positive
-from .jacobi_exact import _cn2_flipped, _nc2_flipped, _sd2, sd_squared_taylor
-from .series import PolyB
 
 __all__ = [
     "SaddleExpansion",
@@ -69,44 +67,24 @@ def _dfac(n: int) -> int:
     return out
 
 
-def _common_denominator(xs) -> tuple[list, int]:
-    """(numerators, D): the entries of xs over one common denominator D.
-    A rational becomes an int, a PolyB an integer-coefficient PolyB."""
-    D = math.lcm(*(x.d if isinstance(x, PolyB) else x.denominator for x in xs))
-    return [x * D if isinstance(x, PolyB) else x.numerator * (D // x.denominator) for x in xs], D
-
-
-def _reduce(vals: list, den: int) -> tuple[list, int]:
-    """Divide integer entries (ints or integer-coefficient PolyB) and their
-    common denominator by one gcd."""
-    g = math.gcd(den, *(v for v in vals if isinstance(v, int)),
-                 *(c for v in vals if isinstance(v, PolyB) for c in v.n))
-    if g == 1:
-        return vals, den
-    return [v / g if isinstance(v, PolyB) else v // g for v in vals], den // g
-
-
-def _gaussian_moments(taylor, c2: Q, order: int) -> list:
+def _gaussian_moments(taylor: list[Q], c2: Q, order: int) -> list[Q]:
     """Coefficients b_0..b_order of sum_r b_r hbar^r, the Gaussian-moment
     expansion of int exp(-(f - f(0))/hbar) ds / sqrt(pi hbar / c2).
 
-    ``taylor`` holds f = sum_k c_k s^k with c_1 = 0 and c_2 = ``c2``; its
-    entries may be rationals or PolyB polynomials, and the output stays in
-    their ring (``c * 0`` is the ring's zero, as in ``series.horner``).
-    With s -> sqrt(hbar) s, exp(-A) has A = sum_{k>=3} c_k delta^(k-2) s^k,
-    delta = sqrt(hbar).  The n-th term A^n/n! at delta^d carries s^(d+2n),
-    so only a list over d is kept per n, and hbar^r takes the moments
-    <s^(2j)> = (2j-1)!!/(2 c2)^j with j = r + n.  The lists hold integers
-    (integer polynomials over Q[m]): A/s^2 is written over one denominator,
-    and A^n/n! over one denominator per n, reduced by one gcd.
+    ``taylor`` holds the rationals c_k of f = sum_k c_k s^k, with c_1 = 0
+    and c_2 = ``c2``.  With s -> sqrt(hbar) s, exp(-A) has
+    A = sum_{k>=3} c_k delta^(k-2) s^k, delta = sqrt(hbar).  The n-th term
+    A^n/n! at delta^d carries s^(d+2n), so only a list over d is kept per
+    n, and hbar^r takes the moments <s^(2j)> = (2j-1)!!/(2 c2)^j with
+    j = r + n.  The lists hold integers: A/s^2 is written over one
+    denominator, and A^n/n! over one denominator per n, reduced by one gcd.
     """
     dmax = 2 * order
-    zero = taylor[2] * 0
     # the nonzero a[d], which multiplies delta^d in A/s^2 = sum_k c_k
     # (delta s)^(k-2), as (d, numerator) over one denominator D
     nz = [(d, c) for d, c in enumerate(taylor[3 : dmax + 3], start=1) if c]
-    nums, D = _common_denominator([c for _, c in nz])
-    a = [(d, v) for (d, _), v in zip(nz, nums)]
+    D = math.lcm(*(c.denominator for _, c in nz))
+    a = [(d, c.numerator * (D // c.denominator)) for d, c in nz]
     # (2j-1)!! / (2 c2)^j = moment[j][0] / moment[j][1]
     u, v = c2.numerator, c2.denominator
     moment, dfac = [], 1
@@ -114,12 +92,12 @@ def _gaussian_moments(taylor, c2: Q, order: int) -> list:
         moment.append((dfac * v ** j, (2 * u) ** j))
         dfac *= 2 * j + 1
     term, den = [1] + [0] * dmax, 1  # (-A)^n/n! = term / den, from n = 0
-    out = [zero] * (order + 1)
+    out = [Q(0)] * (order + 1)
     for n in range(dmax + 1):
         for r in range(order + 1):
             if term[2 * r]:
                 num, mden = moment[r + n]
-                out[r] = out[r] + term[2 * r] * Q(num, mden * den)
+                out[r] += term[2 * r] * Q(num, mden * den)
         new = [0] * (dmax + 1)
         for d1, t in enumerate(term):
             if t:
@@ -127,8 +105,10 @@ def _gaussian_moments(taylor, c2: Q, order: int) -> list:
                     if d1 + d2 > dmax:
                         break
                     new[d1 + d2] += t * x
-        # (-A)^(n+1)/(n+1)! = -A (-A)^n/n! / (n+1)
-        term, den = _reduce(new, -den * D * (n + 1))
+        # (-A)^(n+1)/(n+1)! = -A (-A)^n/n! / (n+1), reduced by one gcd
+        den *= -D * (n + 1)
+        g = math.gcd(den, *new)
+        term, den = [t // g for t in new], den // g
     return out
 
 
@@ -139,6 +119,8 @@ def saddle_series(taylor, order: int, label: str = "saddle",
     ``taylor``: exact coefficients [c0, c1, c2, c3, ...] of f along the
     (possibly rotated) descent direction; requires c1 = 0 and c2 > 0.
     """
+    from .series import PolyB
+
     if order < 0:
         raise DomainError(f"expansion order must be >= 0, got {order}")
     taylor = [c.const_value() if isinstance(c, PolyB) else Q(c) for c in taylor]
@@ -157,56 +139,59 @@ def saddle_series(taylor, order: int, label: str = "saddle",
     )
 
 
+def _binomial_saddle(alpha, beta, order: int) -> list:
+    """Coefficients b_0..b_order of one saddle of the sd^2 integrand.
+
+    w = sd^2(z | m) obeys (dw/dz)^2 = 4 w (1 - (1-m) w)(1 + m w), so in
+    t = |w - w_saddle| the saddle's series (normalized as in SaddleExpansion)
+    is int_0^inf exp(-t/hbar) t^(-1/2) ((1 - alpha t)(1 - beta t))^(-1/2) dt
+    / sqrt(pi hbar): b_r = Gamma(r+1/2)/Gamma(1/2) sum_i u_i v_(r-i), with
+    u_i = alpha^i C(2i, i)/4^i, v_j = beta^j C(2j, j)/4^j.  alpha and beta
+    are rationals or PolyB polynomials in m; b_r lies in their ring.
+    """
+    if order < 0:
+        raise DomainError(f"expansion order must be >= 0, got {order}")
+    # alpha ** 0 and alpha * 0 are the ring's one and zero
+    u, v = [alpha ** 0], [beta ** 0]
+    for i in range(1, order + 1):
+        c = Q(2 * i - 1, 2 * i)  # C(2i, i)/4^i over C(2i-2, i-1)/4^(i-1)
+        u.append(u[-1] * alpha * c)
+        v.append(v[-1] * beta * c)
+    out, rising = [], Q(1)
+    for r in range(order + 1):
+        out.append(sum((u[i] * v[r - i] for i in range(r + 1)), alpha * 0) * rising)
+        rising *= Q(2 * r + 1, 2)
+    return out
+
+
 def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
     """The three connected saddles of the doubly-periodic integrand.
 
-    vacuum at z = 0 (action 0), the real saddle at z = K(m) with action
-    1/(1-m), and the imaginary one at z = i K(1-m) with action -1/m; the
-    latter two are rotated (descent along the imaginary direction).  The
-    Taylor data are built over Q at this m, as plain rationals.
+    vacuum at z = 0 (action 0, curvature 1), the real saddle at z = K(m)
+    (action and curvature 1/(1-m)) and the imaginary one at z = i K(1-m)
+    (action -1/m, curvature 1/m); the latter two are rotated (descent along
+    the imaginary direction).  The coefficients are rationals in closed
+    form (``_binomial_saddle``).
     """
-    return _lame_saddles(m, order, order)
-
-
-def _lame_saddles(m: Q, order: int, rotated_order: int) -> dict[str, SaddleExpansion]:
-    """``lame_saddles`` with the two rotated saddles expanded only to
-    ``rotated_order``: the coefficient relations read them to j_max only."""
     m = Q(m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1; use sin2_vacuum_exact at m=0")
-    if order < 0:
-        raise DomainError(f"expansion order must be >= 0, got {order}")
-    vacuum = saddle_series(_sd2(2 * order + 4, m), order, label="vacuum")
-    need = 2 * rotated_order + 4
-
-    # real saddle: f(K + i s) = P(s)/(1-m), P = nc^2(s | 1-m) = (1-m) sd^2;
-    # rescale s -> sqrt(1-m) sigma to keep every coefficient rational.
-    P = _nc2_flipped(need, m)
-    one_m = 1 - m
-    f1 = [P[k] * one_m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(P))]
-    # k = 0 entry: action S1 = 1/(1-m)
-    f1[0] = 1 / one_m
-    # the sigma-rescaling moved the physical curvature 1/(1-m) to 1;
-    # restore it so sector_coeff carries the right Gaussian prefactor
-    real = saddle_series(f1, rotated_order, label="real", rotated=True)._replace(
-        curvature=1 / one_m)
-
-    # imaginary saddle: f(i (K' + s)) = -C(s)/m, C = cn^2(s | 1-m);
-    # rescale s -> sqrt(m) sigma.
-    C = _cn2_flipped(need, m)
-    f2 = [-C[k] * m ** (k // 2 - 1) if k % 2 == 0 else Q(0) for k in range(len(C))]
-    f2[0] = -1 / m
-    imag = saddle_series(f2, rotated_order, label="imag", rotated=True)._replace(
-        curvature=1 / m)
-    return {"vacuum": vacuum, "real": real, "imag": imag}
+    m1 = 1 - m
+    return {
+        "vacuum": SaddleExpansion("vacuum", Q(0), Q(1), _binomial_saddle(m1, -m, order)),
+        "real": SaddleExpansion("real", 1 / m1, 1 / m1, _binomial_saddle(-m1, -m * m1, order),
+                                rotated=True),
+        "imag": SaddleExpansion("imag", -1 / m, 1 / m, _binomial_saddle(m, m * m1, order),
+                                rotated=True),
+    }
 
 
-def lame_vacuum_symbolic(order: int) -> list[PolyB]:
-    """Vacuum fluctuation coefficients as exact polynomials in m."""
-    if order < 0:
-        raise DomainError(f"expansion order must be >= 0, got {order}")
-    sd2 = sd_squared_taylor(2 * order + 4)
-    return _gaussian_moments(sd2.c, sd2[2].const_value(), order)
+def lame_vacuum_symbolic(order: int) -> list:
+    """Vacuum fluctuation coefficients as exact polynomials in m (PolyB)."""
+    from .series import PolyB
+
+    m = PolyB((0, 1))
+    return _binomial_saddle(1 - m, -m, order)
 
 
 def sin2_vacuum_exact(r: int) -> Q:
@@ -214,6 +199,12 @@ def sin2_vacuum_exact(r: int) -> Q:
     Gamma(r+1/2)^2/(sqrt(pi) r!) normalized by the Gaussian prefactor
     sqrt(pi), i.e. ((2r-1)!!)^2 / (4^r r!)."""
     return Q(_dfac(2 * r - 1) ** 2, 4 ** r * math.factorial(r))
+
+
+def _require_dps(dps: int) -> None:
+    """The checks report doubles, so they work with at least their digits."""
+    if dps < 15:
+        raise DomainError(f"working precision needs dps >= 15, got {dps}")
 
 
 def z_quadrature(hbar: float, m, dps: int = 25) -> float:
@@ -231,6 +222,7 @@ def _z_quadratures(hbars, m, dps: int) -> list[float]:
     """``z_quadrature`` at every hbar in ``hbars``, sharing one table of
     sd^2 values.  mpmath's tanh-sinh nodes do not depend on the integrand,
     so every hbar meets the same nodes, and z and -z share one entry."""
+    _require_dps(dps)
     for hbar in hbars:
         require_positive("hbar", hbar)
     if not 0 <= m <= 1:
@@ -278,9 +270,10 @@ def berry_howls_check(m: Q, n_values, j_max: int = 4, dps: int = 50) -> list[dic
     """
     m = Q(m)
     n_values = list(n_values)
-    if not n_values or min(n_values) < 1:
-        raise DomainError("need at least one coefficient index, each n >= 1")
-    sads = _lame_saddles(m, max(n_values), max(j_max, 0))
+    if not n_values or min(n_values) < 1 or j_max < 0:
+        raise DomainError("need at least one coefficient index, each n >= 1, and j_max >= 0")
+    _require_dps(dps)
+    sads = lame_saddles(m, max(n_values))
     vac = sads["vacuum"]
     S1, S2 = sads["real"].action, sads["imag"].action
     out = []
@@ -369,6 +362,9 @@ def borel_lateral_check(
         raise DomainError("saddle set needs 0 < m < 1")
     for hb in hbar_list:
         require_positive("hbar", hb)
+    if j_max < 0 or (n_cut is not None and n_cut < 0):
+        raise DomainError(f"need j_max >= 0 and n_cut >= 0, got {j_max} and {n_cut}")
+    _require_dps(dps)
     rows = []
     # |a_n| hbar^n ~ (n-1)! (hbar/|S|)^n is smallest near n = |S|/hbar for the
     # nearer saddle, |S| = min(1/(1-m), 1/m); a few orders past it show the
@@ -386,7 +382,7 @@ def borel_lateral_check(
             )
         deepest = [math.ceil(x) + 2 for x in depths]
     order_needed = max([34, *deepest]) + 2
-    sads = _lame_saddles(m, max(j_max + 2, order_needed), max(j_max, 0))
+    sads = lame_saddles(m, max(j_max + 2, order_needed))
     vac = sads["vacuum"].coeffs
     S1, S2 = sads["real"].action, sads["imag"].action
     quad_dps = min(dps, 30)

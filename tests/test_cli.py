@@ -83,6 +83,15 @@ class TestSubcommands:
         code, out = run(capsys, "widths", "--kind", "band", "--N", "0", "--hbar", "0.5")
         assert json.loads(out)["diagnostics"] == []
 
+    def test_gap_below_the_barrier_top_is_reported(self, capsys):
+        # N*hbar = 2.4: the gap's centre (N hbar)^2/8 = 0.72 lies below u = 1,
+        # where the formula overshoots the oracle by 1e12
+        code, out = run(capsys, "widths", "--kind", "gap", "--N", "120", "--hbar", "0.02")
+        assert code == EXIT_OK
+        (diag,) = json.loads(out)["diagnostics"]
+        assert diag["category"] == "RegimeWarning"
+        assert "N*hbar = 2.4" in diag["message"]
+
     def test_deep_width_resolves_with_its_tier(self, capsys):
         code, out = run(capsys, "widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
         assert code == EXIT_OK
@@ -712,10 +721,32 @@ class TestImportCost:
     )
     def test_exact_series_loads_no_closed_forms(self, argv):
         # the action tables come from dunham; the elliptic closed forms
-        # behind `actions` are not part of these runs
+        # behind `actions` and the Jacobi Taylor data of the Lame well are
+        # not part of these runs
         code, mods = _probe(*argv)
         assert code == EXIT_OK
-        assert not {"mathieu_resurgence.actions", "mathieu_resurgence.elliptic"} & mods
+        assert not {"mathieu_resurgence.actions", "mathieu_resurgence.elliptic",
+                    "mathieu_resurgence.jacobi_exact"} & mods
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zerodim", "--check", "relation"),
+            ("zerodim", "--check", "borel", "--hbar", "0.2"),
+        ],
+    )
+    def test_saddle_checks_load_no_series_ring(self, argv):
+        # the saddle data of the checks are rationals in closed form
+        code, mods = _probe(*argv)
+        assert code == EXIT_OK
+        assert not {"mathieu_resurgence.series", "mathieu_resurgence.jacobi_exact"} & mods
+
+    def test_rows_and_lame_potential_load_the_series_ring(self):
+        # the positive control: the guards above are not passing vacuously
+        code, mods = _probe("zerodim", "--check", "rows", "--order", "4")
+        assert code == EXIT_OK and "mathieu_resurgence.series" in mods
+        code, mods = _probe("benderwu", "--potential", "lame", "--m", "1/4", "--order", "4")
+        assert code == EXIT_OK and "mathieu_resurgence.jacobi_exact" in mods
 
     def test_import_loads_no_numeric_stack(self):
         _, mods = _probe()

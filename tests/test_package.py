@@ -76,3 +76,18 @@ def test_no_module_imports_dataclasses():
         if name.split(".")[0] == "dataclasses"
     ]
     assert found == []
+
+
+def test_no_module_imports_a_private_name():
+    # an underscore name is one module's own business: a module that needs
+    # another's private helper should get a public function instead
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PKG_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or node.module.split(".")[0] == "mathieu_resurgence")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert found == []

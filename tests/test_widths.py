@@ -142,6 +142,20 @@ class TestGapWidth:
         with pytest.warns(UserWarning):
             gap_width(0.3, 1)
 
+    @pytest.mark.parametrize("hbar, N", [(0.02, 120), (1.2, 2), (2 * math.sqrt(2), 1)])
+    def test_warns_below_the_barrier_top(self, hbar, N):
+        # the gap's centre (N hbar)^2/8 is not above u = 1: at N*hbar = 2.5
+        # the formula is already 1.5 times the oracle width at N = 2
+        with pytest.warns(RegimeWarning, match="below the barrier"):
+            gap_width(hbar, N)
+
+    @pytest.mark.parametrize("hbar", [4.0, 5.0, 6.0, 7.0, 8.0])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_silent_above_the_barrier_top(self, hbar, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap_width(hbar, N)
+
 
 class TestLargeLabels:
     """The factorials and powers of the width formulas leave the double range

@@ -3,10 +3,17 @@ from fractions import Fraction as Q
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieu_resurgence import zerodim
 from mathieu_resurgence.elliptic import jacobi_sn_cn_dn
 from mathieu_resurgence.errors import DomainError
+from mathieu_resurgence.jacobi_exact import (
+    saddle_potential_imag,
+    saddle_potential_real,
+    sd_squared_taylor,
+)
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.zerodim import (
     berry_howls_check,
@@ -25,6 +32,20 @@ def sin2_taylor(order):
     for k in range(1, order // 2 + 1):
         out[2 * k] = Q((-1) ** (k + 1) * 2 ** (2 * k - 1), math.factorial(2 * k))
     return out
+
+
+def moment_reference(m, order):
+    """The three Lame saddles by the Gaussian-moment engine on the Jacobi
+    Taylor data along each descent line: the route that the closed form of
+    ``lame_saddles`` is checked against."""
+    n = 2 * order + 2
+    real = [p.const_value() / (1 - m) for p in saddle_potential_real(n, m).c]
+    imag = [-p.const_value() / m for p in saddle_potential_imag(n, m).c]
+    return {
+        "vacuum": saddle_series(sd_squared_taylor(n, m).c, order, "vacuum"),
+        "real": saddle_series(real, order, "real", rotated=True),
+        "imag": saddle_series(imag, order, "imag", rotated=True),
+    }
 
 
 class TestSaddleSeries:
@@ -52,7 +73,47 @@ class TestSaddleSeries:
         assert sads["imag"].action == -3
 
 
+class TestClosedFormSaddles:
+    @pytest.mark.parametrize("m", [Q(1, 4), Q(1, 3), Q(1, 2), Q(3, 4), Q(2, 7)])
+    def test_equal_to_the_moment_engine(self, m):
+        # label, action, curvature, coefficients and rotated flag, exactly
+        want = moment_reference(m, 30)
+        assert lame_saddles(m, 30) == want
+        assert [p(m) for p in lame_vacuum_symbolic(16)] == want["vacuum"].coeffs[:17]
+
+    @given(
+        m=st.integers(2, 50).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: Q(p, q))),
+        order=st.integers(0, 16),
+    )
+    @settings(deadline=None)
+    def test_property_equal_to_the_moment_engine(self, m, order):
+        got = lame_saddles(m, order)
+        assert got == moment_reference(m, order)
+        # m <-> 1-m swaps the real and imaginary saddles up to hbar -> -hbar
+        flipped = lame_saddles(1 - m, order)["real"].coeffs
+        assert flipped == [(-1) ** r * c for r, c in enumerate(got["imag"].coeffs)]
+
+
 class TestDomain:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: berry_howls_check(Q(1, 4), [10], j_max=-1),
+            lambda: exact_relation_check(Q(1, 4), [10], j_max=-1),
+            lambda: borel_lateral_check(Q(1, 4), [0.1], j_max=-1),
+            lambda: borel_lateral_check(Q(1, 4), [0.1], n_cut=-5),
+            lambda: z_quadrature(0.2, Q(1, 4), dps=0),
+            lambda: berry_howls_check(Q(1, 4), [10], dps=14),
+            lambda: exact_relation_check(Q(1, 4), [10], dps=10),
+            lambda: borel_lateral_check(Q(1, 4), [0.1], dps=14),
+        ],
+        ids=["bh-jmax", "relation-jmax", "borel-jmax", "borel-ncut", "quad-dps",
+             "bh-dps", "relation-dps", "borel-dps"],
+    )
+    def test_numeric_arguments_out_of_range(self, call):
+        with pytest.raises(DomainError):
+            call()
+
     def test_negative_order(self):
         with pytest.raises(DomainError):
             lame_vacuum_symbolic(-1)
