@@ -75,7 +75,7 @@ def lame_potential(m: Q, order: int) -> PotentialSeries:
     m = Q(m)
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
-    coeffs = tuple(p.const_value() / 2 for p in sd_squared_taylor(order, m).c)
+    coeffs = tuple(c / 2 for c in sd_squared_taylor(order, m))
     return PotentialSeries(name="lame-well", taylor=coeffs, m=m)
 
 

@@ -1,143 +1,45 @@
-"""Exact Taylor expansions of Jacobi elliptic functions.
+"""Exact Taylor expansion of sd^2 = (sn/dn)^2, the elliptic well.
 
-Every series here comes from one Glaisher triple (y1, y2, y3) with
+w = sd^2(z | m) solves
 
-    y1' = y2 y3,   y2' = a y1 y3,   y3' = b y1 y2,   y(0) = (0, 1, 1):
+    w'' = 2 + 4(2m-1) w - 6m(1-m) w^2,   w(0) = w'(0) = 0,
 
-    (sn, cn, dn)(. | mu):  a = -1,       b = -mu;
-    (sd, cd, nd)(. | m):   a = -(1-m),   b = m;
-    (sc, dc, nc)(. | mu):  a = 1 - mu,   b = 1.
+the derivative of (w')^2 = 4w (1 + (2m-1) w - m(1-m) w^2).  w is even,
+and with m = p/q and C_j = c_{2j} (2j)! q^(j-1) the equation reads
 
-So sd^2 and nc^2 = 1/cn^2 are squares of triple members, and no series is
-ever inverted.  The elliptic parameter m is an argument: left at its
-default, the PolyB generator of Q[m], every coefficient is a polynomial in
-m; given as a rational p/q, the recursion runs on Python integers and every
-coefficient is a number in Q.  The public functions wrap the coefficients
-into a PolySeries only on return.  No floating point anywhere.
+    C_1 = 2,
+    C_{j+1} = 4(2p-q) C_j - 6p(q-p) sum_{i=1}^{j-1} C(2j, 2i) C_i C_{j-i},
+
+a recursion on Python integers.  No series is multiplied or inverted, and
+no floating point enters.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import comb, factorial
+from math import comb
 
 from .errors import DomainError
-from .series import PolyB, PolySeries
 
-__all__ = [
-    "jacobi_taylor",
-    "sd_squared_taylor",
-    "cn_taylor_flipped",
-    "saddle_potential_real",
-    "saddle_potential_imag",
-]
-
-_M = PolyB((0, 1))  # the parameter m as a polynomial
+__all__ = ["sd_squared_taylor"]
 
 
-def _ratio(m):
-    """(p, q) with m = p/q: integers at a rational m, (m, 1) over Q[m]."""
-    if isinstance(m, PolyB):
-        return m, 1
-    m = Q(m)
-    return m.numerator, m.denominator
-
-
-def _triple(order: int, a, b, q) -> tuple[list, list, list]:
-    """Scaled Taylor numerators of the Glaisher triple with parameters
-    a/q and b/q, to z^order.
-
-    Entry k of each list is k! q^(k//2) y_k.  The coefficient y_k has
-    degree <= k//2 in a/q and b/q, so the recursion
-
-        Y1[k+1] = sum_i C(k, i) Y2[i] Y3[k-i],
-        Y2[k+1] = a sum_i C(k, i) Y1[i] Y3[k-i],
-        Y3[k+1] = b sum_i C(k, i) Y1[i] Y2[k-i]
-
-    stays in the ring of a, b and q: integers at a rational m.  y1 is odd
-    and y2, y3 are even, so each sum runs over one parity of i only.
-    """
+def sd_squared_taylor(order: int, m) -> list[Q]:
+    """The Taylor coefficients c_0..c_order of sd^2(z | m) about z = 0, at a
+    rational m (an int or a Fraction)."""
     if order < 0:
         raise DomainError(f"truncation order must be >= 0, got {order}")
-    y1, y2, y3 = ([0] * (order + 1) for _ in range(3))
-    y2[0] = y3[0] = 1
-    for k in range(order):
-        if k % 2 == 0:
-            y1[k + 1] = sum(comb(k, i) * y2[i] * y3[k - i] for i in range(0, k + 1, 2))
-        else:
-            odd = range(1, k + 1, 2)
-            y2[k + 1] = a * sum(comb(k, i) * y1[i] * y3[k - i] for i in odd)
-            y3[k + 1] = b * sum(comb(k, i) * y1[i] * y2[k - i] for i in odd)
-    return y1, y2, y3
-
-
-def _coeffs(y: list, q) -> list:
-    """Taylor coefficients y_k from the scaled numerators of ``_triple``."""
-    return [v * Q(1, factorial(k) * q ** (k // 2)) for k, v in enumerate(y)]
-
-
-def _square(y: list, q, odd: int) -> list:
-    """Taylor coefficients of (triple member)^2 from its scaled numerators;
-    ``odd`` is the parity of the member."""
-    out = [Q(0)] * len(y)
-    for n in range(2 * odd, len(y), 2):
-        s = sum(comb(n, i) * y[i] * y[n - i] for i in range(odd, n + 1, 2))
-        out[n] = s * Q(1, factorial(n) * q ** (n // 2 - odd))
+    if not isinstance(m, (int, Q)):
+        raise DomainError(f"m must be an int or a Fraction, got {type(m).__name__}")
+    m = Q(m)
+    p, q = m.numerator, m.denominator
+    lin, quad = 4 * (2 * p - q), 6 * p * (q - p)
+    C = [0, 2]  # C_0 = 0 since w(0) = 0
+    for j in range(1, order // 2):
+        conv = sum(comb(2 * j, 2 * i) * C[i] * C[j - i] for i in range(1, j))
+        C.append(lin * C[j] - quad * conv)
+    out = [Q(0)] * (order + 1)
+    fact = 1  # (2j)!
+    for j in range(1, order // 2 + 1):
+        fact *= (2 * j - 1) * 2 * j
+        out[2 * j] = Q(C[j], fact * q ** (j - 1))
     return out
-
-
-def _sd2(order: int, m) -> list:
-    """sd^2(z | m) coefficients, from the (sd, cd, nd) triple."""
-    p, q = _ratio(m)
-    return _square(_triple(order, p - q, p, q)[0], q, 1)
-
-
-def _cn2_flipped(order: int, m) -> list:
-    """cn^2(s | 1-m) coefficients, from the (sn, cn, dn) triple at 1-m."""
-    p, q = _ratio(m)
-    return _square(_triple(order, -q, p - q, q)[1], q, 0)
-
-
-def _nc2_flipped(order: int, m) -> list:
-    """nc^2(s | 1-m) = 1/cn^2(s | 1-m) coefficients, from the
-    (sc, dc, nc) triple at 1-m."""
-    p, q = _ratio(m)
-    return _square(_triple(order, p, q, q)[2], q, 0)
-
-
-def jacobi_taylor(order: int, m=_M) -> tuple[PolySeries, PolySeries, PolySeries]:
-    """(sn, cn, dn) about z = 0 to z^order; coefficients in Q[m], or in Q
-    when m is a rational."""
-    p, q = _ratio(m)
-    return tuple(PolySeries("z", order, _coeffs(y, q)) for y in _triple(order, -q, -p, q))
-
-
-def sd_squared_taylor(order: int, m=_M) -> PolySeries:
-    """sd^2(z | m) = (sn/dn)^2 about z = 0."""
-    return PolySeries("z", order, _sd2(order, m))
-
-
-def cn_taylor_flipped(order: int, m=_M) -> PolySeries:
-    """cn(z | 1-m) about z = 0, with coefficients in the same ring as m."""
-    p, q = _ratio(m)
-    return PolySeries("z", order, _coeffs(_triple(order, -q, p - q, q)[1], q))
-
-
-def saddle_potential_real(order: int, m=_M) -> PolySeries:
-    """(1-m) sd^2 along the steepest-descent line through the saddle at K(m).
-
-    With z = K(m) + i s, sd^2(z | m) = 1 / ((1-m) cn^2(s | 1-m)), a real
-    function of s with value 1/(1-m) and curvature +1/(1-m) at s = 0.  The
-    prefactor 1/(1-m) is not polynomial in m, so it is stripped: the
-    returned series is nc^2(s | 1-m) = 1/cn^2(s | 1-m), the inverse of
-    ``saddle_potential_imag``.
-    """
-    return PolySeries("z", order, _nc2_flipped(order, m))
-
-
-def saddle_potential_imag(order: int, m=_M) -> PolySeries:
-    """-m * sd^2 along the imaginary axis through i K(1-m).
-
-    With z = i (K(1-m) + s), sd^2(z | m) = -cn^2(s | 1-m) / m; the returned
-    series is cn^2(s | 1-m), so the potential is -(series)/m.
-    """
-    return PolySeries("z", order, _cn2_flipped(order, m))

@@ -256,11 +256,6 @@ class PolySeries:
     def const(cls, var: str, order: int, x: PolyB | QLike) -> "PolySeries":
         return cls(var, order, (x,))
 
-    @classmethod
-    def identity(cls, var: str, order: int) -> "PolySeries":
-        """The series 'var' itself."""
-        return cls(var, order, (0, 1))
-
     # -- structure ----------------------------------------------------
     def __getitem__(self, n: int) -> PolyB:
         if n < 0:
@@ -381,28 +376,6 @@ class PolySeries:
             out.append(s * Q(-1, 1) / a0)
         return PolySeries(self.var, self.order, out)
 
-    def compose(self, inner: "PolySeries") -> "PolySeries":
-        """self(inner); inner must have zero constant term."""
-        self._check_var(inner)
-        if not inner.c[0].is_zero():
-            raise StructureError("composition requires zero constant term")
-        n = min(self.order, inner.order)
-        return horner(self.c[: n + 1], inner.truncate(n))
-
-    def reversion(self) -> "PolySeries":
-        """Compositional inverse g with self(g) = identity.
-
-        Requires zero constant term and a nonzero *constant* linear
-        coefficient (so the inverse stays polynomial in B).
-        """
-        if not self.c[0].is_zero():
-            raise StructureError("reversion requires zero constant term")
-        if self.order < 1:
-            raise TruncationError("reversion needs at least order 1")
-        if self.c[1].const_value() == 0:
-            raise StructureError("reversion requires invertible linear coefficient")
-        return newton_solve(self.c, PolySeries.identity(self.var, self.order), _ZERO)
-
     def derivative_var(self) -> "PolySeries":
         """d/d(var); output truncation drops by one order."""
         if self.order == 0:
@@ -429,22 +402,6 @@ class PolySeries:
                     s = s + fk * out[n - k]
             out.append(s / Q(n + 1))
         return PolySeries(self.var, self.order, out)
-
-    def log(self) -> "PolySeries":
-        """log(series); constant term must be exactly 1."""
-        if self.c[0] != _ONE:
-            raise StructureError("series_log requires constant term 1")
-        # l' = f'/f  =>  solve f * l' = f' as convolution.
-        lp = [self.c[1] if self.order >= 1 else _ZERO]  # l'_0 = f_1
-        for n in range(1, self.order):
-            s = self.c[n + 1] * (n + 1)
-            for k in range(1, n + 1):
-                s = s - self.c[k] * lp[n - k]
-            lp.append(s)
-        out = [_ZERO]
-        for n, d in enumerate(lp):
-            out.append(d / Q(n + 1))
-        return PolySeries(self.var, self.order, out[: self.order + 1])
 
     def eval_at_B(self, b: QLike) -> "PolySeries":
         """Substitute a rational value for B in every coefficient."""

@@ -222,9 +222,14 @@ def barrier_top(hbar: float) -> dict:
 
 
 def large_order_prediction(N: int, n: int, dps: int = 30):
-    """Asymptotic perturbative coefficient
+    """Schematic large-order form of the perturbative coefficient,
 
         u_n(N) ~ -(2^(2N) / (pi N!^2)) Gamma(n + 2N + 1) / 16^(n + 2N + 1).
+
+    Only its growth ratio u_{n+1}/u_n -> (n + 2N + 1)/16 is reliable: the
+    absolute prefactor is off, and more so as N grows.  The exact u_50 of
+    ``benderwu.rs_series`` is 9.71, 2.02e3 and 3.72e5 times this value at
+    N = 0, 1 and 2.
     """
     import mpmath
 

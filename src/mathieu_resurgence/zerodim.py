@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 from .elliptic import ellip_K, jacobi_sn_cn_dn
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import ConvergenceError, DomainError, TruncationError, require_positive
 
 __all__ = [
     "SaddleExpansion",
@@ -51,6 +51,13 @@ class SaddleExpansion(NamedTuple):
     def sector_coeff(self, r: int, dps: int = 30):
         """a_r = coeffs[r]/sqrt(curvature), the partition-normalized
         fluctuation coefficient (an mpf; irrational in general)."""
+        if r < 0:
+            raise DomainError(f"sector coefficient index must be >= 0, got {r}")
+        if r >= len(self.coeffs):
+            raise TruncationError(
+                f"sector coefficient {r} beyond stored order {len(self.coeffs) - 1} "
+                f"of the {self.label!r} saddle"
+            )
         import mpmath
 
         with mpmath.workdps(dps):

@@ -5,15 +5,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jacobi_reference import saddle_potential_imag, saddle_potential_real, sd_squared_taylor
 
 from mathieu_resurgence import zerodim
 from mathieu_resurgence.elliptic import jacobi_sn_cn_dn
-from mathieu_resurgence.errors import DomainError
-from mathieu_resurgence.jacobi_exact import (
-    saddle_potential_imag,
-    saddle_potential_real,
-    sd_squared_taylor,
-)
+from mathieu_resurgence.errors import DomainError, TruncationError
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.zerodim import (
     berry_howls_check,
@@ -36,8 +32,9 @@ def sin2_taylor(order):
 
 def moment_reference(m, order):
     """The three Lame saddles by the Gaussian-moment engine on the Jacobi
-    Taylor data along each descent line: the route that the closed form of
-    ``lame_saddles`` is checked against."""
+    Taylor data along each descent line, from the Glaisher triples of
+    ``jacobi_reference``: the route that the closed form of ``lame_saddles``
+    is checked against, using none of its steps."""
     n = 2 * order + 2
     real = [p.const_value() / (1 - m) for p in saddle_potential_real(n, m).c]
     imag = [-p.const_value() / m for p in saddle_potential_imag(n, m).c]
@@ -122,6 +119,18 @@ class TestDomain:
         with pytest.raises(DomainError):
             saddle_series(sin2_taylor(8), -1)
 
+    def test_sector_coeff_negative_index(self):
+        # a negative r must not read the coefficients from the end
+        with pytest.raises(DomainError):
+            lame_saddles(Q(1, 4), 3)["real"].sector_coeff(-1)
+
+    def test_sector_coeff_past_stored_order(self):
+        real = lame_saddles(Q(1, 4), 3)["real"]
+        last = float(real.coeffs[3]) / math.sqrt(real.curvature)
+        assert float(real.sector_coeff(3)) == pytest.approx(last, rel=1e-14)
+        with pytest.raises(TruncationError):
+            real.sector_coeff(4)
+
     def test_short_taylor_data(self):
         # order r reads c_k up to k = 2r + 2; sin2_taylor(8) stops at c_8
         assert saddle_series(sin2_taylor(8), 3).coeffs == [sin2_vacuum_exact(r) for r in range(4)]
@@ -157,7 +166,11 @@ class TestLameRows:
 
     @pytest.mark.parametrize("m", [Q(1, 4), Q(1, 3), Q(3, 4)])
     def test_fixed_m_vacuum_equals_symbolic(self, m):
-        # the Q[m] engine evaluated at m is the oracle for the one run at m
+        """The Q[m] vacuum evaluated at m equals the one computed at m.
+
+        Both sides run ``_binomial_saddle``, so this checks only that the
+        helper is generic over its ring (Q and Q[m]); the independent check
+        of the closed form is ``TestClosedFormSaddles``."""
         sym = lame_vacuum_symbolic(16)
         assert lame_saddles(m, 16)["vacuum"].coeffs == [p(m) for p in sym]
 
