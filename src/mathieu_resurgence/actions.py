@@ -41,8 +41,8 @@ def action_leading(u: float) -> tuple[float, complex]:
     """(a0, a0D) at energy u; u >= -1, valid below and above the barrier."""
     from .elliptic import ellip_KE
 
-    if u < -1:
-        raise DomainError("energy below the bottom of the band spectrum")
+    if not -1 <= u < math.inf:
+        raise DomainError(f"need finite u >= -1, the bottom of the band spectrum; got {u!r}")
     if u <= 1:
         m = (1 + u) / 2
         # At the endpoints the diverging K is multiplied by a vanishing
@@ -71,8 +71,8 @@ def action_leading_derivative(u: float) -> tuple[float, complex]:
     """(da0/du, da0D/du) from the elliptic derivative identities."""
     from .elliptic import ellip_dE_dm, ellip_dK_dm, ellip_KE
 
-    if u <= -1:
-        raise DomainError("need u > -1")
+    if not -1 < u < math.inf:
+        raise DomainError(f"need finite u > -1, got {u!r}")
     if u < 1:
         # a0' = K(m)/pi; a0D = (4i/pi) g(m') with g' = K/2 and dm'/du = -1/2.
         m = (1 + u) / 2
@@ -219,24 +219,18 @@ def picard_fuchs_residual(u: float, h: float = 1e-4, dual: bool = False,
     """Finite-difference residual of y'' = y / (4 (1 - u^2)).
 
     Second differences at h = 1e-4 sit below the double-precision noise
-    floor, so the three evaluations run on the extended-precision tier.
+    floor, so the evaluations take K and E from mpmath at ``dps`` digits.
     """
     if not -1 < u < 1:
         raise DomainError("need -1 < u < 1")
     import mpmath
 
-    from .elliptic import ellip_KE
-
     with mpmath.workdps(dps):
         uu, hh = mpmath.mpf(u), mpmath.mpf(h)
 
         def y(x):
-            m = (1 + x) / 2
-            K, E = ellip_KE(m, dps=dps)
-            Kd, Ed = ellip_KE(1 - m, dps=dps)
-            if dual:
-                return 4 / mpmath.pi * (Ed - (1 + x) / 2 * Kd)
-            return 4 / mpmath.pi * (E - (1 - x) / 2 * K)
+            m = (1 - x) / 2 if dual else (1 + x) / 2
+            return 4 / mpmath.pi * (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m))
 
         # Fourth-order stencil: the (1-u^2)^-3 growth of y'''' near the edges
         # would otherwise dominate the residual at h = 1e-4.
@@ -284,6 +278,8 @@ def barrier_top_a0(u: float) -> float:
     Valid for u slightly above 1; for u slightly below use |u-1| with the
     same logarithm (the printed leading form).
     """
+    if not math.isfinite(u):
+        raise DomainError(f"finite u required, got {u!r}")
     du = u - 1.0
     if du == 0:
         return 4 / math.pi

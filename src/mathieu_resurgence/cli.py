@@ -330,7 +330,7 @@ def _run_pert(args) -> dict:
     from . import spectral
 
     _require_level(args.N)
-    series = spectral.u_pert(args.order)
+    series = spectral.bs_invert_weak(args.order)
     out: dict = {"rows": _series_rows(series, "hbar")}
     if args.N is not None:
         ev = series.eval_at_B(Q(2 * args.N + 1, 2))

@@ -17,7 +17,6 @@ from .series import PolyB, PolySeries, horner, newton_solve
 
 __all__ = [
     "bs_invert_weak",
-    "u_pert",
     "bs_invert_strong",
     "StrongExpansion",
     "ZjjFunctions",
@@ -55,11 +54,6 @@ def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) 
     out = v - PolySeries.const("hbar", order, 1)
     _WEAK_CACHE[order] = out
     return out
-
-
-def u_pert(order: int) -> PolySeries:
-    """The weak-coupling band-location series: alias for bs_invert_weak."""
-    return bs_invert_weak(order)
 
 
 class StrongExpansion(NamedTuple):
@@ -190,6 +184,12 @@ def zjj_quantization_solve(
     uncertainty estimated by redoing the solve one order lower.
     """
     require_positive("hbar", hbar)
+    if N < 0:
+        raise DomainError(f"band label N >= 0 required, got {N}")
+    if not math.isfinite(theta):
+        raise DomainError(f"finite theta required, got {theta!r}")
+    if order < 1:
+        raise DomainError(f"order >= 1 required, got {order}")
     if branch not in (+1, -1):
         raise DomainError("branch is +1 or -1")
     import mpmath

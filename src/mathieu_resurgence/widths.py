@@ -69,9 +69,9 @@ def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
     if order < 0:
         raise DomainError(f"order >= 0 required, got {order}")
     S = INSTANTON_ACTION
-    up = u_series if u_series is not None else spectral.u_pert(order + 2)
+    up = u_series if u_series is not None else spectral.bs_invert_weak(order + 2)
     if up.order < order + 2:
-        raise DomainError("u_pert needed to two orders beyond the request")
+        raise DomainError("u_series needed to two orders beyond the request")
     dudN = up.derivative_B()
     # bracket = du/dN - hbar + B hbar^2 / S, coefficients of hbar^n
     bracket = [PolyB() for _ in range(up.order + 1)]
@@ -189,6 +189,7 @@ def general_width_leading(hbar: float, u: float) -> float:
     """
     from . import actions
 
+    require_positive("hbar", hbar)
     if u == 1 or u == -1:
         raise DomainError("width formula singular exactly at |u| = 1")
     da0, _ = actions.action_leading_derivative(u)
@@ -231,6 +232,8 @@ def large_order_prediction(N: int, n: int, dps: int = 30):
     ``benderwu.rs_series`` is 9.71, 2.02e3 and 3.72e5 times this value at
     N = 0, 1 and 2.
     """
+    if N < 0 or n < 0:
+        raise DomainError(f"need N >= 0 and n >= 0, got N={N}, n={n}")
     import mpmath
 
     with mpmath.workdps(dps):

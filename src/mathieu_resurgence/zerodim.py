@@ -13,7 +13,6 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .elliptic import ellip_K, jacobi_sn_cn_dn
 from .errors import ConvergenceError, DomainError, TruncationError, require_positive
 
 __all__ = [
@@ -227,8 +226,9 @@ def z_quadrature(hbar: float, m, dps: int = 25) -> float:
 
 def _z_quadratures(hbars, m, dps: int) -> list[float]:
     """``z_quadrature`` at every hbar in ``hbars``, sharing one table of
-    sd^2 values.  mpmath's tanh-sinh nodes do not depend on the integrand,
-    so every hbar meets the same nodes, and z and -z share one entry."""
+    sd^2 values, one ``mpmath.ellipfun`` call per distinct |z| node.
+    mpmath's tanh-sinh nodes do not depend on the integrand, so every hbar
+    meets the same nodes, and z and -z share one entry."""
     _require_dps(dps)
     for hbar in hbars:
         require_positive("hbar", hbar)
@@ -244,20 +244,11 @@ def _z_quadratures(hbars, m, dps: int) -> list[float]:
             z = abs(z)
             val = sd2_at.get(z)
             if val is None:
-                if mm == 0:
-                    s = mpmath.sin(z)
-                    val = s * s
-                elif mm == 1:
-                    s = mpmath.sinh(z)
-                    val = s * s
-                else:
-                    sn, _cn, dn = jacobi_sn_cn_dn(z, mm, dps=dps)
-                    val = (sn / dn) ** 2
-                sd2_at[z] = val
+                val = sd2_at[z] = mpmath.ellipfun("sd", z, m=mm) ** 2
             return val
 
         if mm < 1:
-            K = mpmath.pi / 2 if mm == 0 else ellip_K(mm, dps=dps)
+            K = mpmath.ellipk(mm)
         out = []
         for hbar in hbars:
             h = mpmath.mpf(hbar)

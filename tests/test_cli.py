@@ -741,6 +741,21 @@ class TestImportCost:
         assert code == EXIT_OK
         assert not {"mathieu_resurgence.series", "mathieu_resurgence.jacobi_exact"} & mods
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zerodim", "--check", "rows"),
+            ("zerodim", "--check", "relation", "--order", "12"),
+            ("zerodim", "--check", "borel", "--hbar", "0.2"),
+        ],
+    )
+    def test_zerodim_loads_no_elliptic(self, argv):
+        # the quadrature takes sd^2 and K from mpmath; the saddle data are
+        # rationals in closed form
+        code, mods = _probe(*argv)
+        assert code == EXIT_OK
+        assert "mathieu_resurgence.elliptic" not in mods
+
     def test_rows_and_lame_potential_load_the_series_ring(self):
         # the positive control: the guards above are not passing vacuously
         code, mods = _probe("zerodim", "--check", "rows", "--order", "4")

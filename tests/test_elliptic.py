@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -11,8 +12,6 @@ from mathieu_resurgence.elliptic import (
     ellip_K,
     ellip_K_series,
     ellip_KE,
-    jacobi_sd,
-    jacobi_sn_cn_dn,
     legendre_defect,
 )
 from mathieu_resurgence.errors import DomainError, PoleError
@@ -47,11 +46,11 @@ class TestCompleteIntegrals:
             assert abs(K - ellip_K_series(m)) <= 1e-13 * K
             assert abs(E - ellip_E_series(m)) <= 1e-13 * E
 
-    def test_extended_precision_tier(self):
-        with mpmath.workdps(40):
-            K = ellip_K(mpmath.mpf(1) / 2, dps=40)
-            ref = mpmath.ellipk(mpmath.mpf(1) / 2)
-            assert abs(K - ref) < mpmath.mpf(10) ** -38
+    def test_exact_and_mp_arguments_give_the_float_value(self):
+        want = ellip_KE(0.25)
+        assert ellip_KE(Fraction(1, 4)) == want
+        assert ellip_KE(mpmath.mpf("0.25")) == want
+        assert all(type(v) is float for v in ellip_KE(Fraction(1, 4)))
 
 
 class TestDerivatives:
@@ -87,42 +86,3 @@ class TestLegendre:
     def test_grid(self):
         for m in GRID:
             assert abs(legendre_defect(m)) <= 1e-13
-
-
-class TestJacobi:
-    def test_sd_zero(self):
-        assert jacobi_sd(0.0, 0.4) == 0.0
-
-    def test_sd_sin_limit(self):
-        for z in (0.3, 1.1, -0.8):
-            assert jacobi_sd(z, 0.0) == pytest.approx(math.sin(z), abs=1e-14)
-
-    def test_sd_sinh_limit(self):
-        for z in (0.3, 1.1, -0.8):
-            assert jacobi_sd(z, 1.0) == pytest.approx(math.sinh(z), abs=1e-12)
-
-    def test_sd_squared_limits_pointwise(self):
-        for z in (0.2, 0.9, 1.7):
-            assert jacobi_sd(z, 0.0) ** 2 == pytest.approx(math.sin(z) ** 2, abs=1e-12)
-            assert jacobi_sd(z, 1.0) ** 2 == pytest.approx(math.sinh(z) ** 2, abs=1e-12)
-
-    def test_period_antisymmetry(self):
-        m = 0.3
-        K = ellip_K(m)
-        for z in (0.1, 0.7, 1.9):
-            assert jacobi_sd(z + 2 * K, m) == pytest.approx(-jacobi_sd(z, m), abs=1e-11)
-
-    def test_purely_imaginary_argument(self):
-        got = jacobi_sd(complex(0, 0.7), 0.3)
-        want = complex(0, float(jacobi_sd(0.7, 0.7)))
-        assert got == pytest.approx(want, abs=1e-13)
-
-    def test_sn_cn_dn_identities(self):
-        for u, m in ((0.4, 0.2), (1.3, 0.8), (-2.1, 0.5)):
-            sn, cn, dn = jacobi_sn_cn_dn(u, m)
-            assert sn * sn + cn * cn == pytest.approx(1.0, abs=1e-13)
-            assert dn * dn + m * sn * sn == pytest.approx(1.0, abs=1e-13)
-
-    def test_general_complex_rejected(self):
-        with pytest.raises(DomainError):
-            jacobi_sd(complex(1.0, 1.0), 0.3)

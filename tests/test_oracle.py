@@ -25,11 +25,11 @@ class TestBandEdges:
     def test_weak_coupling_band_center(self):
         from fractions import Fraction as Q
 
-        from mathieu_resurgence.spectral import u_pert
+        from mathieu_resurgence.spectral import bs_invert_weak
 
         pts = {(p.N, p.edge): p.u for p in band_edges(0.5, 0)}
         center = (pts[(0, "bottom")] + pts[(0, "top")]) / 2
-        assert center == pytest.approx(float(u_pert(10)(0.5, Q(1, 2))), abs=1e-8)
+        assert center == pytest.approx(float(bs_invert_weak(10)(0.5, Q(1, 2))), abs=1e-8)
 
     def test_strong_coupling_edges_match_series(self):
         from mathieu_resurgence.spectral import gap_edge_series

@@ -1,7 +1,12 @@
 import ast
+import math
 from pathlib import Path
 
+import pytest
+
 import mathieu_resurgence
+from mathieu_resurgence import actions, elliptic, spectral, widths
+from mathieu_resurgence.errors import DomainError
 
 PKG_DIR = Path(mathieu_resurgence.__file__).resolve().parent
 
@@ -91,3 +96,56 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert found == []
+
+
+def test_no_module_imports_elliptic_at_top_level():
+    # the double-precision AGM serves the action closed forms only; a
+    # module-level import would compile it into every run of its importer
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PKG_DIR.rglob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ImportFrom) and node.module == "elliptic"
+    ]
+    assert found == []
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        (elliptic.ellip_KE, NAN),
+        (elliptic.ellip_E, NAN),
+        (elliptic.ellip_dK_dm, NAN),
+        (elliptic.ellip_dE_dm, NAN),
+        (elliptic.legendre_defect, NAN),
+        (elliptic.ellip_K_series, NAN),
+        (elliptic.ellip_E_series, NAN),
+        (actions.action_leading, NAN),
+        (actions.action_leading, INF),
+        (actions.action_leading_derivative, NAN),
+        (actions.action_leading_derivative, INF),
+        (actions.barrier_top_a0, NAN),
+        (actions.barrier_top_a0, INF),
+        (widths.general_width_leading, 0.3, NAN),
+        (widths.general_width_leading, 0.3, INF),
+        (widths.general_width_leading, 0.0, -0.5),
+        (widths.general_width_leading, -0.3, -0.5),
+        (widths.general_width_leading, NAN, -0.5),
+        (spectral.zjj_quantization_solve, 0.1, -1, 0.3),
+        (spectral.zjj_quantization_solve, 0.1, 0, NAN),
+        (spectral.zjj_quantization_solve, 0.1, 0, INF),
+        (spectral.zjj_quantization_solve, 0.1, 0, 0.3, 0),
+        (widths.large_order_prediction, -1, 5),
+        (widths.large_order_prediction, 0, -3),
+    ],
+    ids=lambda call: f"{call[0].__name__}{call[1:]}",
+)
+def test_entry_points_reject_arguments_outside_their_domain(call):
+    # NaN and infinity fail the range checks instead of running an
+    # iteration to its cap or coming back as a number
+    fn, *args = call
+    with pytest.raises(DomainError):
+        fn(*args)

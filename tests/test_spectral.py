@@ -11,7 +11,6 @@ from mathieu_resurgence.spectral import (
     bs_invert_strong,
     bs_invert_weak,
     gap_edge_series,
-    u_pert,
     zjj_A_from_E,
     zjj_construct,
     zjj_quantization_solve,
@@ -230,7 +229,7 @@ class TestQuantizationSolve:
         assert abs(hi["u"] - pts[(0, "top")]) <= 5 * hi["uncertainty"]
         # mean against perturbation theory, to truncation accuracy
         mean = (lo["u"] + hi["u"]) / 2
-        assert mean == pytest.approx(float(u_pert(8)(hbar, Q(1, 2))), abs=1e-8)
+        assert mean == pytest.approx(float(bs_invert_weak(8)(hbar, Q(1, 2))), abs=1e-8)
         # splitting within 10% of the leading band-width scale
         split = hi["u"] - lo["u"]
         lead = (

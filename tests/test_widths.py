@@ -206,11 +206,11 @@ class TestGeneralWidth:
     def test_band_limit(self):
         # at the band location the single formula approaches the band width;
         # the leading form misses fluctuation corrections of O(hbar ln hbar)
-        from mathieu_resurgence.spectral import u_pert
+        from mathieu_resurgence.spectral import bs_invert_weak
 
         ratios = []
         for hbar in (0.4, 0.25):
-            u = float(u_pert(8)(hbar, Q(1, 2)))
+            u = float(bs_invert_weak(8)(hbar, Q(1, 2)))
             w = general_width_leading(hbar, u)
             est = band_width(hbar, 0, order=3).with_fluctuations
             ratios.append(w / est)
@@ -259,11 +259,11 @@ class TestBarrierTop:
 
     def test_weak_strong_consistency_at_top(self):
         # both expansions evaluated at the top scaling give u = 1 + O(hbar)
-        from mathieu_resurgence.spectral import bs_invert_strong, u_pert
+        from mathieu_resurgence.spectral import bs_invert_strong, bs_invert_weak
 
         hbar = 0.12
         Nb = 8 / (math.pi * hbar) - 0.5
-        u_weak = float(u_pert(10)(hbar, Q(int(round(Nb)) * 2 + 1, 2)))
+        u_weak = float(bs_invert_weak(10)(hbar, Q(int(round(Nb)) * 2 + 1, 2)))
         se = bs_invert_strong(2, depth=12)
         Ng = int(round(8 / (math.pi * hbar)))
         u_strong = se.u(hbar, Ng)

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jacobi_reference import saddle_potential_imag, saddle_potential_real, sd_squared_taylor
 
-from mathieu_resurgence import zerodim
-from mathieu_resurgence.elliptic import jacobi_sn_cn_dn
 from mathieu_resurgence.errors import DomainError, TruncationError
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.zerodim import (
@@ -221,26 +219,46 @@ class TestQuadrature:
                 )
             assert got == pytest.approx(want, abs=1e-12)
 
+    # values recorded from the route that ran its own descending-Landen
+    # sn, dn and AGM K at dps = 30; mpmath's ellipfun and ellipk give them
+    # back to the bit
+    PINNED = {
+        Q(1, 4): {
+            0.2: 1.0339688468474353, 0.1: 1.0141866046596075, 0.05: 1.0066308158604533,
+            0.18: 1.0293920062812216, 0.12: 1.017558333090399, 0.06: 1.0080583718940468,
+            0.37: 1.0777853187701172, 1.1: 1.1050144967415763, 3.0: 0.8973568964186567,
+        },
+        Q(3, 4): {
+            0.2: 0.9794876093077761, 0.1: 0.9887390774549777, 0.05: 0.9940785838580828,
+            0.18: 0.9812017623471276, 0.12: 0.9867460528883423, 0.06: 0.9929673283497119,
+            0.37: 0.9672635444711699, 1.1: 0.9478167421844853, 3.0: 0.8932721379097113,
+        },
+    }
+
+    @pytest.mark.parametrize("m", sorted(PINNED))
+    def test_pinned_values_to_the_bit(self, m):
+        for h, want in self.PINNED[m].items():
+            assert z_quadrature(h, m, dps=30) == want
+
     @pytest.mark.parametrize("m", ["0.25", "0.75", "0.3"])
     def test_sd_squared_even_to_the_bit(self, m):
         # the quadrature evaluates sd^2 once per |z|; that is exact only
         # because sd^2(-z) and sd^2(z) round to the same number
         with mpmath.workdps(30):
             mm = mpmath.mpf(m)
-            for k in range(1, 60):
+            for k in range(1, 300):
                 z = mpmath.mpf(k) / 23 + mpmath.mpf(k) ** 2 / 997
-                sn, _cn, dn = jacobi_sn_cn_dn(z, mm, dps=30)
-                sn_, _cn_, dn_ = jacobi_sn_cn_dn(-z, mm, dps=30)
-                assert (sn_ / dn_) ** 2 == (sn / dn) ** 2
+                assert mpmath.ellipfun("sd", -z, m=mm) ** 2 == mpmath.ellipfun("sd", z, m=mm) ** 2
 
     def test_borel_check_evaluates_sd_once_per_node(self, monkeypatch):
         calls = []
+        ellipfun = mpmath.ellipfun
 
-        def counted(u, m, dps=None):
+        def counted(kind, u, **kw):
             calls.append(u)
-            return jacobi_sn_cn_dn(u, m, dps)
+            return ellipfun(kind, u, **kw)
 
-        monkeypatch.setattr(zerodim, "jacobi_sn_cn_dn", counted)
+        monkeypatch.setattr(mpmath, "ellipfun", counted)
         hbars = [0.2, 0.1, 0.05]
         rows = borel_lateral_check(Q(1, 4), hbars, j_max=4)
         assert calls
