@@ -136,21 +136,18 @@ def action_higher_dual(u: float, n: int) -> complex:
 
 
 class ActionValue(NamedTuple):
-    """WKB cycle data at one energy: a = [a0, a1, ...], aD = duals."""
+    """WKB cycle data at one energy: a = [a0, a1, a2], aD = duals."""
 
     u: float
     a: list[float]
     aD: list[complex]
 
-    @property
-    def n_max(self) -> int:
-        return len(self.a) - 1
 
-
-def action_value(u: float, n_max: int = 2) -> ActionValue:
+def action_value(u: float) -> ActionValue:
+    """a0..a2 and their duals at u: every order with a closed form."""
     a0, a0d = action_leading(u)
-    a = [a0] + [action_higher(u, n) for n in range(1, n_max + 1)]
-    aD = [a0d] + [action_higher_dual(u, n) for n in range(1, n_max + 1)]
+    a = [a0] + [action_higher(u, n) for n in (1, 2)]
+    aD = [a0d] + [action_higher_dual(u, n) for n in (1, 2)]
     return ActionValue(u=u, a=a, aD=aD)
 
 
@@ -214,19 +211,19 @@ def wronskian_defect(u: float) -> complex:
     return a0d * da0 - a0 * da0d - complex(0, 2 / math.pi)
 
 
-def picard_fuchs_residual(u: float, h: float = 1e-4, dual: bool = False,
-                          dps: int = 30) -> float:
-    """Finite-difference residual of y'' = y / (4 (1 - u^2)).
+def picard_fuchs_residual(u: float, dual: bool = False) -> float:
+    """Finite-difference residual of y'' = y / (4 (1 - u^2)) for y = a0,
+    or a0D with ``dual``, at step h = 1e-4.
 
-    Second differences at h = 1e-4 sit below the double-precision noise
-    floor, so the evaluations take K and E from mpmath at ``dps`` digits.
+    Second differences at that step sit below the double-precision noise
+    floor, so the evaluations take K and E from mpmath at 30 digits.
     """
     if not -1 < u < 1:
         raise DomainError("need -1 < u < 1")
     import mpmath
 
-    with mpmath.workdps(dps):
-        uu, hh = mpmath.mpf(u), mpmath.mpf(h)
+    with mpmath.workdps(30):
+        uu, hh = mpmath.mpf(u), mpmath.mpf(1e-4)
 
         def y(x):
             m = (1 - x) / 2 if dual else (1 + x) / 2

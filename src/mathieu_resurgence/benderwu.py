@@ -260,6 +260,8 @@ def richardson(seq: Sequence, steps: int, n0: int = 1):
     index of the first entry.
     """
     work = list(seq)
+    if not work or steps < 0:
+        raise DomainError(f"need a nonempty sequence and steps >= 0, got {len(work)}, {steps}")
     ns = list(range(n0, n0 + len(work)))
     for k in range(1, steps + 1):
         if len(work) < 2:
@@ -275,8 +277,6 @@ def richardson(seq: Sequence, steps: int, n0: int = 1):
 def large_order_fit(
     coeffs: Sequence[Q],
     model: str = "single-action",
-    dps: int = 60,
-    richardson_steps: int = 5,
     n_offset: int = 0,
 ) -> dict:
     """Fit the factorial growth c_n ~ A n!/S^(n+1) and estimate S.
@@ -289,8 +289,8 @@ def large_order_fit(
     dominant action when a subdominant alternating saddle contaminates
     the plain ratios.
 
-    Either model compares Richardson at ``richardson_steps`` with one step
-    fewer (on each subsequence for ``two-action``) and raises
+    The ratios are formed at 60 digits.  Either model compares Richardson
+    at 5 steps with 4 (on each subsequence for ``two-action``) and raises
     ConvergenceError when that spread exceeds 0.2 |action|; the largest
     spread is returned under ``"spread"``.
     """
@@ -298,7 +298,7 @@ def large_order_fit(
         raise DomainError("need at least 8 coefficients for a ratio fit")
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         c = [mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator) for x in coeffs]
         tail = [(n_offset + i, c[i]) for i in range(len(c)) if c[i] != 0]
         if len(tail) < 8:
@@ -310,7 +310,7 @@ def large_order_fit(
             elif n2 - n1 == 2:
                 # every other coefficient vanishes: ratio jumps two orders
                 ratios.append((n1, mpmath.sqrt(abs(c1 / c2) * (n1 + 1) * (n1 + 2))))
-        k = richardson_steps
+        k = 5
 
         def settled(win, n0):
             """Richardson at k steps and its distance from k - 1 steps."""

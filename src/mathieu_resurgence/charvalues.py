@@ -47,6 +47,8 @@ def _conv_sin(vec: dict[int, Q]) -> dict[int, Q]:
 
 
 def _char_series(N: int, order: int, kind: str) -> PolySeries:
+    if N < 0 or order < 0:
+        raise DomainError(f"need N >= 0 and order >= 0, got N={N}, order={order}")
     if kind == "b" and N == 0:
         raise DomainError("b_0 does not exist")
     conv = _conv_cos if kind == "a" else _conv_sin

@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import comb, factorial, gcd, lcm
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 
 __all__ = ["well_action_series", "high_action_series", "well_actions", "high_actions"]
 
@@ -198,6 +198,8 @@ def well_action_series(n_max: int, eps_order: int) -> list[list[Q]]:
 
     Returns L with L[n][k] the coefficient of eps^k in a_n, k <= eps_order.
     """
+    if n_max < 0 or eps_order < 0:
+        raise DomainError(f"need n_max >= 0 and eps_order >= 0, got {n_max}, {eps_order}")
     v = _riccati(_WELL, 2 * n_max)
     out = []
     for n in range(n_max + 1):
@@ -244,6 +246,8 @@ def high_action_series(n_max: int, depth: int) -> list[dict[int, Q]]:
     ``depth`` bounds how far down in powers of 1/u the expansion goes:
     terms with h >= h_lead - 2*depth are kept.
     """
+    if n_max < 0 or depth < 0:
+        raise DomainError(f"need n_max >= 0 and depth >= 0, got {n_max}, {depth}")
     v = _riccati(_HIGH, 2 * n_max)
     out = []
     for n in range(n_max + 1):

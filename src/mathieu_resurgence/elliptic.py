@@ -96,7 +96,7 @@ def legendre_defect(m) -> float:
     return E * Kp + Ep * K - K * Kp - math.pi / 2
 
 
-def ellip_K_series(m, tol: float = 1e-18, max_terms: int = 20000) -> float:
+def ellip_K_series(m) -> float:
     """Maclaurin evaluation of K(m); an independent oracle for the AGM route."""
     _check_m(m, hi_open=True)
     m = float(m)
@@ -108,14 +108,14 @@ def ellip_K_series(m, tol: float = 1e-18, max_terms: int = 20000) -> float:
         ratio = (2 * n - 1) / (2.0 * n)
         term *= ratio * ratio * m
         total += term
-        if term < tol * total:
+        if term < 1e-18 * total:
             break
-        if n > max_terms:
+        if n > 20_000:
             raise ConvergenceError("K Maclaurin series too slow; m too close to 1")
     return math.pi / 2 * total
 
 
-def ellip_E_series(m, tol: float = 1e-18, max_terms: int = 20000) -> float:
+def ellip_E_series(m) -> float:
     """Maclaurin evaluation of E(m)."""
     _check_m(m)
     m = float(m)
@@ -127,8 +127,8 @@ def ellip_E_series(m, tol: float = 1e-18, max_terms: int = 20000) -> float:
         ratio = (2 * n - 1) / (2.0 * n)
         term *= ratio * ratio * m
         total -= term / (2 * n - 1)
-        if term < tol:
+        if term < 1e-18:
             break
-        if n > max_terms:
+        if n > 20_000:
             raise ConvergenceError("E Maclaurin series too slow")
     return math.pi / 2 * total

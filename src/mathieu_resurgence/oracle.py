@@ -178,6 +178,8 @@ def band_edges(
         edges = [(N, edge) for N in range(N_max + 1) for edge in ("bottom", "top")]
     if N_max < 0 or any(N < 0 for N, _ in edges):
         raise DomainError("band label N >= 0 required")
+    if any(edge not in ("bottom", "top") for _, edge in edges):
+        raise DomainError(f"edge names are 'bottom' and 'top', got {edges!r}")
     M = cfg.resolve_truncation(hbar, N_max)
     half_M = max(8, M // 2)
     top = max((N for N, _ in edges), default=0)
@@ -288,9 +290,10 @@ def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> "float
                            f"at hbar={hbar!r}, u={u!r}")
 
 
-def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> dict:
+def width_num(hbar: float, N: int, kind: str) -> dict:
     """Numeric band or gap width from its two edges.
 
+    The Hill matrix takes its automatic truncation and the unit potential.
     Widths narrower than double precision can resolve are computed on the
     extended-precision tier, with dps sized from a leading estimate of the
     width relative to its edges: the one-instanton band width, or the
@@ -300,7 +303,6 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
     Only the two edges are computed.  Returns {"width", "error_bound",
     "dps_used" (None on the float tier), "truncation" (Fourier M)}.
     """
-    cfg = cfg or HillConfig()
     if kind not in ("band", "gap"):
         raise DomainError("kind is 'band' or 'gap'")
     if kind == "gap" and N < 1:
@@ -308,31 +310,28 @@ def width_num(hbar: float, N: int, kind: str, cfg: HillConfig | None = None) -> 
     if N < 0:
         raise DomainError("band label N >= 0 required")
     _require_hbar(hbar)
-    cfg.resolve_truncation(hbar, N)  # past the cap first: the estimates overflow there
-    dps = cfg.dps
-    if dps is None:
-        if kind == "band":
-            # N! as lgamma: as a float it overflows from N = 171
-            log10w = (
-                math.log10(2 * hbar / math.sqrt(2 * math.pi)) - math.lgamma(N + 1) / math.log(10)
-                + (N + 0.5) * math.log10(32 / hbar)
-                - 8 / hbar * math.log10(math.e)
-            )
-        else:
-            # (hbar^2/4) (2/hbar)^(2N) / (2^(N-1) (N-1)!)^2 at u ~ (N hbar)^2/8
-            log10w = (
-                2 * math.log10(hbar / 2) + 2 * N * math.log10(2 / hbar)
-                - 2 * math.log10(2 ** (N - 1) * math.factorial(N - 1))
-                - math.log10(max(1.0, (N * hbar) ** 2 / 8))
-            )
-        if log10w < math.log10(sys.float_info.min):
-            raise ConvergenceError(
-                f"{kind} width estimate 1e{log10w:.1f} below the double range "
-                f"(smallest normal double {sys.float_info.min:.3g})"
-            )
-        if log10w < -9:
-            dps = int(-log10w) + 18
-    use = HillConfig(truncation=cfg.truncation, potential_scale=cfg.potential_scale, dps=dps)
+    HillConfig().resolve_truncation(hbar, N)  # past the cap first: the estimates overflow there
+    if kind == "band":
+        # N! as lgamma: as a float it overflows from N = 171
+        log10w = (
+            math.log10(2 * hbar / math.sqrt(2 * math.pi)) - math.lgamma(N + 1) / math.log(10)
+            + (N + 0.5) * math.log10(32 / hbar)
+            - 8 / hbar * math.log10(math.e)
+        )
+    else:
+        # (hbar^2/4) (2/hbar)^(2N) / (2^(N-1) (N-1)!)^2 at u ~ (N hbar)^2/8
+        log10w = (
+            2 * math.log10(hbar / 2) + 2 * N * math.log10(2 / hbar)
+            - 2 * math.log10(2 ** (N - 1) * math.factorial(N - 1))
+            - math.log10(max(1.0, (N * hbar) ** 2 / 8))
+        )
+    if log10w < math.log10(sys.float_info.min):
+        raise ConvergenceError(
+            f"{kind} width estimate 1e{log10w:.1f} below the double range "
+            f"(smallest normal double {sys.float_info.min:.3g})"
+        )
+    dps = int(-log10w) + 18 if log10w < -9 else None
+    use = HillConfig(dps=dps)
     edges = [(N, "bottom"), (N, "top")] if kind == "band" else [(N - 1, "top"), (N, "bottom")]
     lo, hi = band_edges(hbar, N, use, edges=edges)
     # the checks run in the tier's own arithmetic (float or mpf), in which
@@ -368,8 +367,9 @@ def _rows(points: list[SpectralPoint], Q: float) -> list[dict]:
     ]
 
 
-def figure1_dataset(hbar_grid, N_max: int = 19, cfg: HillConfig | None = None) -> list[dict]:
-    """Band edges against hbar: the spectrum overview dataset.
+def figure1_dataset(hbar_grid, N_max: int = 19) -> list[dict]:
+    """Band edges against hbar: the spectrum overview dataset, from the
+    float-tier Hill matrix at its automatic truncation.
 
     Rows carry (hbar, Q, N, edge, u, err); the potential extrema u = +-1
     are the natural reference lines and are recorded as metadata rows by
@@ -379,43 +379,41 @@ def figure1_dataset(hbar_grid, N_max: int = 19, cfg: HillConfig | None = None) -
         raise DomainError("band label N >= 0 required")
     rows = []
     for hbar in hbar_grid:
-        rows += _rows(band_edges(hbar, N_max, cfg), 4 / hbar ** 2)
+        rows += _rows(band_edges(hbar, N_max), 4 / hbar ** 2)
     return rows
 
 
-def figure2_dataset(Q_grid, N_max: int = 12, cfg: HillConfig | None = None) -> list[dict]:
-    """Band edges against Q = 4/hbar^2 near the barrier top u = 1."""
+def figure2_dataset(Q_grid, N_max: int = 12) -> list[dict]:
+    """Band edges against Q = 4/hbar^2 near the barrier top u = 1, from
+    the float-tier Hill matrix at its automatic truncation."""
     if N_max < 0:
         raise DomainError("band label N >= 0 required")
     rows = []
     for Qv in Q_grid:
         require_positive("Q", Qv)
-        rows += _rows(band_edges(2 / math.sqrt(Qv), N_max, cfg), Qv)
+        rows += _rows(band_edges(2 / math.sqrt(Qv), N_max), Qv)
     return rows
 
 
-def crossing_Q(N: int, edge: str, cfg: HillConfig | None = None,
-               u_target: float = 1.0) -> float:
-    """Q at which the requested edge of band N crosses u_target (= 1)."""
+def crossing_Q(N: int, edge: str) -> float:
+    """Q at which the requested edge of band N crosses the barrier top
+    u = 1, by bisection in Q on the float-tier Hill matrix at its
+    automatic truncation; only that one edge is computed per step."""
     lo_Q = math.pi ** 2 / 16 * max(N - 0.75, 0.05) ** 2
     hi_Q = math.pi ** 2 / 16 * (N + 0.75) ** 2
 
-    def u_of_Q(Qv: float) -> float:
-        hbar = 2 / math.sqrt(Qv)
-        pts = band_edges(hbar, N, cfg)
-        for p in pts:
-            if p.N == N and p.edge == edge:
-                return float(p.u)
-        raise ConvergenceError("edge not found")
+    def above_top(Qv: float) -> float:
+        (point,) = band_edges(2 / math.sqrt(Qv), N, edges=[(N, edge)])
+        return point.u - 1
 
-    flo, fhi = u_of_Q(lo_Q) - u_target, u_of_Q(hi_Q) - u_target
-    if flo * fhi > 0:
+    flo = above_top(lo_Q)
+    if flo * above_top(hi_Q) > 0:
         raise ConvergenceError("crossing not bracketed")
     for _ in range(60):
         mid = 0.5 * (lo_Q + hi_Q)
-        fm = u_of_Q(mid) - u_target
+        fm = above_top(mid)
         if flo * fm <= 0:
-            hi_Q, fhi = mid, fm
+            hi_Q = mid
         else:
             lo_Q, flo = mid, fm
     return 0.5 * (lo_Q + hi_Q)

@@ -222,7 +222,7 @@ def barrier_top(hbar: float) -> dict:
     }
 
 
-def large_order_prediction(N: int, n: int, dps: int = 30):
+def large_order_prediction(N: int, n: int):
     """Schematic large-order form of the perturbative coefficient,
 
         u_n(N) ~ -(2^(2N) / (pi N!^2)) Gamma(n + 2N + 1) / 16^(n + 2N + 1).
@@ -230,13 +230,13 @@ def large_order_prediction(N: int, n: int, dps: int = 30):
     Only its growth ratio u_{n+1}/u_n -> (n + 2N + 1)/16 is reliable: the
     absolute prefactor is off, and more so as N grows.  The exact u_50 of
     ``benderwu.rs_series`` is 9.71, 2.02e3 and 3.72e5 times this value at
-    N = 0, 1 and 2.
+    N = 0, 1 and 2.  The value is an mpf at 30 digits.
     """
     if N < 0 or n < 0:
         raise DomainError(f"need N >= 0 and n >= 0, got N={N}, n={n}")
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         return (
             -mpmath.mpf(2) ** (2 * N)
             / (mpmath.pi * mpmath.factorial(N) ** 2)

@@ -22,7 +22,6 @@ __all__ = [
     "lame_vacuum_symbolic",
     "sin2_vacuum_exact",
     "z_quadrature",
-    "berry_howls_check",
     "exact_relation_check",
     "borel_lateral_check",
 ]
@@ -47,9 +46,9 @@ class SaddleExpansion(NamedTuple):
     coeffs: list[Q]
     rotated: bool = False
 
-    def sector_coeff(self, r: int, dps: int = 30):
-        """a_r = coeffs[r]/sqrt(curvature), the partition-normalized
-        fluctuation coefficient (an mpf; irrational in general)."""
+    def sector_coeff(self, r: int):
+        """a_r = coeffs[r]/sqrt(curvature), the partition-normalized fluctuation
+        coefficient: an mpf (irrational in general) at the caller's precision."""
         if r < 0:
             raise DomainError(f"sector coefficient index must be >= 0, got {r}")
         if r >= len(self.coeffs):
@@ -59,10 +58,9 @@ class SaddleExpansion(NamedTuple):
             )
         import mpmath
 
-        with mpmath.workdps(dps):
-            c2 = mpmath.mpf(self.curvature.numerator) / self.curvature.denominator
-            b = mpmath.mpf(self.coeffs[r].numerator) / self.coeffs[r].denominator
-            return b / mpmath.sqrt(c2)
+        c2 = mpmath.mpf(self.curvature.numerator) / self.curvature.denominator
+        b = mpmath.mpf(self.coeffs[r].numerator) / self.coeffs[r].denominator
+        return b / mpmath.sqrt(c2)
 
 
 def _dfac(n: int) -> int:
@@ -204,39 +202,30 @@ def sin2_vacuum_exact(r: int) -> Q:
     """Closed form for the sin^2 vacuum coefficients:
     Gamma(r+1/2)^2/(sqrt(pi) r!) normalized by the Gaussian prefactor
     sqrt(pi), i.e. ((2r-1)!!)^2 / (4^r r!)."""
+    if r < 0:
+        raise DomainError(f"coefficient index r >= 0 required, got {r}")
     return Q(_dfac(2 * r - 1) ** 2, 4 ** r * math.factorial(r))
 
 
-def _require_dps(dps: int) -> None:
-    """The checks report doubles, so they work with at least their digits."""
-    if dps < 15:
-        raise DomainError(f"working precision needs dps >= 15, got {dps}")
+def z_quadrature(hbars, m) -> list[float]:
+    """1/sqrt(pi hbar) int_{-K}^{K} exp(-sd^2(z|m)/hbar) dz at every hbar
+    in ``hbars``, by adaptive tanh-sinh quadrature at 30 digits, absolute
+    accuracy well below 1e-12.
 
-
-def z_quadrature(hbar: float, m, dps: int = 25) -> float:
-    """1/sqrt(pi hbar) int_{-K}^{K} exp(-sd^2(z|m)/hbar) dz by adaptive
-    tanh-sinh quadrature, absolute accuracy well below 1e-12.
-
-    The integrand is even, so sd^2 is evaluated once per distinct |z|.
-    The quadrature reads no saddle data: it is the independent route the
-    saddle sums are checked against.
+    The hbars share one table of sd^2 values, one ``mpmath.ellipfun``
+    call per distinct |z| node: mpmath's tanh-sinh nodes do not depend on
+    the integrand, so every hbar meets the same nodes, and the integrand
+    is even, so z and -z share one entry.  The quadrature reads no saddle
+    data: it is the independent route the saddle sums are checked against.
     """
-    return _z_quadratures([hbar], m, dps)[0]
-
-
-def _z_quadratures(hbars, m, dps: int) -> list[float]:
-    """``z_quadrature`` at every hbar in ``hbars``, sharing one table of
-    sd^2 values, one ``mpmath.ellipfun`` call per distinct |z| node.
-    mpmath's tanh-sinh nodes do not depend on the integrand, so every hbar
-    meets the same nodes, and z and -z share one entry."""
-    _require_dps(dps)
+    hbars = list(hbars)
     for hbar in hbars:
         require_positive("hbar", hbar)
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         mm = mpmath.mpf(m.numerator) / m.denominator if isinstance(m, Q) else mpmath.mpf(m)
         sd2_at = {}  # |z| -> sd^2(z | m)
 
@@ -260,24 +249,28 @@ def _z_quadratures(hbars, m, dps: int) -> list[float]:
         return out
 
 
-def berry_howls_check(m: Q, n_values, j_max: int = 4, dps: int = 50) -> list[dict]:
-    """Compare vacuum coefficients against the (n-1)!-weighted sums over
-    the two adjacent saddles; reports the relative error coefficient by
-    coefficient.  The dominant saddle flips from the real one (m < 1/2,
-    non-alternating) to the imaginary one (m > 1/2, alternating).
+def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
+    """Vacuum coefficients against the (n-1)!-weighted sums over the two
+    adjacent saddles,
+
+        a_n^(0) = sum_j ((n-j-1)!/pi) (a_j^(1)/S1^(n-j) + a_j^(2)/S2^(n-j)),
+
+    truncated at j_max, over the requested n range, at 60 digits.  Returns
+    the rows, one per n with its relative defect, and the largest defect.
+    The dominant saddle flips from the real one (m < 1/2, non-alternating)
+    to the imaginary one (m > 1/2, alternating).
     """
     m = Q(m)
-    n_values = list(n_values)
+    n_values = list(n_range)
     if not n_values or min(n_values) < 1 or j_max < 0:
         raise DomainError("need at least one coefficient index, each n >= 1, and j_max >= 0")
-    _require_dps(dps)
     sads = lame_saddles(m, max(n_values))
     vac = sads["vacuum"]
     S1, S2 = sads["real"].action, sads["imag"].action
-    out = []
+    rows = []
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         s1 = mpmath.mpf(S1.numerator) / S1.denominator
         s2 = mpmath.mpf(S2.numerator) / S2.denominator
         for n in n_values:
@@ -286,24 +279,14 @@ def berry_howls_check(m: Q, n_values, j_max: int = 4, dps: int = 50) -> list[dic
             for j in range(min(j_max, n - 1) + 1):
                 w = mpmath.factorial(n - j - 1) / mpmath.pi
                 rhs += w * (
-                    sads["real"].sector_coeff(j, dps) / s1 ** (n - j)
-                    + sads["imag"].sector_coeff(j, dps) / s2 ** (n - j)
+                    sads["real"].sector_coeff(j) / s1 ** (n - j)
+                    + sads["imag"].sector_coeff(j) / s2 ** (n - j)
                 )
             rel = abs(lhs - rhs) / abs(lhs)
-            out.append({"m": float(m), "n": n, "lhs": float(lhs),
-                        "rhs": float(rhs), "rel_defect": float(rel)})
-    return out
-
-
-def exact_relation_check(m: Q, n_range, j_max: int = 6, dps: int = 60) -> dict:
-    """Max relative defect of the coefficient relation
-
-        a_n^(0) = sum_j ((n-j-1)!/pi) (a_j^(1)/S1^(n-j) + a_j^(2)/S2^(n-j))
-
-    truncated at j_max, over the requested n range."""
-    rows = berry_howls_check(m, list(n_range), j_max=j_max, dps=dps)
+            rows.append({"m": float(m), "n": n, "lhs": float(lhs),
+                         "rhs": float(rhs), "rel_defect": float(rel)})
     worst = max(r["rel_defect"] for r in rows)
-    return {"m": float(Q(m)), "j_max": j_max, "rows": rows, "max_rel_defect": worst}
+    return {"m": float(m), "j_max": j_max, "rows": rows, "max_rel_defect": worst}
 
 
 def _phi_tail(x, p: int):
@@ -334,7 +317,6 @@ def borel_lateral_check(
     hbar_list,
     j_max: int = 8,
     n_cut: int | None = None,
-    dps: int = 60,
 ) -> list[dict]:
     """Superasymptotic lateral-Borel reconstruction of Z(hbar | m).
 
@@ -349,11 +331,10 @@ def borel_lateral_check(
     PV int_0^inf t^p e^(-t) dt/(1 - hbar v ...) = e^(-1/x) Ei(1/x) tails.
     The pole on the positive axis (real saddle) carries the lateral
     ambiguity +- i pi e^(-S1/hbar) sum_j a_j^(1) hbar^j, reported in
-    ``imag_ambiguity``; the ghost sector is pole-free.  ``rhs`` is compared
-    against direct quadrature (``z_quadrature`` at dps min(dps, 30)); the
-    residual defect tracks the omitted sectors and shrinks exponentially
-    as hbar decreases.  The quadratures of all hbar share one table of
-    sd^2 values, one Jacobi evaluation per distinct |z| node.
+    ``imag_ambiguity``; the ghost sector is pole-free.  The sums run at 60
+    digits.  ``rhs`` is compared against direct quadrature, one
+    ``z_quadrature`` call for all hbar; the residual defect tracks the
+    omitted sectors and shrinks exponentially as hbar decreases.
     """
     m = Q(m)
     if not 0 < m < 1:
@@ -362,7 +343,6 @@ def borel_lateral_check(
         require_positive("hbar", hb)
     if j_max < 0 or (n_cut is not None and n_cut < 0):
         raise DomainError(f"need j_max >= 0 and n_cut >= 0, got {j_max} and {n_cut}")
-    _require_dps(dps)
     rows = []
     # |a_n| hbar^n ~ (n-1)! (hbar/|S|)^n is smallest near n = |S|/hbar for the
     # nearer saddle, |S| = min(1/(1-m), 1/m); a few orders past it show the
@@ -383,15 +363,14 @@ def borel_lateral_check(
     sads = lame_saddles(m, max(j_max + 2, order_needed))
     vac = sads["vacuum"].coeffs
     S1, S2 = sads["real"].action, sads["imag"].action
-    quad_dps = min(dps, 30)
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         s1 = mpmath.mpf(S1.numerator) / S1.denominator
         s2 = mpmath.mpf(S2.numerator) / S2.denominator
-        a1 = [sads["real"].sector_coeff(j, dps) for j in range(j_max + 1)]
-        a2 = [sads["imag"].sector_coeff(j, dps) for j in range(j_max + 1)]
-        quads = _z_quadratures([float(hb) for hb in hbar_list], m, quad_dps)
+        a1 = [sads["real"].sector_coeff(j) for j in range(j_max + 1)]
+        a2 = [sads["imag"].sector_coeff(j) for j in range(j_max + 1)]
+        quads = z_quadrature([float(hb) for hb in hbar_list], m)
         for hb, quad in zip(hbar_list, quads):
             h = mpmath.mpf(hb)
             lhs = mpmath.mpf(quad)

@@ -88,8 +88,8 @@ class TestHigher:
             action_higher(0.0, 5)
 
     def test_action_value_container(self):
-        av = action_value(0.3, n_max=2)
-        assert av.n_max == 2
+        av = action_value(0.3)
+        assert len(av.a) == len(av.aD) == 3
         assert av.a[0] == action_leading(0.3)[0]
         assert av.aD[1].real == 0.0
 

@@ -275,6 +275,13 @@ class TestFloatTier:
         with pytest.raises(DomainError):
             figure2_dataset([], N_max=-1)
 
+    def test_edge_name_domain(self):
+        # an unknown name must not be read as the bottom edge
+        with pytest.raises(DomainError):
+            band_edges(0.5, 2, edges=[(1, "middle")])
+        with pytest.raises(DomainError):
+            crossing_Q(3, "middle")
+
 
 class TestExtendedPrecision:
     @pytest.mark.parametrize("hbar, N", [(8.0, 5), (8.0, 6), (10.0, 6), (0.7, 14), (1.0, 12)])

@@ -5,7 +5,16 @@ from pathlib import Path
 import pytest
 
 import mathieu_resurgence
-from mathieu_resurgence import actions, elliptic, spectral, widths
+from mathieu_resurgence import (
+    actions,
+    benderwu,
+    charvalues,
+    dunham,
+    elliptic,
+    spectral,
+    widths,
+    zerodim,
+)
 from mathieu_resurgence.errors import DomainError
 
 PKG_DIR = Path(mathieu_resurgence.__file__).resolve().parent
@@ -140,6 +149,15 @@ NAN, INF = math.nan, math.inf
         (spectral.zjj_quantization_solve, 0.1, 0, 0.3, 0),
         (widths.large_order_prediction, -1, 5),
         (widths.large_order_prediction, 0, -3),
+        (charvalues.char_a, -1, 3),
+        (charvalues.char_b, -2, 3),
+        (charvalues.char_a, 1, -1),
+        (dunham.well_action_series, -1, 3),
+        (dunham.well_action_series, 1, -1),
+        (dunham.high_action_series, 1, -1),
+        (benderwu.richardson, [], 1),
+        (benderwu.richardson, [1.0, 0.5, 0.25], -1),
+        (zerodim.sin2_vacuum_exact, -1),
     ],
     ids=lambda call: f"{call[0].__name__}{call[1:]}",
 )

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jacobi_reference import saddle_potential_imag, saddle_potential_real, sd_squared_taylor
 
+from mathieu_resurgence import zerodim
 from mathieu_resurgence.errors import DomainError, TruncationError
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.zerodim import (
-    berry_howls_check,
     borel_lateral_check,
     exact_relation_check,
     lame_saddles,
@@ -93,17 +93,11 @@ class TestDomain:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: berry_howls_check(Q(1, 4), [10], j_max=-1),
             lambda: exact_relation_check(Q(1, 4), [10], j_max=-1),
             lambda: borel_lateral_check(Q(1, 4), [0.1], j_max=-1),
             lambda: borel_lateral_check(Q(1, 4), [0.1], n_cut=-5),
-            lambda: z_quadrature(0.2, Q(1, 4), dps=0),
-            lambda: berry_howls_check(Q(1, 4), [10], dps=14),
-            lambda: exact_relation_check(Q(1, 4), [10], dps=10),
-            lambda: borel_lateral_check(Q(1, 4), [0.1], dps=14),
         ],
-        ids=["bh-jmax", "relation-jmax", "borel-jmax", "borel-ncut", "quad-dps",
-             "bh-dps", "relation-dps", "borel-dps"],
+        ids=["relation-jmax", "borel-jmax", "borel-ncut"],
     )
     def test_numeric_arguments_out_of_range(self, call):
         with pytest.raises(DomainError):
@@ -139,8 +133,6 @@ class TestDomain:
 
     @pytest.mark.parametrize("n_values", [[], [0], [4, -2]])
     def test_relation_needs_indices_from_one(self, n_values):
-        with pytest.raises(DomainError):
-            berry_howls_check(Q(1, 4), n_values)
         with pytest.raises(DomainError):
             exact_relation_check(Q(1, 4), n_values)
 
@@ -198,7 +190,7 @@ class TestLameRows:
 class TestQuadrature:
     def test_bessel_closed_form_at_m_zero(self):
         for h in (0.2, 0.37, 1.1):
-            got = z_quadrature(h, Q(0))
+            (got,) = z_quadrature([h], Q(0))
             with mpmath.workdps(30):
                 want = float(
                     mpmath.pi
@@ -211,7 +203,7 @@ class TestQuadrature:
     def test_bessel_closed_form_at_m_one(self):
         # int exp(-sinh^2(z)/h) dz over the line is e^(1/(2h)) K_0(1/(2h))
         for h in (0.05, 0.2, 1.0, 3.0):
-            got = z_quadrature(h, Q(1))
+            (got,) = z_quadrature([h], Q(1))
             with mpmath.workdps(30):
                 x = 1 / (2 * mpmath.mpf(h))
                 want = float(
@@ -238,7 +230,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("m", sorted(PINNED))
     def test_pinned_values_to_the_bit(self, m):
         for h, want in self.PINNED[m].items():
-            assert z_quadrature(h, m, dps=30) == want
+            assert z_quadrature([h], m) == [want]
 
     @pytest.mark.parametrize("m", ["0.25", "0.75", "0.3"])
     def test_sd_squared_even_to_the_bit(self, m):
@@ -266,14 +258,28 @@ class TestQuadrature:
             assert len(calls) == len({abs(u) for u in calls})
         # sharing the table leaves every quadrature value as it was
         monkeypatch.undo()
-        assert [r["lhs"] for r in rows] == [z_quadrature(h, Q(1, 4), dps=30) for h in hbars]
+        assert [r["lhs"] for r in rows] == [z_quadrature([h], Q(1, 4))[0] for h in hbars]
+
+    def test_borel_check_calls_the_public_quadrature_once(self, monkeypatch):
+        # one call of the public name for all hbar: the quadrature's time
+        # is then measured under its own name by a profiler that wraps it
+        calls = []
+        real = zerodim.z_quadrature
+
+        def counted(hbars, m):
+            calls.append(list(hbars))
+            return real(hbars, m)
+
+        monkeypatch.setattr(zerodim, "z_quadrature", counted)
+        borel_lateral_check(Q(1, 4), [0.2, 0.1], j_max=4)
+        assert calls == [[0.2, 0.1]]
 
     def test_half_m_even_in_hbar_to_tested_order(self):
         # odd series coefficients vanish: Z(h) - Z_series_even ~ O(h^6)
         sym = lame_vacuum_symbolic(5)
         m = Q(1, 2)
         for h in (0.05, 0.1):
-            z = z_quadrature(h, m)
+            (z,) = z_quadrature([h], m)
             part = sum(float(p(m)) * h**n for n, p in enumerate(sym))
             assert abs(z - part) < 3.0 * h**6
 
@@ -281,7 +287,7 @@ class TestQuadrature:
         # partial sums shrink then diverge; best error ~ e^(-S1/h)
         h = 0.18
         m = Q(0)
-        z = z_quadrature(h, m)
+        (z,) = z_quadrature([h], m)
         errs = []
         partial = 0.0
         for r in range(26):
@@ -296,16 +302,16 @@ class TestQuadrature:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            z_quadrature(-0.1, Q(0))
+            z_quadrature([-0.1], Q(0))
         with pytest.raises(DomainError):
-            z_quadrature(0.1, Q(3, 2))
+            z_quadrature([0.1], Q(3, 2))
 
 
 class TestCoefficientRelations:
     def test_dominance_switches_at_half(self):
-        rows_low = berry_howls_check(Q(1, 4), [10, 14], j_max=4)
+        rows_low = exact_relation_check(Q(1, 4), [10, 14], j_max=4)["rows"]
         assert all(r["rel_defect"] < 5e-3 for r in rows_low)
-        rows_high = berry_howls_check(Q(3, 4), [10, 14], j_max=4)
+        rows_high = exact_relation_check(Q(3, 4), [10, 14], j_max=4)["rows"]
         assert all(r["rel_defect"] < 5e-3 for r in rows_high)
         # sign structure: non-alternating below half, alternating above
         low = lame_saddles(Q(1, 4), 12)["vacuum"].coeffs
