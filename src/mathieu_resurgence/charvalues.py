@@ -47,8 +47,10 @@ def _conv_sin(vec: dict[int, Q]) -> dict[int, Q]:
 
 
 def _char_series(N: int, order: int, kind: str) -> PolySeries:
-    if N < 0 or order < 0:
-        raise DomainError(f"need N >= 0 and order >= 0, got N={N}, order={order}")
+    # a non-integer N has no resonant harmonic: the series would silently
+    # start at N^2 and never correct it
+    if not (isinstance(N, int) and isinstance(order, int)) or N < 0 or order < 0:
+        raise DomainError(f"need integers N >= 0 and order >= 0, got N={N!r}, order={order!r}")
     if kind == "b" and N == 0:
         raise DomainError("b_0 does not exist")
     conv = _conv_cos if kind == "a" else _conv_sin

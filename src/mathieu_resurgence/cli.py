@@ -24,8 +24,8 @@ from .errors import ConvergenceError, DomainError, RegimeWarning, require_positi
 # text, so a cache hit loads none of them.  `spectral` takes the action
 # tables from `dunham`, so the exact-series subcommands other than
 # `actions` load neither `actions` nor `elliptic`.  mpmath loads only where
-# a run does multiprecision arithmetic: the mp Hill tier behind `widths`,
-# and `zerodim --check relation` and `--check borel`.
+# a run does multiprecision arithmetic in it: `zerodim --check relation` and
+# `--check borel`.  The mp Hill tier behind `widths` runs on `decimal`.
 
 __all__ = ["main", "build_parser"]
 
@@ -151,17 +151,19 @@ _OUTPUT_OPTIONS = ("format", "output", "pretty")
 # moves last digits.  widths: 5 sizes every narrow gap on the mp tier, not
 # only at hbar >= 2.  widths: 6 warns on every gap with N*hbar <= 2 sqrt(2),
 # not only below 1.  benderwu: 2 leaves --m unset (config "None") for the
-# mathieu potential, which has no parameter.
+# mathieu potential, which has no parameter.  spectrum, figure1, figure2: 4
+# and widths: 7 start each edge at the full truncation from its value at
+# M//2, and put the mp tier on `decimal`, which moves last digits.
 _PAYLOAD_SCHEMA = {
     "pert": 2,
     "strong": 2,
     "pinst": 2,
     "zjj": 1,
     "actions": 1,
-    "spectrum": 3,
-    "figure1": 3,
-    "figure2": 3,
-    "widths": 6,
+    "spectrum": 4,
+    "figure1": 4,
+    "figure2": 4,
+    "widths": 7,
     "zerodim": 1,
     "benderwu": 2,
 }

@@ -12,15 +12,18 @@ The Hill matrix has two tiers, which share one code path.  Each Bloch
 sector splits by parity into two blocks that interlace (`_block`), so the
 two near-degenerate edges of a gap fall in different blocks, and every
 edge is computed by `tridiag.eigenvalues` from Sturm counts and Newton
-steps, only the requested ones.  The float tier works in double
-precision; the extended-precision (mp) tier refines each edge from a
-double-precision bracket in mpmath, with the Fourier truncation grown from
-the precision.  Truncation M keeps the momenta |k| <= M of the periodic
-sector and |k + 1/2| <= M + 1/2 of the antiperiodic one.  `width_num`
-moves narrow bands and narrow gaps to the mp tier.
+steps, only the requested ones.  The edges are computed at truncation M//2
+first, and each starts its own Newton iteration at M.  The float tier
+works in double precision.  The extended-precision (mp) tier works in the
+standard library's `decimal` at the precision it is given, and starts its
+M//2 edges from double-precision values; its Fourier truncation is grown
+from that precision.  Truncation M keeps the momenta |k| <= M of the
+periodic sector and |k + 1/2| <= M + 1/2 of the antiperiodic one.
+`width_num` moves narrow bands and narrow gaps to the mp tier.
 
-The float tier of the Hill matrix runs on the standard library alone; the
-mp tier and `discriminant` import mpmath, inside the functions that use it.
+Both tiers of the Hill matrix run on the standard library alone.
+`discriminant`, the independent monodromy route, imports mpmath inside
+the functions that use it.
 """
 from __future__ import annotations
 
@@ -119,7 +122,7 @@ def _edge_index(N: int, edge: str) -> tuple[float, int]:
 
 def _block(hbar: float, kappa: float, upper: int, M: int, lam: float, one):
     """Diagonal and couplings of one parity block of a Bloch sector, in the
-    arithmetic of `one` (1.0 or an mpmath unit).
+    arithmetic of `one` (1.0, a decimal.Decimal or an mpmath unit).
 
     Each sector is even under k -> -k, so it splits exactly into two
     blocks.  Periodic (kappa = 0): cos(k x), k = 0..M, whose k = 0
@@ -132,24 +135,28 @@ def _block(hbar: float, kappa: float, upper: int, M: int, lam: float, one):
     index i is index i//2 of block i%2 (upper = 1).  A near-degenerate gap
     pair of a sector is then one eigenvalue of each block.
     """
-    h2 = one * hbar * hbar / 2
+    num = type(one)  # hbar and lam enter exactly, as in float * mpf
+    h2 = num(hbar) * num(hbar) / 2
     if kappa:
         d = [h2 * (k + one / 2) ** 2 for k in range(M + 1)]
-        shift = one * abs(lam) / 2
+        shift = num(abs(lam)) / 2
         d[0] += shift if upper else -shift
-        return d, [one * lam / 2] * M
-    e = [one * lam / 2] * (M - 1)
+        return d, [num(lam) / 2] * M
+    e = [num(lam) / 2] * (M - 1)
     if not upper:
-        e.insert(0, one * lam / (2 * one) ** 0.5)
+        e.insert(0, num(lam) / (2 * one) ** (one / 2))
     return [h2 * k ** 2 for k in range(upper, M + 1)], e
 
 
 def _edge_table(hbar: float, edges, M: int, lam: float, one, rtol) -> dict:
     """u-values of the requested (N, edge) pairs at Fourier truncation M.
 
+    edges: the pairs, or a dict from each pair to an approximate u-value
+    (the same edge at another truncation), which seeds its eigenvalue.
     rtol: None on the float tier; otherwise the tolerance relative to a
     block's largest diagonal entry (at least one).
     """
+    seeds = edges if isinstance(edges, dict) else {}
     blocks: dict[tuple, dict] = {}
     for key in edges:
         kappa, i = _edge_index(*key)
@@ -158,7 +165,8 @@ def _edge_table(hbar: float, edges, M: int, lam: float, one, rtol) -> dict:
     for (kappa, upper), want in blocks.items():
         d, e = _block(hbar, kappa, upper, M, lam, one)
         tol = None if rtol is None else rtol * max(one, abs(d[-1]))
-        vals = tridiag.eigenvalues(d, e, want.values(), tol)
+        ks = {j: seeds[key] for key, j in want.items()} if seeds else want.values()
+        vals = tridiag.eigenvalues(d, e, ks, tol)
         out.update({key: vals[j] for key, j in want.items()})
     return out
 
@@ -191,38 +199,34 @@ def band_edges(
         )
     lam = cfg.potential_scale
     if cfg.dps is None:
-        full = _edge_table(hbar, edges, M, lam, 1.0, None)
-        half = _edge_table(hbar, edges, half_M, lam, 1.0, None)
-    else:
-        import mpmath
+        return _points(hbar, edges, M, half_M, lam, 1.0, None, 13)
+    import decimal
 
-        with mpmath.workdps(cfg.dps):
-            rtol = mpmath.mpf(10) ** (4 - cfg.dps)
-            full = _edge_table(hbar, edges, M, lam, mpmath.mpf(1), rtol)
-            half = _edge_table(hbar, edges, half_M, lam, mpmath.mpf(1), rtol)
+    # Context(prec=...) rather than localcontext(prec=...), which needs 3.11
+    with decimal.localcontext(decimal.Context(prec=cfg.dps)):
+        one = decimal.Decimal(1)
+        return _points(hbar, edges, M, half_M, lam, one, (10 * one) ** (4 - cfg.dps), cfg.dps)
+
+
+def _points(hbar, edges, M, half_M, lam, one, rtol, max_digits) -> list[SpectralPoint]:
+    """The edges at truncations M and M//2, the full table seeded by the
+    half one, with their digits of agreement (at most max_digits)."""
+    half = _edge_table(hbar, edges, half_M, lam, one, rtol)
+    full = _edge_table(hbar, half, M, lam, one, rtol)
     out: list[SpectralPoint] = []
     for N, edge in edges:
         u = full[(N, edge)]
-        diff = abs(u - half[(N, edge)])
-        if cfg.dps is None:
-            rel = diff / max(abs(u), 1.0)
-            # cap at the double-precision eigensolver roundoff floor
-            digits = 13 if rel == 0 else max(0, min(13, int(-math.log10(float(rel) + 1e-300))))
+        rel = abs(u - half[(N, edge)]) / max(abs(u), one)
+        if rtol is None:
+            # capped at the double-precision eigensolver roundoff floor
+            digits = 13 if rel == 0 else max(0, min(13, int(-math.log10(rel + 1e-300))))
         else:
-            import mpmath
-
-            rel = diff / max(abs(u), mpmath.mpf(1))
-            digits = cfg.dps if rel == 0 else max(
-                0, min(cfg.dps, int(-mpmath.log10(rel)))
-            )
+            digits = max_digits if rel == 0 else max(0, min(max_digits, int(-rel.log10())))
         if digits < 6:
             raise ConvergenceError(
                 f"band edge not converged at truncation M={M}: ~{digits} digits"
             )
-        out.append(
-            SpectralPoint(hbar=hbar, N=N, edge=edge, u=float(u) if cfg.dps is None else u,
-                          converged_digits=int(digits))
-        )
+        out.append(SpectralPoint(hbar=hbar, N=N, edge=edge, u=u, converged_digits=digits))
     return out
 
 
@@ -258,17 +262,24 @@ def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> "float
     The canonical y1, y2 at x = 0 are even_0 and sqrt(2) odd_0 (t^(1/2) =
     sqrt(2) sin(x/2)), so cos(theta) = y1(pi) y2'(pi) + y1'(pi) y2(pi) is, in
     z-Wronskians with W(even_pi, odd_pi) = 1/sqrt(2) at z = 0,
-    2 [W(e0, o_pi) W(o0, e_pi) + W(e0, e_pi) W(o0, o_pi)].  u may be an mpf.
+    2 [W(e0, o_pi) W(o0, e_pi) + W(e0, e_pi) W(o0, o_pi)].  u may be an mpf
+    or a Decimal (an edge of the extended-precision tier).
     The terms cancel to O(1) from up to about e^(8/hbar), so the precision is
     sized from c (|lam| + |u|) and checked against the terms' magnitudes.
     The value is a float, or the mpf itself when it lies outside the double
     range (deep in a gap at small hbar), where a float would read +-inf.
     """
+    import decimal
+
     import mpmath
 
     cfg = cfg or HillConfig()
     require_positive("hbar", hbar)
     lam = cfg.potential_scale
+    if isinstance(u, decimal.Decimal):
+        # an edge of the extended-precision Hill tier, at all of its digits
+        with mpmath.workdps(len(u.as_tuple().digits) + 5):
+            u = mpmath.mpf(str(u)) if u.is_finite() else float(u)
     if not (mpmath.isfinite(u) and math.isfinite(lam)):
         raise DomainError(f"finite u and potential scale required, got {u!r}, {lam!r}")
     dps = 20 + 3 * math.sqrt(2 * (abs(lam) + abs(float(u)))) / hbar  # 3 sqrt(c (|lam| + |u|))
@@ -334,8 +345,8 @@ def width_num(hbar: float, N: int, kind: str) -> dict:
     use = HillConfig(dps=dps)
     edges = [(N, "bottom"), (N, "top")] if kind == "band" else [(N - 1, "top"), (N, "bottom")]
     lo, hi = band_edges(hbar, N, use, edges=edges)
-    # the checks run in the tier's own arithmetic (float or mpf), in which
-    # a width below the double range does not underflow to zero
+    # the checks run in the tier's own arithmetic (float or Decimal), in
+    # which a width below the double range does not underflow to zero
     ten = type(hi.u)(10)
     width = hi.u - lo.u
     err = abs(hi.u) * ten ** (-hi.converged_digits) + abs(lo.u) * ten ** (-lo.converged_digits)
@@ -343,7 +354,7 @@ def width_num(hbar: float, N: int, kind: str) -> dict:
         raise ConvergenceError("width not resolved: non-positive difference")
     if width < sys.float_info.min:
         raise ConvergenceError(f"width {width} below the double range")
-    if err > 0.2 * width:
+    if err > width / 5:
         raise ConvergenceError(
             f"width {float(width):.3e} below achievable precision (bound {float(err):.3e})"
         )

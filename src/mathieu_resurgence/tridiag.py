@@ -1,25 +1,27 @@
 """Symmetric tridiagonal eigenvalues by index, certified by Sturm counts
 (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 
-One entry point, `eigenvalues`, computes a set of indices.  In double
-precision the indices are isolated together by bisection on Sturm counts,
-an interval being split only while it holds a requested index and more
-than one eigenvalue.  The counts per index grow only with the logarithm of
-the spectrum's spread, so the work for a fixed set of indices is linear in
-the size of the matrix, up to that logarithm.  Entries of another
-arithmetic type (mpmath.mpf for the extended-precision tier that
-exponentially narrow widths require) take the double-precision values of
-the float copy of the matrix, bracket each by about 1e-12 of its
-Gershgorin scale, certify that bracket by two counts in the caller's type
-(the Gershgorin bracket replaces it if they do not) and refine it there.
+One entry point, `eigenvalues`, computes a set of indices.  Each index may
+come with an approximate value (the same eigenvalue at a smaller Fourier
+truncation, say); entries that are not floats (decimal.Decimal for the
+extended-precision tier that exponentially narrow widths require, or
+mpmath.mpf) take the values of the double-precision copy of the matrix
+when none are given.  An approximation is bracketed by 1e-6 of the
+Gershgorin scale either side, and the bracket is kept when two Sturm counts
+show that it holds its index alone.  The other indices are found from the
+Gershgorin interval: in double precision they are isolated together by
+bisection on Sturm counts, an interval being split only while it holds a
+requested index and more than one eigenvalue, so that the counts per index
+grow only with the logarithm of the spectrum's spread; in another type
+each is refined from that interval.
 
-Inside a bracket that holds the requested eigenvalue alone, Newton steps
-on det(T - x) refine it, and each step's Sturm count shrinks the bracket; a
-step that leaves the bracket or stalls becomes a bisection step.  Newton
-needs that isolating bracket: the free-particle limit has near-double
-roots (the +-k plane-wave pairs), on which it converges only linearly from
-a distant start.  Every value v returned for index k carries a Sturm
-certificate count_below(v - t) <= k < count_below(v + t).
+Inside a bracket, Newton steps on det(T - x) refine the eigenvalue, and
+each step's Sturm count shrinks the bracket; a step that leaves the
+bracket or stalls becomes a bisection step.  Newton needs an isolating
+bracket: the free-particle limit has near-double roots (the +-k plane-wave
+pairs), on which it converges only linearly from a distant start.  Every
+value v returned for index k carries a Sturm certificate
+count_below(v - t) <= k < count_below(v + t).
 """
 from __future__ import annotations
 
@@ -32,10 +34,16 @@ from .errors import DomainError
 
 __all__ = ["count_below", "eigenvalues"]
 
-# relative width of the double-precision bracket handed to Newton in
-# another arithmetic type
-_FLOAT_BRACKET = 1e-12
+# an approximate eigenvalue's bracket reaches the Gershgorin scale over
+# this either side (an integer, so that it divides any arithmetic type)
+_SEED_SPLIT = 10 ** 6
 _EPS = sys.float_info.epsilon
+
+
+def _tiny(x):
+    """The stand-in for a zero Sturm pivot at shift x, in x's arithmetic."""
+    t = 1e-300 if isinstance(x, (int, float)) else type(x)(1e-300)
+    return abs(x) * t + t
 
 
 def count_below(d: Sequence, e: Sequence, x) -> int:
@@ -47,38 +55,37 @@ def count_below(d: Sequence, e: Sequence, x) -> int:
     q = d[0] - x
     if q < 0:
         count += 1
-    tiny = abs(x) * 1e-300 + 1e-300
     for di, ei in zip(islice(d, 1, None), e):
         if q == 0:
-            q = tiny
+            q = _tiny(x)
         q = di - x - ei * ei / q
         if q < 0:
             count += 1
     return count
 
 
-def _count_and_step(d: Sequence, e: Sequence, x):
-    """Sturm count below x and the Newton step for det(T - x), in one pass.
+def _count_and_step(d: Sequence, e2: Sequence, x):
+    """Sturm count below x and the Newton step for det(T - x), in one pass
+    over the diagonal d and the squared couplings e2.
 
     det(T - x) is the product of the Sturm pivots q_i, so the step
     -det/det' is -1 / sum(q_i'/q_i), with q_i' from differentiating the
     pivot recurrence.  The step is None where that sum vanishes.
     """
     count = 0
-    tiny = abs(x) * 1e-300 + 1e-300
     q, dq, s = d[0] - x, -1, 0
-    for di, ei in zip(islice(d, 1, None), e):
+    for di, e2i in zip(islice(d, 1, None), e2):
         if q < 0:
             count += 1
         elif q == 0:
-            q = tiny
+            q = _tiny(x)
         s += dq / q
-        r = ei * ei / q
+        r = e2i / q
         q, dq = di - x - r, r * dq / q - 1
     if q < 0:
         count += 1
     elif q == 0:
-        q = tiny
+        q = _tiny(x)
     s += dq / q
     return count, (-1 / s if s else None)
 
@@ -102,6 +109,10 @@ def _check_indices(n: int, ks) -> None:
 def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
     """The eigenvalues of indices ks (0 = smallest).
 
+    ks: the indices, or a dict from each index to an approximate value of
+    its eigenvalue.  An approximation only saves work: one that its
+    bracket's counts refute is dropped.
+
     Float entries: each value v for index k carries the certificate
     count_below(v - t) <= k < count_below(v + t), t = 8 eps max(|v|, s),
     with s = max(max|e_i|, eps max|d_i|) (the smallest normal float for a
@@ -112,28 +123,43 @@ def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
     carries count_below(v - tol/2) <= k < count_below(v + tol/2), counted
     in that type.
     """
+    approx = dict(ks) if isinstance(ks, dict) else {}
     ks = sorted(set(ks))
     _check_indices(len(d), ks)
     if not ks:
         return {}
-    if not isinstance(d[0], float):
-        if tol is None:
-            raise DomainError("tol required for entries that are not floats")
-        lo, hi = _gershgorin(d, e)
-        brackets = dict.fromkeys(ks, (lo, hi))
-        flo, fhi = float(lo), float(hi)
-        if math.isfinite(flo) and math.isfinite(fhi):  # else beyond double range
-            w = _FLOAT_BRACKET / 2 * max(abs(flo), abs(fhi))
-            approx = eigenvalues([float(v) for v in d], [float(v) for v in e], ks)
-            for k, v in approx.items():
-                a, b = type(lo)(v - w), type(lo)(v + w)
-                if count_below(d, e, a) <= k < count_below(d, e, b):
-                    brackets[k] = a, b
-        return {k: _refine(d, e, k, a, b, tol) for k, (a, b) in brackets.items()}
-    s = max(max(map(abs, e), default=0.0), _EPS * max(map(abs, d))) or sys.float_info.min
+    floats = isinstance(d[0], float)
+    if not floats and tol is None:
+        raise DomainError("tol required for entries that are not floats")
     lo, hi = _gershgorin(d, e)
-    out: dict[int, float] = {}
-    todo = [(lo, hi, 0, len(d), ks)]
+    unit = type(lo)
+    if not (floats or approx) and math.isfinite(float(lo)) and math.isfinite(float(hi)):
+        # the double-precision copy, unless the spectrum leaves the double range
+        approx = eigenvalues([float(v) for v in d], [float(v) for v in e], ks)
+    if floats:
+        s = max(max(map(abs, e), default=0.0), _EPS * max(map(abs, d))) or sys.float_info.min
+    e2 = [v * v for v in e]
+    w = max(abs(lo), abs(hi)) / _SEED_SPLIT
+    out: dict = {}
+    rest = []
+    for k in ks:
+        if k in approx:
+            v = unit(approx[k])
+            a, b = v - w, v + w
+            if count_below(d, e, a) == k and count_below(d, e, b) == k + 1:
+                if not floats:
+                    out[k] = _refine(d, e, e2, k, a, b, tol)
+                    continue
+                # the float certificate's t bounds tol/2 (as in the isolation below)
+                wide = max(abs(a), abs(b), s)
+                if wide <= 2 * max(min(abs(a), abs(b)) if a * b > 0 else 0.0, s):
+                    out[k] = _refine(d, e, e2, k, a, b, 8 * _EPS * wide)
+                    continue
+        rest.append(k)
+    if not floats:
+        out.update((k, _refine(d, e, e2, k, lo, hi, tol)) for k in rest)
+        return out
+    todo = [(lo, hi, 0, len(d), rest)] if rest else []
     while todo:
         a, b, ca, cb, want = todo.pop()
         wide = max(abs(a), abs(b), s)
@@ -146,7 +172,7 @@ def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
         # is the documented one
         near = min(abs(a), abs(b)) if a * b > 0 else 0.0
         if cb - ca == 1 and wide <= 2 * max(near, s):
-            out[want[0]] = _refine(d, e, want[0], a, b, tol)
+            out[want[0]] = _refine(d, e, e2, want[0], a, b, tol)
             continue
         x = (a + b) / 2
         c = min(max(count_below(d, e, x), ca), cb)
@@ -158,12 +184,13 @@ def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
     return out
 
 
-def _refine(d: Sequence, e: Sequence, k: int, lo, hi, tol):
+def _refine(d: Sequence, e: Sequence, e2: Sequence, k: int, lo, hi, tol):
     """The k-th eigenvalue from a bracket with count_below(lo) <= k <
-    count_below(hi), by safeguarded Newton steps."""
+    count_below(hi), by safeguarded Newton steps; e2 holds the squares of
+    the couplings e."""
     x, last = (lo + hi) / 2, hi - lo
     while hi - lo > tol:
-        c, step = _count_and_step(d, e, x)
+        c, step = _count_and_step(d, e2, x)
         if c <= k:
             lo = x
         else:

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction as Q
 from typing import Callable, NamedTuple
 
-from . import spectral
 from .errors import DomainError, RegimeWarning, StructureError, require_positive
-from .series import PolyB, PolySeries
+
+# `spectral`, `series` and `fractions` are imported inside the functions
+# that use them, so that a gap width loads none of them
 
 __all__ = [
     "WidthEstimate",
@@ -66,6 +66,11 @@ def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
     the supplied series is not the band-location series and we refuse.
     Normalized so P(0) = 1.
     """
+    from fractions import Fraction as Q
+
+    from . import spectral
+    from .series import PolyB, PolySeries
+
     if order < 0:
         raise DomainError(f"order >= 0 required, got {order}")
     S = INSTANTON_ACTION
@@ -99,6 +104,8 @@ def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
 def p_inst_from_zjj(order: int) -> PolySeries:
     """Independent route: P = (dE/dB) exp(-(A - 16/hbar)/2) from the
     quantization functions; must agree with ``p_inst`` identically."""
+    from . import spectral
+
     z = spectral.zjj_construct(order + 1)
     dEdB = z.E_of_B.derivative_B().truncate(order)
     half_A = z.A_of_B.truncate(order) / 2
@@ -126,7 +133,9 @@ def band_width(hbar: float, N: int, order: int = 4) -> WidthEstimate:
             RegimeWarning,
             stacklevel=2,
         )
-    B = Q(2 * N + 1, 2)
+    from fractions import Fraction
+
+    B = Fraction(2 * N + 1, 2)
     lead = _in_double_range(
         "band width",
         lambda: 4 * hbar / math.sqrt(2 * math.pi) / math.factorial(N)

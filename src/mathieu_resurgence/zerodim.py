@@ -339,6 +339,9 @@ def borel_lateral_check(
     m = Q(m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1")
+    hbar_list = list(hbar_list)
+    if not hbar_list:
+        raise DomainError("need at least one hbar")
     for hb in hbar_list:
         require_positive("hbar", hb)
     if j_max < 0 or (n_cut is not None and n_cut < 0):
@@ -353,7 +356,7 @@ def borel_lateral_check(
         deepest = [n_cut]
     else:
         depths = [float(s_min) / float(hb) for hb in hbar_list]
-        if not max(depths, default=0.0) + 4 <= _MAX_BOREL_ORDER:
+        if not max(depths) + 4 <= _MAX_BOREL_ORDER:
             raise ConvergenceError(
                 f"the smallest term of hbar={min(hbar_list)!r} lies past order "
                 f"{_MAX_BOREL_ORDER}, the deepest the Borel check keeps"

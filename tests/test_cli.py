@@ -812,9 +812,21 @@ class TestImportCost:
         assert not {"numpy", "scipy", "mpmath", "mathieu_resurgence.oracle"} & mods
 
     def test_extended_precision_width_loads_no_numeric_stack(self):
+        # the extended-precision Hill tier runs on the standard library's
+        # decimal; the zerodim checks above are the positive control
         code, mods = _probe("widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
-        assert code == EXIT_OK and "mpmath" in mods
-        assert not {"numpy", "scipy"} & mods
+        assert code == EXIT_OK
+        assert not {"numpy", "scipy", "mpmath"} & mods
+
+    def test_gap_width_loads_no_series_ring(self):
+        # the gap estimate is a closed form; the band estimate's fluctuation
+        # series comes from the spectral inversion, the positive control
+        ring = {"mathieu_resurgence.spectral", "mathieu_resurgence.series",
+                "mathieu_resurgence.dunham"}
+        code, mods = _probe("widths", "--kind", "gap", "--N", "2", "--hbar", "6")
+        assert code == EXIT_OK and not ring & mods
+        code, mods = _probe("widths", "--kind", "band", "--N", "0", "--hbar", "0.5")
+        assert code == EXIT_OK and ring <= mods
 
     @pytest.mark.parametrize(
         "argv",

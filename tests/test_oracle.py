@@ -334,10 +334,12 @@ class TestExtendedPrecision:
         ids=["gap-8-6", "band-edges-3.5"],
     )
     def test_newton_pass_budget_per_edge(self, monkeypatch, call, edges):
-        # each edge starts from its double-precision value, one eigenvalue of
-        # its parity block, so Newton converges quadratically (2 mpf passes
-        # per edge measured); an unsplit sector, whose near-double gap pairs
-        # share one bracket, needs 30 and 46 on average here
+        # each edge at M//2 starts from its double-precision value, one
+        # eigenvalue of its parity block, and each edge at M from its value
+        # at M//2, so Newton converges quadratically (2 and 1 extended-
+        # precision passes per edge measured); an unsplit sector, whose
+        # near-double gap pairs share one bracket, needs 30 and 46 on
+        # average here
         from mathieu_resurgence import tridiag
 
         passes = []
@@ -351,6 +353,32 @@ class TestExtendedPrecision:
         monkeypatch.setattr(tridiag, "_count_and_step", counted)
         call()
         assert len(passes) <= 4 * 2 * edges  # two truncations per edge
+
+    @pytest.mark.parametrize("hbar", [0.3, 0.1])
+    def test_decimal_blocks_match_mpf_blocks(self, hbar):
+        # the tier's arithmetic is the standard library's decimal; the same
+        # eigensolver on the same blocks in mpmath gives the same edges
+        import decimal
+
+        from mathieu_resurgence import tridiag
+        from mathieu_resurgence.oracle import _block
+
+        M, ks, digits = HillConfig(dps=40).resolve_truncation(hbar, 3), range(4), 40
+        for kappa in (0.0, 0.5):
+            for upper in (0, 1):
+                with decimal.localcontext(decimal.Context(prec=digits)):
+                    one = decimal.Decimal(1)
+                    d, e = _block(hbar, kappa, upper, M, 1.0, one)
+                    scale = max(one, abs(d[-1]))
+                    tol = scale * (10 * one) ** -37
+                    dec = tridiag.eigenvalues(d, e, ks, tol)
+                    assert all(isinstance(v, decimal.Decimal) for v in dec.values())
+                with mpmath.workdps(digits):
+                    d, e = _block(hbar, kappa, upper, M, 1.0, mpmath.mpf(1))
+                    mpf = tridiag.eigenvalues(d, e, ks, mpmath.mpf(str(tol)))
+                    for k in ks:
+                        gap = abs(mpmath.mpf(str(dec[k])) - mpf[k])
+                        assert gap <= mpmath.mpf(str(scale)) * mpmath.mpf(10) ** -35, (kappa, upper, k)
 
     def test_truncation_sized_from_dps(self):
         base = HillConfig().resolve_truncation(0.1, 0)
@@ -375,6 +403,28 @@ class TestExtendedPrecision:
         assert [(p.N, p.edge) for p in sub] == [(3, "top"), (1, "bottom")]
         for p in sub:
             assert p.u == full[(p.N, p.edge)].u
+
+
+class TestPassBudget:
+    """Sturm counts plus Newton passes on the CLI's default figure grids.
+    Each edge at the full truncation starts from its value at M//2, so it
+    needs a few passes where an isolation from the Gershgorin interval
+    needs a bisection (20,120 and 14,832 passes that way)."""
+
+    @pytest.mark.parametrize("command, budget", [("figure1", 16_500), ("figure2", 12_000)])
+    def test_default_grid(self, monkeypatch, capsys, command, budget):
+        from mathieu_resurgence import cli, tridiag
+
+        monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
+        passes = []
+        for name in ("count_below", "_count_and_step"):
+            real = getattr(tridiag, name)
+            monkeypatch.setattr(
+                tridiag, name, lambda d, e, x, real=real: passes.append(x) or real(d, e, x)
+            )
+        assert cli.main([command]) == 0
+        capsys.readouterr()
+        assert len(passes) <= budget
 
 
 class TestParityBlocks:

@@ -1,5 +1,6 @@
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,12 +153,16 @@ NAN, INF = math.nan, math.inf
         (charvalues.char_a, -1, 3),
         (charvalues.char_b, -2, 3),
         (charvalues.char_a, 1, -1),
+        # a non-integer N has no resonant harmonic to correct N^2
+        (charvalues.char_a, 1.5, 3),
+        (charvalues.char_b, 1.5, 3),
         (dunham.well_action_series, -1, 3),
         (dunham.well_action_series, 1, -1),
         (dunham.high_action_series, 1, -1),
         (benderwu.richardson, [], 1),
         (benderwu.richardson, [1.0, 0.5, 0.25], -1),
         (zerodim.sin2_vacuum_exact, -1),
+        (zerodim.borel_lateral_check, Fraction(1, 4), []),
     ],
     ids=lambda call: f"{call[0].__name__}{call[1:]}",
 )

@@ -2,7 +2,8 @@
 
 `tridiag.eigenvalues` isolates a set of float eigenvalues together before
 refining each by Newton steps, and for mpf entries brackets each in double
-precision before refining it in mpf; these tests hold both to the k-th
+precision before refining it in mpf; an approximate value given with an
+index replaces the isolation.  These tests hold each path to the k-th
 eigenvalue found by a bisection written here, at 40 digits, and to their
 Sturm certificates.
 """
@@ -152,6 +153,35 @@ def test_float_eigenvalues_against_bisection(case, data):
     _check_float_values(d, e, vals)
     ordered = [vals[k] for k in sorted(ks)]
     assert ordered == sorted(ordered)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_matrices(), data=st.data())
+def test_float_seeds_only_save_work(case, data):
+    # each index gets a seed: its own value, another index's (seeds that
+    # collide), one value shared by all, or a value off the spectrum.  A
+    # seed whose bracket does not hold its index alone is dropped, and the
+    # index gets the unseeded value; a kept one gives a value certified
+    # like it
+    d, e, _ = case
+    d, e = [float(x) for x in d], [float(x) for x in e]
+    ks = sorted(data.draw(st.sets(st.integers(0, len(d) - 1), min_size=1)))
+    plain = tridiag.eigenvalues(d, e, ks)
+    lo, hi = tridiag._gershgorin(d, e)
+    common = data.draw(st.floats(lo - 1, hi + 1))
+    choices = [*plain.values(), common, lo - 1, hi + 1]
+    seeds = {k: data.draw(st.sampled_from([plain[k], *choices])) for k in ks}
+    vals = tridiag.eigenvalues(d, e, seeds)
+    assert sorted(vals) == ks
+    _check_float_values(d, e, vals)
+    w = max(abs(lo), abs(hi)) / tridiag._SEED_SPLIT
+    s = _float_scale(d, e)
+    for k, v in vals.items():
+        a, b = seeds[k] - w, seeds[k] + w
+        if not tridiag.count_below(d, e, a) == k < tridiag.count_below(d, e, b) == k + 1:
+            assert v == plain[k]
+        else:
+            assert abs(v - plain[k]) <= 8 * EPS * (max(abs(v), s) + max(abs(plain[k]), s))
 
 
 def test_float_free_particle_against_exact_diagonal():
