@@ -201,7 +201,7 @@ def _cached(key: dict, compute):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump({"key": key_text, "payload": value}, fh, sort_keys=True)
+            fh.write(json.dumps({"key": key_text, "payload": value}, sort_keys=True))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

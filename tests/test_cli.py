@@ -436,6 +436,23 @@ class TestOutputPlumbing:
         _, b = run(capsys, "pert", "--order", "3", "--poly")
         assert a == b
 
+    def test_cache_entry_from_the_one_shot_encoder(self, tmp_path, capsys, monkeypatch):
+        # json.dump streams through the pure-Python _make_iterencode; the
+        # one-shot json.dumps runs the C encoder and writes the same bytes
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("entry encoded by the pure-Python encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        code, _ = run(capsys, "figure2", "--points", "1", "--q-min", "9", "--bands", "1")
+        assert code == EXIT_OK
+        (entry,) = tmp_path.iterdir()
+        text = entry.read_text()
+        stored = json.loads(text)
+        assert text == json.dumps({"key": stored["key"], "payload": stored["payload"]},
+                                  sort_keys=True)
+
     def test_cache_key_ignores_output_options(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(cache))

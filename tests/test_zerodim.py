@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jacobi_reference import saddle_potential_imag, saddle_potential_real, sd_squared_taylor
 
 from mathieu_resurgence import zerodim
-from mathieu_resurgence.errors import DomainError, TruncationError
+from mathieu_resurgence.errors import ConvergenceError, DomainError, TruncationError
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.zerodim import (
     borel_lateral_check,
@@ -41,6 +41,20 @@ def moment_reference(m, order):
         "real": saddle_series(real, order, "real", rotated=True),
         "imag": saddle_series(imag, order, "imag", rotated=True),
     }
+
+
+def convolution_reference(alpha, beta, order):
+    """b_r = Gamma(r+1/2)/Gamma(1/2) sum_i u_i v_(r-i) with
+    u_i = alpha^i C(2i, i)/4^i and v_j = beta^j C(2j, j)/4^j, the binomial
+    product of one Lame saddle summed term by term, over the ring of alpha
+    and beta (rationals or PolyB)."""
+    u = [alpha ** i * Q(math.comb(2 * i, i), 4 ** i) for i in range(order + 1)]
+    v = [beta ** j * Q(math.comb(2 * j, j), 4 ** j) for j in range(order + 1)]
+    out, rising = [], Q(1)
+    for r in range(order + 1):
+        out.append(sum((u[i] * v[r - i] for i in range(r + 1)), alpha * 0) * rising)
+        rising *= r + Q(1, 2)
+    return out
 
 
 class TestSaddleSeries:
@@ -87,6 +101,29 @@ class TestClosedFormSaddles:
         # m <-> 1-m swaps the real and imaginary saddles up to hbar -> -hbar
         flipped = lame_saddles(1 - m, order)["real"].coeffs
         assert flipped == [(-1) ** r * c for r, c in enumerate(got["imag"].coeffs)]
+
+
+class TestBinomialProduct:
+    """The three-term recurrence behind ``lame_saddles`` against the
+    binomial convolution it sums, coefficient by coefficient."""
+
+    @given(
+        m=st.integers(2, 50).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: Q(p, q))),
+        order=st.integers(0, 40),
+    )
+    @settings(deadline=None)
+    def test_property_every_saddle_equals_the_convolution(self, m, order):
+        got = lame_saddles(m, order)
+        m1 = 1 - m
+        assert got["vacuum"].coeffs == convolution_reference(m1, -m, order)
+        assert got["real"].coeffs == convolution_reference(-m1, -m * m1, order)
+        assert got["imag"].coeffs == convolution_reference(m, m * m1, order)
+
+    def test_symbolic_vacuum_equals_the_convolution_over_polyb(self):
+        m = PolyB((0, 1))
+        want = convolution_reference(1 - m, -m, 40)
+        for order in (0, 1, 2, 7, 23, 40):
+            assert lame_vacuum_symbolic(order) == want[: order + 1]
 
 
 class TestDomain:
@@ -256,9 +293,33 @@ class TestQuadrature:
         assert calls
         with mpmath.workdps(100):  # above the nodes' precision: abs is exact
             assert len(calls) == len({abs(u) for u in calls})
+        assert len(calls) <= 129
         # sharing the table leaves every quadrature value as it was
         monkeypatch.undo()
         assert [r["lhs"] for r in rows] == [z_quadrature([h], Q(1, 4))[0] for h in hbars]
+
+    @pytest.mark.parametrize("m", [Q(1, 100), Q(99, 100), Q(9999, 10000)])
+    def test_ends_of_the_periodic_strip_against_tanh_sinh(self, m):
+        # an independent rule as the reference: adaptive tanh-sinh over
+        # [-K, 0, K] at 30 digits, which clusters its nodes at z = 0
+        hbars = [0.05, 0.2, 1.0]
+        got = z_quadrature(hbars, m)
+        with mpmath.workdps(30):
+            mm = mpmath.mpf(m.numerator) / m.denominator
+            K = mpmath.ellipk(mm)
+            for h, value in zip(hbars, got):
+                hh = mpmath.mpf(h)
+                total = mpmath.quad(
+                    lambda z: mpmath.exp(-mpmath.ellipfun("sd", z, m=mm) ** 2 / hh), [-K, 0, K]
+                )
+                assert value == pytest.approx(float(total / mpmath.sqrt(mpmath.pi * hh)),
+                                              rel=1e-14)
+
+    def test_node_cap_raises(self, monkeypatch):
+        # hbar = 0.05 needs 64 nodes on [0, K]; a cap of 16 stops the doubling
+        monkeypatch.setattr(zerodim, "_MAX_TRAPEZOID_NODES", 16)
+        with pytest.raises(ConvergenceError, match=r"hbar=0\.05: 16 nodes"):
+            z_quadrature([0.05], Q(1, 4))
 
     def test_borel_check_calls_the_public_quadrature_once(self, monkeypatch):
         # one call of the public name for all hbar: the quadrature's time
