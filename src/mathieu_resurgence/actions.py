@@ -12,6 +12,9 @@ Conventions (fixed once, used everywhere):
   a0D(u) = +(4i/pi) [E((1-u)/2) - (1+u)/2 K((1-u)/2)] below the barrier.
   With this orientation the cycle Wronskian reads
   a0D a0' - a0 a0D' = 2i/pi (the dual cycle enters the bilinear reversed).
+
+* K and E take the parameter m = k^2, and the closed forms take them from
+  one double-precision arithmetic-geometric mean, ``_ellip_KE``.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from fractions import Fraction as Q
 from typing import NamedTuple
 
 from . import dunham
-from .errors import DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError
 from .series import PolyB, PolySeries
 
 __all__ = [
@@ -37,10 +40,38 @@ __all__ = [
     "barrier_top_a0",
 ]
 
+_EPS = 2.0 ** -52
+
+
+def _ellip_KE(m) -> tuple[float, float]:
+    """(K(m), E(m)) by one arithmetic-geometric-mean iteration, in double
+    precision; m is the parameter k^2, not the modulus k.
+
+    K diverges at m = 1; that call raises PoleError.
+    """
+    if not 0 <= m <= 1:
+        raise DomainError(f"parameter m={m} outside [0, 1]")
+    if m == 1:
+        raise PoleError("K(m) diverges logarithmically at m = 1")
+    m = float(m)
+    a, b = 1.0, math.sqrt(1.0 - m)
+    c = math.sqrt(m)
+    csum = c * c / 2  # running sum of 2^(n-1) c_n^2
+    pow2 = 1.0
+    for _ in range(300):
+        a, b, c = (a + b) / 2, math.sqrt(a * b), (a - b) / 2
+        pow2 *= 2
+        csum += pow2 / 2 * c * c
+        if abs(c) <= _EPS * abs(a):
+            break
+    else:
+        raise ConvergenceError("AGM failed to converge")
+    K = math.pi / (2 * a)
+    return K, K * (1.0 - csum)
+
+
 def action_leading(u: float) -> tuple[float, complex]:
     """(a0, a0D) at energy u; u >= -1, valid below and above the barrier."""
-    from .elliptic import ellip_KE
-
     if not -1 <= u < math.inf:
         raise DomainError(f"need finite u >= -1, the bottom of the band spectrum; got {u!r}")
     if u <= 1:
@@ -51,68 +82,57 @@ def action_leading(u: float) -> tuple[float, complex]:
             return 4 / math.pi, complex(0.0, 0.0)
         if u == -1:
             return 0.0, complex(0, 4 / math.pi)
-        K, E = ellip_KE(m)
+        K, E = _ellip_KE(m)
         a0 = 4 / math.pi * (E - (1 - u) / 2 * K)
-        Kd, Ed = ellip_KE(1 - m)
+        Kd, Ed = _ellip_KE(1 - m)
         a0d = complex(0, 4 / math.pi * (Ed - (1 + u) / 2 * Kd))
         return a0, a0d
     # Above the barrier: reciprocal-parameter continuation keeps a0 real
     # and a0D purely imaginary with positive imaginary part.
     mu = 2 / (1 + u)
-    K, E = ellip_KE(mu)
+    K, E = _ellip_KE(mu)
     a0 = 2 * math.sqrt(2) / math.pi * math.sqrt(1 + u) * E
     md = (u - 1) / (u + 1)
-    Kd, Ed = ellip_KE(md)
+    Kd, Ed = _ellip_KE(md)
     a0d = complex(0, 4 / math.pi * math.sqrt((u + 1) / 2) * (Kd - Ed))
     return a0, a0d
 
 
 def action_leading_derivative(u: float) -> tuple[float, complex]:
     """(da0/du, da0D/du) from the elliptic derivative identities."""
-    from .elliptic import ellip_dE_dm, ellip_dK_dm, ellip_KE
-
     if not -1 < u < math.inf:
         raise DomainError(f"need finite u > -1, got {u!r}")
     if u < 1:
         # a0' = K(m)/pi; a0D = (4i/pi) g(m') with g' = K/2 and dm'/du = -1/2.
         m = (1 + u) / 2
-        K, _E = ellip_KE(m)
-        Kd, _Ed = ellip_KE(1 - m)
+        K, _E = _ellip_KE(m)
+        Kd, _Ed = _ellip_KE(1 - m)
         return K / math.pi, complex(0, -Kd / math.pi)
     if u == 1:
         raise PoleError("da0/du diverges logarithmically at the barrier top")
     # d/du of the continued forms: da0/du = sqrt(mu) K(mu) / pi, mu = 2/(1+u).
     mu = 2 / (1 + u)
-    K, _E = ellip_KE(mu)
+    K, _E = _ellip_KE(mu)
     da0 = math.sqrt(mu) * K / math.pi
-    # Im a0D = (4/pi) sqrt((u+1)/2) (K(md) - E(md)), md = (u-1)/(u+1).
-    md = (u - 1) / (u + 1)
-    Kd, Ed = ellip_KE(md)
-    dmd = 2 / (u + 1) ** 2
-    dIm = 4 / math.pi * (
-        (Kd - Ed) / (2 * math.sqrt(2 * (u + 1)))
-        + math.sqrt((u + 1) / 2) * (ellip_dK_dm(md) - ellip_dE_dm(md)) * dmd
-    )
-    return da0, complex(0, dIm)
+    # Im a0D = (4/pi) sqrt((u+1)/2) (K(md) - E(md)), md = (u-1)/(u+1); with
+    # d/dm (K - E) = E/(2(1-m)) and dmd/du = 2/(u+1)^2 the E terms cancel.
+    Kd, _Ed = _ellip_KE((u - 1) / (u + 1))
+    return da0, complex(0, math.sqrt(2) * Kd / (math.pi * math.sqrt(u + 1)))
 
 
 def _a1_closed(u: float) -> float:
-    from .elliptic import ellip_KE
-
     if not -1 < u < 1:
         raise PoleError("a1 closed form has (1-u^2) poles; need -1 < u < 1")
     m = (1 + u) / 2
-    K, E = ellip_KE(m)
+    K, E = _ellip_KE(m)
     return ((1 - u) * K + 2 * u * E) / (48 * math.pi * (1 - u * u))
 
 
 def _a2_closed(u: float) -> float:
-    from .elliptic import ellip_KE
-
     if not -1 < u < 1:
         raise PoleError("a2 closed form has (1-u^2) poles; need -1 < u < 1")
     m = (1 + u) / 2
-    K, E = ellip_KE(m)
+    K, E = _ellip_KE(m)
     num = (1 - u) * (4 * u**3 + 93 * u**2 - 60 * u + 75) * K + 2 * (
         4 * u**4 - 153 * u**2 - 75
     ) * E

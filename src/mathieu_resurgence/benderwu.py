@@ -10,7 +10,6 @@ exact rationals, so the output coefficients can be compared as identities.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
@@ -22,7 +21,6 @@ __all__ = [
     "PotentialSeries",
     "mathieu_well_potential",
     "lame_potential",
-    "potential_from_json",
     "rs_series",
     "polynomial_in_N",
     "lame_energy_series",
@@ -77,16 +75,6 @@ def lame_potential(m: Q, order: int) -> PotentialSeries:
         raise DomainError("m in [0, 1]")
     coeffs = tuple(c / 2 for c in sd_squared_taylor(order, m))
     return PotentialSeries(name="lame-well", taylor=coeffs, m=m)
-
-
-def potential_from_json(text: str) -> PotentialSeries:
-    """Load {name, taylor: [[num, den], ...], m: optional [num, den]}."""
-    d = json.loads(text)
-    taylor = tuple(Q(int(num), int(den)) for num, den in d["taylor"])
-    m = None
-    if d.get("m") is not None:
-        m = Q(int(d["m"][0]), int(d["m"][1]))
-    return PotentialSeries(name=d.get("name", "custom"), taylor=taylor, m=m)
 
 
 def _sqrt_q(x: Q) -> Q:

@@ -23,9 +23,10 @@ from .errors import ConvergenceError, DomainError, RegimeWarning, require_positi
 # inside the functions that use them, and `--m` is parsed to lowest-terms
 # text, so a cache hit loads none of them.  `spectral` takes the action
 # tables from `dunham`, so the exact-series subcommands other than
-# `actions` load neither `actions` nor `elliptic`.  mpmath loads only where
-# a run does multiprecision arithmetic in it: `zerodim --check relation` and
-# `--check borel`.  The mp Hill tier behind `widths` runs on `decimal`.
+# `actions` do not load `actions` and its elliptic closed forms.  mpmath
+# loads only where a run does multiprecision arithmetic in it: `zerodim
+# --check relation` and `--check borel`.  The mp Hill tier behind `widths`
+# runs on `decimal`.
 
 __all__ = ["main", "build_parser"]
 
@@ -137,23 +138,9 @@ def _cache_dir() -> str | None:
 # output-only options: they change how a payload is rendered, not what it is
 _OUTPUT_OPTIONS = ("format", "output", "pretty")
 
-# Payload shape per subcommand, part of the cache key only: raise a number
-# when its subcommand's payload gains, loses or changes a field, so older
-# cache entries become misses while metadata.version and stdout stay put.
-# Raise it too when the printed values change, so that a shared cache does
-# not mix them.  widths: 2 added oracle_dps and oracle_truncation to its row.
-# spectrum, figure1, figure2: 2 and widths: 3 moved the float Hill tier from
-# LAPACK to Sturm counts in `tridiag`, which moves last digits.
-# pert, strong, pinst: 2 reject N < 0 and an hbar that is not finite and
-# > 0, which schema 1 evaluated (printing NaN) or dropped.
-# spectrum, figure1, figure2: 3 and widths: 4 split both Bloch sectors into
-# parity blocks and widen the antiperiodic basis by one momentum, which
-# moves last digits.  widths: 5 sizes every narrow gap on the mp tier, not
-# only at hbar >= 2.  widths: 6 warns on every gap with N*hbar <= 2 sqrt(2),
-# not only below 1.  benderwu: 2 leaves --m unset (config "None") for the
-# mathieu potential, which has no parameter.  spectrum, figure1, figure2: 4
-# and widths: 7 start each edge at the full truncation from its value at
-# M//2, and put the mp tier on `decimal`, which moves last digits.
+# Payload shape per subcommand, part of the cache key only: raise a
+# subcommand's number when its payload's fields or printed values change,
+# so that older cache entries become misses.
 _PAYLOAD_SCHEMA = {
     "pert": 2,
     "strong": 2,
@@ -163,7 +150,7 @@ _PAYLOAD_SCHEMA = {
     "spectrum": 4,
     "figure1": 4,
     "figure2": 4,
-    "widths": 7,
+    "widths": 8,
     "zerodim": 1,
     "benderwu": 2,
 }

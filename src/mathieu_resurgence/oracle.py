@@ -104,7 +104,10 @@ class SpectralPoint(NamedTuple):
     N: int
     edge: str  # "bottom" | "top"
     u: float
-    converged_digits: int
+    converged_digits: int  # agreement of the truncations M and M//2
+    # the extended-precision tier's certificate: u is within this of the
+    # matrix's eigenvalue (None on the float tier)
+    solver_error: object = None
 
 
 def _edge_index(N: int, edge: str) -> tuple[float, int]:
@@ -148,8 +151,10 @@ def _block(hbar: float, kappa: float, upper: int, M: int, lam: float, one):
     return [h2 * k ** 2 for k in range(upper, M + 1)], e
 
 
-def _edge_table(hbar: float, edges, M: int, lam: float, one, rtol) -> dict:
-    """u-values of the requested (N, edge) pairs at Fourier truncation M.
+def _edge_table(hbar: float, edges, M: int, lam: float, one, rtol) -> tuple[dict, dict]:
+    """u-values of the requested (N, edge) pairs at Fourier truncation M,
+    and the distance within which the eigensolver certifies each: tol/2 of
+    its block (None on the float tier).
 
     edges: the pairs, or a dict from each pair to an approximate u-value
     (the same edge at another truncation), which seeds its eigenvalue.
@@ -161,14 +166,15 @@ def _edge_table(hbar: float, edges, M: int, lam: float, one, rtol) -> dict:
     for key in edges:
         kappa, i = _edge_index(*key)
         blocks.setdefault((kappa, i % 2), {})[key] = i // 2
-    out = {}
+    out, certs = {}, {}
     for (kappa, upper), want in blocks.items():
         d, e = _block(hbar, kappa, upper, M, lam, one)
         tol = None if rtol is None else rtol * max(one, abs(d[-1]))
         ks = {j: seeds[key] for key, j in want.items()} if seeds else want.values()
         vals = tridiag.eigenvalues(d, e, ks, tol)
         out.update({key: vals[j] for key, j in want.items()})
-    return out
+        certs.update(dict.fromkeys(want, tol and tol / 2))
+    return out, certs
 
 
 def band_edges(
@@ -210,9 +216,10 @@ def band_edges(
 
 def _points(hbar, edges, M, half_M, lam, one, rtol, max_digits) -> list[SpectralPoint]:
     """The edges at truncations M and M//2, the full table seeded by the
-    half one, with their digits of agreement (at most max_digits)."""
-    half = _edge_table(hbar, edges, half_M, lam, one, rtol)
-    full = _edge_table(hbar, half, M, lam, one, rtol)
+    half one, with their digits of agreement and, on the extended-precision
+    tier, the distance within which the eigensolver certifies each."""
+    half, _ = _edge_table(hbar, edges, half_M, lam, one, rtol)
+    full, certs = _edge_table(hbar, half, M, lam, one, rtol)
     out: list[SpectralPoint] = []
     for N, edge in edges:
         u = full[(N, edge)]
@@ -226,7 +233,7 @@ def _points(hbar, edges, M, half_M, lam, one, rtol, max_digits) -> list[Spectral
             raise ConvergenceError(
                 f"band edge not converged at truncation M={M}: ~{digits} digits"
             )
-        out.append(SpectralPoint(hbar=hbar, N=N, edge=edge, u=u, converged_digits=digits))
+        out.append(SpectralPoint(hbar, N, edge, u, digits, certs[(N, edge)]))
     return out
 
 
@@ -349,7 +356,9 @@ def width_num(hbar: float, N: int, kind: str) -> dict:
     # which a width below the double range does not underflow to zero
     ten = type(hi.u)(10)
     width = hi.u - lo.u
-    err = abs(hi.u) * ten ** (-hi.converged_digits) + abs(lo.u) * ten ** (-lo.converged_digits)
+    # on the mp tier an edge's agreement across truncations can pass the
+    # distance within which the eigensolver certifies it
+    err = sum(max(abs(p.u) * ten ** (-p.converged_digits), p.solver_error or 0) for p in (hi, lo))
     if width <= 0:
         raise ConvergenceError("width not resolved: non-positive difference")
     if width < sys.float_info.min:

@@ -13,7 +13,6 @@ always explicit.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
@@ -417,28 +416,6 @@ class PolySeries:
         body = " + ".join(terms) if terms else "0"
         return f"PolySeries[{self.var}; O({self.var}^{self.order + 1})]({body})"
 
-    # -- serialization ------------------------------------------------
-    def to_json_dict(self) -> dict:
-        return {
-            "variable": self.var,
-            "order": self.order,
-            "coeffs": [[[str(x.numerator), str(x.denominator)] for x in p.c] for p in self.c],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "PolySeries":
-        coeffs = [
-            PolyB(Q(int(num), int(den)) for num, den in p) for p in d["coeffs"]
-        ]
-        return cls(d["variable"], int(d["order"]), coeffs)
-
-    @classmethod
-    def from_json(cls, s: str) -> "PolySeries":
-        return cls.from_json_dict(json.loads(s))
-
 
 def horner(coeffs, x):
     """sum_k coeffs[k] * x**k by Horner's rule.
@@ -586,32 +563,6 @@ class TransSeries:
             and self.sectors == other.sectors
             and self.shifts == other.shifts
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "instanton_action": [str(self.action.numerator), str(self.action.denominator)],
-            "branch": self.branch,
-            "sectors": [
-                {
-                    "k": k,
-                    "l": l,
-                    "hbar_shift": self.shifts[(k, l)],
-                    "series": s.to_json_dict(),
-                }
-                for (k, l), s in self.sectors.items()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "TransSeries":
-        sec = {}
-        shf = {}
-        for entry in d["sectors"]:
-            key = (int(entry["k"]), int(entry["l"]))
-            sec[key] = PolySeries.from_json_dict(entry["series"])
-            shf[key] = int(entry["hbar_shift"])
-        num, den = d["instanton_action"]
-        return cls(Q(int(num), int(den)), sec, shf, int(d["branch"]))
 
 
 def transseries_substitute(u: PolySeries, dnu: TransSeries) -> TransSeries:

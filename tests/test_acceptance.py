@@ -142,7 +142,10 @@ def test_criterion_05_gap_width_convergence():
 
 
 def test_criterion_06_elliptic_wkb_identities():
-    from mathieu_resurgence.elliptic import legendre_defect
+    def legendre_defect(m):
+        # E K' + E' K - K K' - pi/2 with K' = K(1-m), from the closed forms' AGM
+        (K, E), (Kp, Ep) = actions._ellip_KE(m), actions._ellip_KE(1 - m)
+        return E * Kp + Ep * K - K * Kp - math.pi / 2
 
     grid_m = [k / 51 for k in range(1, 51)]
     leg = max(abs(legendre_defect(m)) for m in grid_m)

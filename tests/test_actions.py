@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 
 from mathieu_resurgence import actions, dunham
@@ -68,6 +69,38 @@ class TestLeading:
             assert math.pi * a0d.imag == pytest.approx(
                 target, abs=2 * v * v * abs(math.log(v))
             )
+
+    @pytest.mark.parametrize(
+        "u", [-0.99, -0.5, 0.0, 0.5, 0.9, 0.999, 1.001, 1.5, 3.0, 100.0, 1e4]
+    )
+    def test_closed_forms_and_slopes_match_mpmath(self, u):
+        # the same closed forms with mpmath's K and E at 30 digits, and the
+        # slopes by mpmath's numerical derivative: an independent route to
+        # both the AGM and the derivative identities
+        K, E = mpmath.ellipk, mpmath.ellipe
+        if u < 1:
+            def a0(x):
+                return 4 / mpmath.pi * (E((1 + x) / 2) - (1 - x) / 2 * K((1 + x) / 2))
+
+            def im_a0d(x):
+                return 4 / mpmath.pi * (E((1 - x) / 2) - (1 + x) / 2 * K((1 - x) / 2))
+        else:
+            def a0(x):
+                return 2 * mpmath.sqrt(2) / mpmath.pi * mpmath.sqrt(1 + x) * E(2 / (1 + x))
+
+            def im_a0d(x):
+                md = (x - 1) / (x + 1)
+                return 4 / mpmath.pi * mpmath.sqrt((x + 1) / 2) * (K(md) - E(md))
+
+        got_a0, got_a0d = action_leading(u)
+        got_da0, got_da0d = action_leading_derivative(u)
+        assert got_a0d.real == 0 and got_da0d.real == 0
+        with mpmath.workdps(30):
+            x = mpmath.mpf(u)
+            want = [a0(x), im_a0d(x), mpmath.diff(a0, x), mpmath.diff(im_a0d, x)]
+            got = [got_a0, got_a0d.imag, got_da0, got_da0d.imag]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (g, w)
 
 
 class TestHigher:
@@ -171,12 +204,13 @@ class TestIdentities:
             assert abs(wronskian_defect(u)) <= 1e-11
 
     def test_wronskian_scaling_consistency(self):
-        # defect inherits the elliptic tolerance through the Legendre relation
-        from mathieu_resurgence.elliptic import legendre_defect
-
+        # defect inherits the AGM's tolerance through the Legendre relation
+        # E K' + E' K - K K' = pi/2, K' = K(1-m)
         for u in (0.3, -0.6):
             m = (1 + u) / 2
-            assert abs(wronskian_defect(u)) <= 10 * abs(legendre_defect(m)) + 1e-13
+            (K, E), (Kp, Ep) = actions._ellip_KE(m), actions._ellip_KE(1 - m)
+            legendre_defect = E * Kp + Ep * K - K * Kp - math.pi / 2
+            assert abs(wronskian_defect(u)) <= 10 * abs(legendre_defect) + 1e-13
 
     def test_picard_fuchs_both_solutions(self):
         for u in UGRID[::7]:

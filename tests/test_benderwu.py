@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction as Q
 
@@ -12,7 +11,6 @@ from mathieu_resurgence.benderwu import (
     large_order_fit,
     mathieu_well_potential,
     polynomial_in_N,
-    potential_from_json,
     richardson,
     rs_series,
 )
@@ -87,14 +85,6 @@ class TestLame:
 
 
 class TestPotentialPlumbing:
-    def test_json_round_trip(self):
-        text = json.dumps(
-            {"name": "probe", "taylor": [["0", "1"], ["0", "1"], ["1", "2"], ["1", "6"]]}
-        )
-        V = potential_from_json(text)
-        assert V.taylor[2] == Q(1, 2)
-        assert V.taylor[3] == Q(1, 6)
-
     def test_not_a_minimum(self):
         with pytest.raises(DomainError):
             PotentialSeries("bad", (Q(0), Q(1), Q(1)))

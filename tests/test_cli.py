@@ -738,12 +738,11 @@ class TestImportCost:
     )
     def test_exact_series_loads_no_closed_forms(self, argv):
         # the action tables come from dunham; the elliptic closed forms
-        # behind `actions` and the Jacobi Taylor data of the Lame well are
-        # not part of these runs
+        # of `actions` and the Jacobi Taylor data of the Lame well are not
+        # part of these runs
         code, mods = _probe(*argv)
         assert code == EXIT_OK
-        assert not {"mathieu_resurgence.actions", "mathieu_resurgence.elliptic",
-                    "mathieu_resurgence.jacobi_exact"} & mods
+        assert not {"mathieu_resurgence.actions", "mathieu_resurgence.jacobi_exact"} & mods
 
     @pytest.mark.parametrize(
         "argv",
@@ -767,11 +766,12 @@ class TestImportCost:
         ],
     )
     def test_zerodim_loads_no_elliptic(self, argv):
-        # the quadrature takes sd^2 and K from mpmath; the saddle data are
-        # rationals in closed form
+        # the quadrature takes sd^2 and K from mpmath and the saddle data
+        # are rationals in closed form, so the double-precision elliptic
+        # integrals of `actions` are not part of these runs
         code, mods = _probe(*argv)
         assert code == EXIT_OK
-        assert "mathieu_resurgence.elliptic" not in mods
+        assert "mathieu_resurgence.actions" not in mods
 
     def test_rows_and_lame_potential_load_the_series_ring(self):
         # the positive control: the guards above are not passing vacuously
@@ -779,6 +779,11 @@ class TestImportCost:
         assert code == EXIT_OK and "mathieu_resurgence.series" in mods
         code, mods = _probe("benderwu", "--potential", "lame", "--m", "1/4", "--order", "4")
         assert code == EXIT_OK and "mathieu_resurgence.jacobi_exact" in mods
+
+    def test_actions_subcommand_loads_the_closed_forms(self):
+        # the positive control of the guards that name `actions`
+        code, mods = _probe("actions", "--region", "well", "--n", "1", "--order", "3")
+        assert code == EXIT_OK and "mathieu_resurgence.actions" in mods
 
     def test_import_loads_no_numeric_stack(self):
         _, mods = _probe()

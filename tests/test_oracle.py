@@ -293,6 +293,16 @@ class TestExtendedPrecision:
         assert abs(gap_width(hbar, N).leading / got["width"] - 1) < 0.10
         assert got["error_bound"] <= 1e-6 * got["width"]
 
+    @pytest.mark.parametrize("hbar, N", [(0.25, 0), (0.2, 1)])
+    def test_width_bound_covers_the_eigensolver_certificate(self, hbar, N):
+        # each edge is certified only to within half its block's tolerance,
+        # 10^(4 - dps) times the block's largest diagonal entry (at least
+        # hbar^2 M^2 / 2), however closely the truncations M and M//2 agree
+        got = width_num(hbar, N, "band")
+        M, dps = got["truncation"], got["dps_used"]
+        half_tol = 10.0 ** (4 - dps) * max(1.0, hbar ** 2 * M ** 2 / 2) / 2
+        assert got["error_bound"] >= 2 * half_tol
+
     def test_bound_below_the_double_range_stays_positive(self):
         # a 7.4e-307 band at dps 324: its bound, ~2e-324, rounds to zero in float()
         got = width_num(0.01135, 0, "band")

@@ -11,7 +11,6 @@ from mathieu_resurgence import (
     benderwu,
     charvalues,
     dunham,
-    elliptic,
     spectral,
     widths,
     zerodim,
@@ -108,14 +107,16 @@ def test_no_module_imports_a_private_name():
     assert found == []
 
 
-def test_no_module_imports_elliptic_at_top_level():
-    # the double-precision AGM serves the action closed forms only; a
-    # module-level import would compile it into every run of its importer
+def test_no_module_imports_actions_at_top_level():
+    # the action closed forms and their AGM serve `actions` and `widths`
+    # only; a module-level import would compile them into every run of
+    # its importer
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PKG_DIR.rglob("*.py"))
         for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, ast.ImportFrom) and node.module == "elliptic"
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "actions" or "actions" in (a.name for a in node.names))
     ]
     assert found == []
 
@@ -126,13 +127,6 @@ NAN, INF = math.nan, math.inf
 @pytest.mark.parametrize(
     "call",
     [
-        (elliptic.ellip_KE, NAN),
-        (elliptic.ellip_E, NAN),
-        (elliptic.ellip_dK_dm, NAN),
-        (elliptic.ellip_dE_dm, NAN),
-        (elliptic.legendre_defect, NAN),
-        (elliptic.ellip_K_series, NAN),
-        (elliptic.ellip_E_series, NAN),
         (actions.action_leading, NAN),
         (actions.action_leading, INF),
         (actions.action_leading_derivative, NAN),

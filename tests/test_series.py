@@ -153,25 +153,6 @@ class TestTransSeries:
         prod = a * b
         assert set(prod.sectors) == {(3, 1)}
 
-    def test_json_round_trip(self):
-        t = TransSeries(
-            8,
-            {(0, 0): S([PolyB((0, 1))], order=2), (2, 1): S([1, Q(1, 3)], order=2)},
-            branch=-1,
-        )
-        back = TransSeries.from_json_dict(t.to_json_dict())
-        assert back == t
-
-
-class TestSerialization:
-    def test_polyseries_json_round_trip(self):
-        s = S([PolyB((Q(1, 3), 2)), PolyB((0, 0, Q(-5, 7)))], order=3)
-        assert PolySeries.from_json(s.to_json()) == s
-
-    def test_json_integers_are_strings(self):
-        d = S([Q(1, 3)]).to_json_dict()
-        assert d["coeffs"][0][0] == ["1", "3"]
-
 
 # -- PolyB against a plain list[Fraction] reference -------------------------
 # The reference ring is written out here without PolyB, so that a fault in
@@ -318,15 +299,6 @@ class TestRingAgainstFractionLists:
         assert hash(PolyB.const(r)) == hash(r)
         assert (p == r) == (_trim(a) == _trim([r]))
         assert p != "not a polynomial"
-
-    @given(st.lists(_coeffs, min_size=1, max_size=4), st.integers(0, 2))
-    @settings(deadline=None)
-    def test_polyseries_json_round_trip(self, cs, extra):
-        s = PolySeries("hbar", len(cs) - 1 + extra, [PolyB(c) for c in cs])
-        d = s.to_json_dict()
-        want = [[[str(x.numerator), str(x.denominator)] for x in _trim(c)] for c in cs]
-        assert d["coeffs"] == want + [[]] * extra
-        assert PolySeries.from_json(s.to_json()) == s
 
 
 class TestNamedSurface:
