@@ -19,20 +19,14 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
-from fractions import Fraction as Q
-from typing import NamedTuple
 
-from . import dunham
 from .errors import ConvergenceError, DomainError, PoleError
 from .series import PolyB, PolySeries
 
 __all__ = [
-    "ActionValue",
-    "ActionSeries",
     "action_leading",
     "action_leading_derivative",
     "action_higher",
-    "action_series",
     "wronskian_defect",
     "picard_fuchs_residual",
     "operator_a1",
@@ -145,76 +139,9 @@ def action_higher(u: float, n: int) -> float:
         return _a1_closed(u)
     if n == 2:
         return _a2_closed(u)
-    raise DomainError("closed forms implemented for n = 1, 2 only; use action_series")
-
-
-def action_higher_dual(u: float, n: int) -> complex:
-    """a_n^D(u) = i a_n(-u): the dual cycle is the u -> -u continuation."""
-    if n == 0:
-        return action_leading(u)[1]
-    return complex(0, action_higher(-u, n))
-
-
-class ActionValue(NamedTuple):
-    """WKB cycle data at one energy: a = [a0, a1, a2], aD = duals."""
-
-    u: float
-    a: list[float]
-    aD: list[complex]
-
-
-def action_value(u: float) -> ActionValue:
-    """a0..a2 and their duals at u: every order with a closed form."""
-    a0, a0d = action_leading(u)
-    a = [a0] + [action_higher(u, n) for n in (1, 2)]
-    aD = [a0d] + [action_higher_dual(u, n) for n in (1, 2)]
-    return ActionValue(u=u, a=a, aD=aD)
-
-
-class ActionSeries:
-    """Region expansion of one WKB order.
-
-    region "well": series in (u+1), exact rationals.
-    region "high": dict h -> coeff meaning sum coeff * (2u)^(h/2).
-    region "top": leading barrier-top behavior (see ``barrier_top_a0``).
-    """
-
-    def __init__(self, region: str, n: int, well: PolySeries | None = None,
-                 high: dict[int, Q] | None = None):
-        self.region = region
-        self.n = n
-        self.well = well
-        self.high = {} if high is None else high
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ActionSeries({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    def eval_well(self, u: float) -> float:
-        return self.well(u + 1.0)
-
-    def eval_high(self, u: float) -> float:
-        return sum(float(c) * (2 * u) ** (h / 2) for h, c in self.high.items())
-
-
-def action_series(region: str, n: int, order: int) -> ActionSeries:
-    """Exact region expansion of a_n; ``order`` counts kept terms."""
-    if n < 0 or order < 0:
-        raise DomainError(f"WKB order n >= 0 and order >= 0 required, got n={n}, order={order}")
-    if region == "well":
-        coeffs = dunham.well_actions(n, order)[n]
-        ser = PolySeries("u+1", order, [PolyB.const(c) for c in coeffs])
-        return ActionSeries(region="well", n=n, well=ser)
-    if region == "high":
-        table = dunham.high_actions(n, order)[n]
-        return ActionSeries(region="high", n=n, high=table)
-    raise DomainError(f"unsupported region {region!r}")
+    raise DomainError(
+        "closed forms implemented for n = 1, 2 only; use dunham.well_action_series"
+    )
 
 
 def wronskian_defect(u: float) -> complex:

@@ -16,8 +16,6 @@ from .series import PolyB, PolySeries
 
 __all__ = ["char_a", "char_b"]
 
-_CACHE: dict[tuple[str, int, int], PolySeries] = {}
-
 
 def _conv_cos(vec: dict[int, Q]) -> dict[int, Q]:
     """Multiply a cosine series by 2 cos 2z: cos m -> cos(m+2) + cos|m-2|."""
@@ -81,15 +79,9 @@ def _char_series(N: int, order: int, kind: str) -> PolySeries:
 
 def char_a(N: int, order: int) -> PolySeries:
     """a_N(q) as an exact series in q."""
-    key = ("a", N, order)
-    if key not in _CACHE:
-        _CACHE[key] = _char_series(N, order, "a")
-    return _CACHE[key]
+    return _char_series(N, order, "a")
 
 
 def char_b(N: int, order: int) -> PolySeries:
     """b_N(q) as an exact series in q, N >= 1."""
-    key = ("b", N, order)
-    if key not in _CACHE:
-        _CACHE[key] = _char_series(N, order, "b")
-    return _CACHE[key]
+    return _char_series(N, order, "b")

@@ -21,12 +21,11 @@ from .errors import ConvergenceError, DomainError, RegimeWarning, require_positi
 # Each module imports at top level only what all of its callers use.  Here
 # the generator and oracle modules, `fractions` and `zlib` are imported
 # inside the functions that use them, and `--m` is parsed to lowest-terms
-# text, so a cache hit loads none of them.  `spectral` takes the action
-# tables from `dunham`, so the exact-series subcommands other than
-# `actions` do not load `actions` and its elliptic closed forms.  mpmath
-# loads only where a run does multiprecision arithmetic in it: `zerodim
-# --check relation` and `--check borel`.  The mp Hill tier behind `widths`
-# runs on `decimal`.
+# text, so a cache hit loads none of them.  `spectral` and the `actions`
+# subcommand take the action tables from `dunham`, so no subcommand loads
+# `actions` and its elliptic closed forms.  mpmath loads only where a run
+# does multiprecision arithmetic in it: `zerodim --check relation` and
+# `--check borel`.  The mp Hill tier behind `widths` runs on `decimal`.
 
 __all__ = ["main", "build_parser"]
 
@@ -150,7 +149,7 @@ _PAYLOAD_SCHEMA = {
     "spectrum": 4,
     "figure1": 4,
     "figure2": 4,
-    "widths": 8,
+    "widths": 9,
     "zerodim": 1,
     "benderwu": 2,
 }
@@ -395,19 +394,14 @@ def _run_zjj(args) -> dict:
 
 
 def _run_actions(args) -> dict:
-    from . import actions as actions_mod
+    from . import dunham
 
-    ser = actions_mod.action_series(args.region, args.n, args.order)
     if args.region == "well":
-        rows = [
-            {"power_of_u_plus_1": k, "coefficient": _q_str(ser.well[k].const_value())}
-            for k in range(ser.well.order + 1)
-        ]
+        coeffs = dunham.well_action_series(args.n, args.order)[args.n]
+        rows = [{"power_of_u_plus_1": k, "coefficient": _q_str(c)} for k, c in enumerate(coeffs)]
     else:
-        rows = [
-            {"half_power_of_2u": h, "coefficient": _q_str(c)}
-            for h, c in ser.high.items()
-        ]
+        table = dunham.high_action_series(args.n, args.order)[args.n]
+        rows = [{"half_power_of_2u": h, "coefficient": _q_str(c)} for h, c in table.items()]
     return {"rows": rows}
 
 

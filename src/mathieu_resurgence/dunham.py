@@ -36,9 +36,6 @@ carry no r part; the cycle integrals only read even orders.
 * high (u >> 1): x = cos y, r = sin y, sigma = -1, lam = u and
   p^2 = 2u - 2 cos y; the full-period average reduces to cosine moments
   after a binomial expansion in 1/u.
-
-`well_actions` and `high_actions` build each table once per process; the
-inversions in `spectral` and the expansions in `actions` read them there.
 """
 from __future__ import annotations
 
@@ -47,7 +44,7 @@ from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError, StructureError
 
-__all__ = ["well_action_series", "high_action_series", "well_actions", "high_actions"]
+__all__ = ["well_action_series", "high_action_series"]
 
 # A polynomial in (x, lam) is a dict {key: coefficient} with
 # key = (power of x) << _SHIFT | (power of lam), so products add keys.
@@ -277,23 +274,3 @@ def high_action_series(n_max: int, depth: int) -> list[dict[int, Q]]:
                     acc[h] = acc.get(h, Q(0)) + val
         out.append({h: c for h, c in sorted(acc.items(), reverse=True) if c != 0})
     return out
-
-
-_WELL_CACHE: dict[tuple[int, int], list[list[Q]]] = {}
-_HIGH_CACHE: dict[tuple[int, int], list[dict[int, Q]]] = {}
-
-
-def well_actions(n_max: int, eps_order: int) -> list[list[Q]]:
-    """``well_action_series``, computed once per argument pair."""
-    key = (n_max, eps_order)
-    if key not in _WELL_CACHE:
-        _WELL_CACHE[key] = well_action_series(n_max, eps_order)
-    return _WELL_CACHE[key]
-
-
-def high_actions(n_max: int, depth: int) -> list[dict[int, Q]]:
-    """``high_action_series``, computed once per argument pair."""
-    key = (n_max, depth)
-    if key not in _HIGH_CACHE:
-        _HIGH_CACHE[key] = high_action_series(n_max, depth)
-    return _HIGH_CACHE[key]

@@ -356,9 +356,11 @@ def width_num(hbar: float, N: int, kind: str) -> dict:
     # which a width below the double range does not underflow to zero
     ten = type(hi.u)(10)
     width = hi.u - lo.u
-    # on the mp tier an edge's agreement across truncations can pass the
-    # distance within which the eigensolver certifies it
-    err = sum(max(abs(p.u) * ten ** (-p.converged_digits), p.solver_error or 0) for p in (hi, lo))
+    # an edge's digits count relative to max(|u|, 1), as `_points` measures
+    # them; on the mp tier that agreement across truncations can pass the
+    # distance within which the eigensolver certifies the edge
+    err = sum(max(max(abs(p.u), 1) * ten ** (-p.converged_digits), p.solver_error or 0)
+              for p in (hi, lo))
     if width <= 0:
         raise ConvergenceError("width not resolved: non-positive difference")
     if width < sys.float_info.min:

@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 _B = PolyB((0, 1))
-_WEAK_CACHE: dict[int, PolySeries] = {}
 
 
 def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) -> PolySeries:
@@ -41,19 +40,15 @@ def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) 
     """
     if order < 1:
         raise DomainError("order >= 1 required")
-    if order in _WEAK_CACHE:
-        return _WEAK_CACHE[order]
     # F(v) = 2 sum_n hbar^(2n) a_n(v) as a polynomial in v = u + 1 whose
     # coefficients are series in hbar; solve F(v) = hbar B for v = O(hbar).
     graded = [PolyB()] * (order + 1)
-    for n, an in enumerate(dunham.well_actions(order // 2, order)):
+    for n, an in enumerate(dunham.well_action_series(order // 2, order)):
         graded[2 * n] = PolyB(2 * c for c in an)
     F = PolySeries("hbar", order, graded).coeffs_in_B()
     target = PolySeries("hbar", order, [PolyB(), _B])
     v = newton_solve(F, target, 0, progress)
-    out = v - PolySeries.const("hbar", order, 1)
-    _WEAK_CACHE[order] = out
-    return out
+    return v - PolySeries.const("hbar", order, 1)
 
 
 class StrongExpansion(NamedTuple):
@@ -82,7 +77,7 @@ def bs_invert_strong(order: int, depth: int = 8) -> StrongExpansion:
     """
     if order < 0 or depth < 0:
         raise DomainError("order >= 0 and depth >= 0 required")
-    acts = dunham.high_actions(order, depth + 2 * order + 2)
+    acts = dunham.high_action_series(order, depth + 2 * order + 2)
     # Each a_n is sum_h c_{n,h} s^h with s = sqrt(2u).  With t = 1/a,
     # y = hbar^2 and s = a (1 + d), the condition over a reads
     # 1 = sum_{n,h} c_{n,h} y^n t^(1-h) (1+d)^h: a polynomial in d whose
@@ -119,8 +114,6 @@ class ZjjFunctions(NamedTuple):
     B_of_E: PolySeries
     A_of_B: PolySeries
     A_of_E: PolySeries
-
-    A_LEADING_NUM: int = 16  # the 16/hbar pole term of both A series
 
 
 def zjj_construct(order: int) -> ZjjFunctions:

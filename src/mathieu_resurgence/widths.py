@@ -29,12 +29,8 @@ INSTANTON_ACTION = 8  # sqrt(2) * integral of sqrt(1 + cos x) over a period
 
 
 class WidthEstimate(NamedTuple):
-    hbar: float
-    N: int
-    kind: str  # "band" | "gap"
     leading: float
     with_fluctuations: float
-    order_used: int
 
 
 def _in_double_range(what: str, direct: Callable[[], float], log_value: float) -> float:
@@ -147,10 +143,7 @@ def band_width(hbar: float, N: int, order: int = 4) -> WidthEstimate:
     with_fluctuations = lead * float(P(hbar, B))
     if not math.isfinite(with_fluctuations):
         raise DomainError(f"band width with fluctuations not finite at hbar={hbar!r}, N={N}")
-    return WidthEstimate(
-        hbar=hbar, N=N, kind="band", leading=lead,
-        with_fluctuations=with_fluctuations, order_used=order,
-    )
+    return WidthEstimate(leading=lead, with_fluctuations=with_fluctuations)
 
 
 def gap_width(hbar: float, N: int) -> WidthEstimate:
@@ -182,10 +175,7 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
         lambda: N * hbar * hbar / (2 * math.pi) * (math.e / (N * hbar)) ** (2 * N),
         math.log(N * hbar * hbar / (2 * math.pi)) + 2 * N * (1 - math.log(N * hbar)),
     )
-    return WidthEstimate(
-        hbar=hbar, N=N, kind="gap", leading=exact_pref,
-        with_fluctuations=stirling, order_used=0,
-    )
+    return WidthEstimate(leading=exact_pref, with_fluctuations=stirling)
 
 
 def general_width_leading(hbar: float, u: float) -> float:

@@ -12,8 +12,8 @@ from fractions import Fraction as Q
 import mpmath
 import pytest
 
-from mathieu_resurgence import actions, benderwu, oracle, spectral, widths, zerodim
-from mathieu_resurgence.series import PolyB
+from mathieu_resurgence import actions, benderwu, dunham, oracle, spectral, widths, zerodim
+from mathieu_resurgence.series import PolyB, PolySeries
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -151,8 +151,13 @@ def test_criterion_06_elliptic_wkb_identities():
     leg = max(abs(legendre_defect(m)) for m in grid_m)
     grid_u = [-0.95 + 1.9 * k / 49 for k in range(50)]
     wro = max(abs(actions.wronskian_defect(u)) for u in grid_u)
-    a0_series = actions.action_series("well", 0, 10).well
-    a1_series = actions.action_series("well", 1, 8).well
+
+    def well_series(n, order):
+        # a_n as a series in v = u + 1, the form the operator route takes
+        row = dunham.well_action_series(n, order)[n]
+        return PolySeries("u+1", order, [PolyB.const(c) for c in row])
+
+    a0_series, a1_series = well_series(0, 10), well_series(1, 8)
     op = actions.operator_a1(a0_series)
     op_ok = all(op[k] == a1_series[k] for k in range(7))
     a0_top, _ = actions.action_leading(1.0)

@@ -9,8 +9,6 @@ from mathieu_resurgence.actions import (
     action_higher,
     action_leading,
     action_leading_derivative,
-    action_series,
-    action_value,
     barrier_top_a0,
     operator_a1,
     operator_a2,
@@ -18,8 +16,24 @@ from mathieu_resurgence.actions import (
     wronskian_defect,
 )
 from mathieu_resurgence.errors import DomainError, PoleError, StructureError
+from mathieu_resurgence.series import PolyB, PolySeries, horner
 
 UGRID = [(-0.95 + 1.9 * k / 49) for k in range(50)]
+
+
+def well_row(n: int, order: int) -> list[Q]:
+    """Taylor coefficients of a_n in u + 1, up to (u + 1)^order."""
+    return dunham.well_action_series(n, order)[n]
+
+
+def well_series(n: int, order: int) -> PolySeries:
+    """a_n as a series in v = u + 1, the form the operator route takes."""
+    return PolySeries("u+1", order, [PolyB.const(c) for c in well_row(n, order)])
+
+
+def high_table(n: int, depth: int) -> dict[int, Q]:
+    """a_n(u) for u >> 1 as {h: c} meaning sum c (2u)^(h/2)."""
+    return dunham.high_action_series(n, depth)[n]
 
 
 class TestLeading:
@@ -105,12 +119,12 @@ class TestLeading:
 
 class TestHigher:
     def test_a1_series_vs_closed_form(self):
-        ser = action_series("well", 1, 12)
-        assert action_higher(-0.5, 1) == pytest.approx(ser.eval_well(-0.5), abs=1e-8)
+        row = well_row(1, 12)
+        assert action_higher(-0.5, 1) == pytest.approx(horner(row, -0.5 + 1.0), abs=1e-8)
 
     def test_a2_series_vs_closed_form(self):
-        ser = action_series("well", 2, 12)
-        assert action_higher(-0.5, 2) == pytest.approx(ser.eval_well(-0.5), abs=1e-9)
+        row = well_row(2, 12)
+        assert action_higher(-0.5, 2) == pytest.approx(horner(row, -0.5 + 1.0), abs=1e-9)
 
     def test_poles_flagged(self):
         with pytest.raises(PoleError):
@@ -120,26 +134,17 @@ class TestHigher:
         with pytest.raises(DomainError):
             action_higher(0.0, 5)
 
-    def test_action_value_container(self):
-        av = action_value(0.3)
-        assert len(av.a) == len(av.aD) == 3
-        assert av.a[0] == action_leading(0.3)[0]
-        assert av.aD[1].real == 0.0
-
 
 class TestWellSeries:
     def test_a0_printed_row(self):
-        ser = action_series("well", 0, 5).well
         want = [0, Q(1, 2), Q(1, 32), Q(3, 512), Q(25, 16384), Q(245, 524288)]
-        assert [p.const_value() for p in ser.c] == want
+        assert well_row(0, 5) == want
 
     def test_a1_printed_row(self):
-        ser = action_series("well", 1, 4).well
         want = [Q(1, 128), Q(5, 2048), Q(35, 32768), Q(525, 1048576), Q(8085, 33554432)]
-        assert [p.const_value() for p in ser.c] == want
+        assert well_row(1, 4) == want
 
     def test_a2_printed_row(self):
-        ser = action_series("well", 2, 4).well
         want = [
             Q(17, 262144),
             Q(721, 8388608),
@@ -147,20 +152,16 @@ class TestWellSeries:
             Q(141757, 2147483648),
             Q(3342339, 68719476736),
         ]
-        assert [p.const_value() for p in ser.c] == want
+        assert well_row(2, 4) == want
 
     def test_a0_series_matches_closed_form(self):
-        ser = action_series("well", 0, 12)
-        assert ser.eval_well(-0.9) == pytest.approx(action_leading(-0.9)[0], abs=1e-10)
-
-    def test_unsupported_region(self):
-        with pytest.raises(DomainError):
-            action_series("nowhere", 0, 3)
+        row = well_row(0, 12)
+        assert horner(row, -0.9 + 1.0) == pytest.approx(action_leading(-0.9)[0], abs=1e-10)
 
 
 class TestHighSeries:
     def test_a0_bracket(self):
-        tab = action_series("high", 0, 8).high
+        tab = high_table(0, 8)
         assert tab[1] == 1
         # bracket coefficients relative to sqrt(2u): -1/(16 u^2) etc.
         assert tab[-3] * 4 == -Q(1, 16) * 16  # (2u)^-2 = 1/(4u^2)
@@ -168,32 +169,30 @@ class TestHighSeries:
         assert tab[-11] == -Q(105, 256)
 
     def test_a1_prefactor_and_bracket(self):
-        tab = action_series("high", 1, 8).high
+        tab = high_table(1, 8)
         assert tab[-5] == -Q(1, 16)
         # 35/32u^2 relative: coefficient at (2u)^(-9/2) is -35/128
         assert tab[-9] == -Q(35, 128)
 
     def test_a2_row(self):
-        tab = action_series("high", 2, 8).high
+        tab = high_table(2, 8)
         assert tab[-7] == -Q(1, 64)
         assert tab[-11] == -Q(273, 1024)
 
     def test_eval_matches_elliptic_far_out(self):
-        ser = action_series("high", 0, 10)
         u = 30.0
-        assert ser.eval_high(u) == pytest.approx(action_leading(u)[0], rel=1e-12)
+        got = sum(float(c) * (2 * u) ** (h / 2) for h, c in high_table(0, 10).items())
+        assert got == pytest.approx(action_leading(u)[0], rel=1e-12)
 
 
 class TestOperators:
     def test_operator_a1_exact(self):
-        a0 = action_series("well", 0, 10).well
-        a1 = action_series("well", 1, 8).well
+        a0, a1 = well_series(0, 10), well_series(1, 8)
         got = operator_a1(a0)
         assert all(got[k] == a1[k] for k in range(7))
 
     def test_operator_a2_exact(self):
-        a0 = action_series("well", 0, 12).well
-        a2 = action_series("well", 2, 8).well
+        a0, a2 = well_series(0, 12), well_series(2, 8)
         got = operator_a2(a0)
         assert all(got[k] == a2[k] for k in range(6))
 

@@ -161,6 +161,12 @@ class TestExitCodes:
     def test_usage(self, capsys):
         assert main(["definitely-not-a-command"]) == EXIT_USAGE
 
+    def test_unsupported_region(self, capsys):
+        # the region is one of argparse's choices, checked before any table
+        assert main(["actions", "--region", "nowhere"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--region" in captured.err
+
     def test_domain(self, capsys):
         assert main(["widths", "--kind", "gap", "--N", "0", "--hbar", "6.0"]) == EXIT_DOMAIN
 
@@ -780,10 +786,14 @@ class TestImportCost:
         code, mods = _probe("benderwu", "--potential", "lame", "--m", "1/4", "--order", "4")
         assert code == EXIT_OK and "mathieu_resurgence.jacobi_exact" in mods
 
-    def test_actions_subcommand_loads_the_closed_forms(self):
-        # the positive control of the guards that name `actions`
-        code, mods = _probe("actions", "--region", "well", "--n", "1", "--order", "3")
-        assert code == EXIT_OK and "mathieu_resurgence.actions" in mods
+    def test_actions_subcommand_loads_the_tables_alone(self):
+        # the positive control of the guards that name `actions`: the probe
+        # sees the package's modules, and the subcommand reads its tables
+        # from `dunham` without the closed forms or the series ring
+        for region in ("well", "high"):
+            code, mods = _probe("actions", "--region", region, "--n", "1", "--order", "3")
+            assert code == EXIT_OK and "mathieu_resurgence.dunham" in mods
+            assert not {"mathieu_resurgence.actions", "mathieu_resurgence.series"} & mods
 
     def test_import_loads_no_numeric_stack(self):
         _, mods = _probe()

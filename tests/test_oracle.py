@@ -190,6 +190,14 @@ class TestWidths:
         assert out["width"] == pytest.approx(1.2534757464e-11, rel=1e-6)
         assert out["error_bound"] < 1e-3 * out["width"]
 
+    def test_width_bound_matches_the_digits_of_edges_inside_the_well(self):
+        # the edges sit at u = 0.0825 and 0.0920; each one's digits count
+        # relative to max(|u|, 1), so each term of the bound is at least
+        # 10^-digits, not |u| 10^-digits
+        got = width_num(0.8, 1, "band")
+        assert got["dps_used"] is None
+        assert got["error_bound"] >= 2e-13
+
     def test_equal_band_gap_widths_near_top(self):
         wb = width_num(2.0, 1, "band")["width"]
         wg = width_num(2.0, 1, "gap")["width"]

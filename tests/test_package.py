@@ -121,6 +121,31 @@ def test_no_module_imports_actions_at_top_level():
     assert found == []
 
 
+def _empty_container(node) -> bool:
+    """An empty dict, list or set: a display, or a call of the type."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords)
+
+
+def test_no_module_level_memo():
+    # every CLI job is a fresh process, so a process-level memo is never
+    # hit there, and it hands each caller the same mutable result: a
+    # module-level name bound to an empty container is where one starts
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PKG_DIR.rglob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and _empty_container(node.value)
+    ]
+    assert found == []
+
+
 NAN, INF = math.nan, math.inf
 
 
