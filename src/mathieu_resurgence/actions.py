@@ -13,6 +13,11 @@ Conventions (fixed once, used everywhere):
   With this orientation the cycle Wronskian reads
   a0D a0' - a0 a0D' = 2i/pi (the dual cycle enters the bilinear reversed).
 
+* Below the barrier the shift x -> x + pi, u -> -u exchanges the cycles:
+  a0D(u) = i a0(-u), and the higher dual actions, in the same orientation,
+  are a_k^D(u) = i (-1)^k a_k(-u).  The sign (-1)^k is the one the P/NP
+  relation of the quantization functions needs (tests/test_actions.py).
+
 * K and E take the parameter m = k^2, and the closed forms take them from
   one double-precision arithmetic-geometric mean, ``_ellip_KE``.
 """

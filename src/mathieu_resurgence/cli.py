@@ -137,33 +137,31 @@ def _cache_dir() -> str | None:
 # output-only options: they change how a payload is rendered, not what it is
 _OUTPUT_OPTIONS = ("format", "output", "pretty")
 
-# Payload shape per subcommand, part of the cache key only: raise a
-# subcommand's number when its payload's fields or printed values change,
-# so that older cache entries become misses.
-_PAYLOAD_SCHEMA = {
-    "pert": 2,
-    "strong": 2,
-    "pinst": 2,
-    "zjj": 1,
-    "actions": 1,
-    "spectrum": 4,
-    "figure1": 4,
-    "figure2": 4,
-    "widths": 9,
-    "zerodim": 1,
-    "benderwu": 2,
-}
+def _code_key() -> list:
+    """The interpreter and the package source that compute a payload: the
+    interpreter's ``sys.hexversion`` and one CRC-32 chained over the name
+    and bytes of every ``*.py`` file in the package, in sorted order."""
+    import zlib
+
+    pkg = os.path.dirname(__file__)
+    crc = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                crc = zlib.crc32(fh.read(), zlib.crc32(name.encode(), crc))
+    return [sys.hexversion, crc]
 
 
 def _cached(key: dict, compute):
     """Content-addressed cache of expensive exact computations.
 
-    The key carries the package version and the caller puts the subcommand
-    and its payload schema in ``key``.  Each entry stores the canonical key
-    text next to the payload, under a short name: the subcommand and a
-    CRC-32 of that text.  An entry is served only when its stored key
-    equals the computed one, so a checksum collision, a foreign file or an
-    entry of an older layout is a miss and is overwritten.  Entries are
+    The caller puts the subcommand and its computational options in
+    ``key``, and the key carries the code that computes the payload
+    (``_code_key``), so an edited package is never served an old payload.
+    Each entry stores the canonical key text next to the payload, under a
+    short name: the subcommand and a CRC-32 of that text.  An entry is
+    served only when its stored key equals the computed one, so a checksum
+    collision or a foreign file is a miss and is overwritten.  Entries are
     written to a temporary file and renamed into place, so a reader never
     sees a partial entry; an unreadable or corrupt entry is a miss as well.
     """
@@ -173,7 +171,7 @@ def _cached(key: dict, compute):
     import zlib
 
     os.makedirs(root, exist_ok=True)
-    key_text = json.dumps({"version": __version__, **key}, sort_keys=True)
+    key_text = json.dumps({"code": _code_key(), **key}, sort_keys=True)
     path = os.path.join(root, f"{key['command']}-{zlib.crc32(key_text.encode()):08x}.json")
     try:
         with open(path) as fh:
@@ -580,7 +578,6 @@ def main(argv: list[str] | None = None) -> int:
         payload = _cached(
             {
                 "command": args.command,
-                "schema": _PAYLOAD_SCHEMA[args.command],
                 "config": key_config,
             },
             lambda: _RUNNERS[args.command](args),

@@ -105,21 +105,11 @@ class _QuadRing:
         self.f = {k: int(c * self.fden) for k, c in f.items()}
         self.p = ({0: 1}, {}, -1, 1)  # vt_0 = p = 1 * p^(+1)
 
-    def _times_g(self, e, m: int):
-        """The same element written with j raised by 2m."""
-        P0, P1, j, den = e
-        for _ in range(m):
-            P0, P1, den = _pmul(P0, self.g), _pmul(P1, self.g), den * self.den
-        return (P0, P1, j + 2 * m, den)
-
     def add(self, e1, e2, s: int = 1):
-        """e1 + s e2, written over the larger power of 1/p."""
-        if (e1[2] - e2[2]) % 2:
-            raise StructureError(f"p-parity mismatch: p^(-{e1[2]}) + p^(-{e2[2]})")
-        if e1[2] < e2[2]:
-            e1 = self._times_g(e1, (e2[2] - e1[2]) // 2)
-        elif e2[2] < e1[2]:
-            e2 = self._times_g(e2, (e1[2] - e2[2]) // 2)
+        """e1 + s e2 of one power of 1/p: vt_n sits over p^-(3n-1), so every
+        sum of the recursion adds equal powers."""
+        if e1[2] != e2[2]:
+            raise StructureError(f"power mismatch: p^(-{e1[2]}) + p^(-{e2[2]})")
         den = lcm(e1[3], e2[3])
         a, b = den // e1[3], s * den // e2[3]
         return (_plin(e1[0], a, e2[0], b), _plin(e1[1], a, e2[1], b), e1[2], den)

@@ -152,7 +152,11 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
         (hbar^2/4) (2/hbar)^(2N) / (2^(N-1) (N-1)!)^2,
 
     with the Stirling form (N hbar^2 / 2 pi) (e/(N hbar))^(2N) reported as
-    the companion estimate for large N.
+    the companion estimate for large N.  The first correction to this
+    leading term is the factor 1 + beta_1/hbar^4 of ``alphabeta_extract``,
+    beta_1 = -4(N+2)/(N^2-1)^2 for N >= 2.  A RegimeWarning is raised below
+    the barrier top, N hbar <= 2 sqrt(2), and above it wherever
+    |beta_1|/hbar^4 > 0.05; the second names that value.
     """
     if N < 1:
         raise DomainError("no gap below the first band in this labeling")
@@ -163,6 +167,16 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
             RegimeWarning,
             stacklevel=2,
         )
+    elif N >= 2:
+        # divided one hbar at a time: no power of hbar underflows to a zero divisor
+        shift = 4 * (N + 2) / (N * N - 1) ** 2 / hbar / hbar / hbar / hbar
+        if shift > 0.05:
+            warnings.warn(
+                f"gap_width leading term off by its first correction: "
+                f"4(N+2)/((N^2-1)^2 hbar^4) = {shift:.3g} > 0.05",
+                RegimeWarning,
+                stacklevel=2,
+            )
     exact_pref = _in_double_range(
         "gap width",
         lambda: hbar * hbar / 4 * (2 / hbar) ** (2 * N)

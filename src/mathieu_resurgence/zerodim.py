@@ -215,7 +215,8 @@ def z_quadrature(hbars, m) -> list[float]:
     converging geometrically on this analytic periodic integrand (Trefethen
     and Weideman, SIAM Rev. 56 (2014) 385).  n doubles from 4, adding only
     the odd k, until two sums agree to 1e-25 relative; ConvergenceError past
-    _MAX_TRAPEZOID_NODES.  At m = 1 the rule runs to K = 40 sqrt(hbar) + 10.
+    _MAX_TRAPEZOID_NODES.  At m = 1 the rule runs to K = asinh(sqrt(35 ln(10)
+    hbar)), where the integrand exp(-sinh^2 z/hbar) has fallen to 1e-35.
     Nodes grow like K/sqrt(hbar), 64 at hbar = 0.05 and 8192 at 1e-6 (m =
     1/4): cheaper than tanh-sinh above hbar ~ 1e-3, and the CLI's Borel
     check keeps hbar >= min(1/m, 1/(1-m))/196 > 0.005.  The hbars share
@@ -245,8 +246,8 @@ def z_quadrature(hbars, m) -> list[float]:
         for hbar in hbars:
             h = mpmath.mpf(hbar)
             if mm == 1:
-                # sinh^2 well: integrate to effective infinity
-                K = mpmath.sqrt(h) * 40 + 10
+                # sinh^2 well: integrate to where exp(-sinh^2/hbar) = 1e-35
+                K = mpmath.asinh(mpmath.sqrt(35 * mpmath.log(10) * h))
             n, diff = 4, mpmath.inf
             total = f(0, 1, h) + f(1, 1, h) + 2 * sum(f(k, n, h) for k in range(1, n))
             while diff > 1e-25:

@@ -20,6 +20,9 @@ from mathieu_resurgence.series import PolyB, PolySeries, horner
 
 UGRID = [(-0.95 + 1.9 * k / 49) for k in range(50)]
 
+# the Stirling coefficients s_k of ln Gamma(1/2 + B), terms s_k B^(1-2k)
+STIRLING = [Q(0), Q(-1, 24), Q(7, 2880)]
+
 
 def well_row(n: int, order: int) -> list[Q]:
     """Taylor coefficients of a_n in u + 1, up to (u + 1)^order."""
@@ -237,12 +240,20 @@ class TestIdentities:
 
 class TestRiccatiRings:
     def test_parity_mismatch_is_a_typed_error(self):
-        # p^(-j) terms of opposite parity cannot be aligned; the check must
-        # survive python -O
+        # the recursion adds only terms over one power of 1/p, so a sum of
+        # two powers, of either parity, is a typed error that survives
+        # python -O
         with pytest.raises(StructureError):
             dunham._WELL.add(({}, {}, 0, 1), ({}, {}, 1, 1))
         with pytest.raises(StructureError):
             dunham._HIGH.add(({}, {}, 1, 1), ({}, {}, 2, 1))
+        with pytest.raises(StructureError):
+            dunham._WELL.add(({}, {}, 1, 1), ({}, {}, 3, 1))
+
+    @pytest.mark.parametrize("ring", [dunham._WELL, dunham._HIGH])
+    def test_every_order_sits_over_one_power_of_p(self, ring):
+        # vt_n = (P0 + r P1) p^-(3n-1): the invariant `add` relies on
+        assert [e[2] for e in dunham._riccati(ring, 8)] == [3 * n - 1 for n in range(9)]
 
     @pytest.mark.parametrize(
         "series", [dunham.well_action_series, dunham.high_action_series]
@@ -267,3 +278,50 @@ class TestRiccatiRings:
         for n in range(5):
             floor = max(shallow[n]) - 2 * 8 - 2
             assert {h: c for h, c in deep[n].items() if h >= floor} == shallow[n]
+
+
+class TestDualPeriodRoute:
+    """The P/NP relation by a second route: the instanton function A of the
+    quantization functions against the dual WKB period,
+
+        (2 pi/hbar) sum_{k<=n} hbar^(2k) (-1)^k a_k(-u)
+            = A/2 - B ln(32/hbar) + B ln B - B + sum_{1<=k<=n} s_k B^(1-2k) + O(hbar)
+
+    at u = hbar E(hbar, B) - 1, where (-1)^k a_k(-u) = Im a_k^D(u).  The
+    right side does not integrate the relation
+    dE/dB = -(hbar/16)(2B + hbar dA/dhbar) again: A comes from
+    ``zjj_construct`` and the left side from the closed forms."""
+
+    @pytest.fixture(scope="class")
+    def zjj(self):
+        from mathieu_resurgence.spectral import zjj_construct
+
+        return zjj_construct(14)
+
+    @staticmethod
+    def residual(zjj, B, hbar, n, dual_sign=-1):
+        """Left side minus right side, WKB orders k <= n."""
+        u = hbar * float(zjj.E_of_B(hbar, B)) - 1
+        a = [action_leading(-u)[0], action_higher(-u, 1), action_higher(-u, 2)]
+        lhs = 2 * math.pi / hbar * sum(hbar ** (2 * k) * dual_sign ** k * a[k]
+                                       for k in range(n + 1))
+        A, b = 16 / hbar + float(zjj.A_of_B(hbar, B)), float(B)
+        rhs = (A / 2 - b * math.log(32 / hbar) + b * math.log(b) - b
+               + sum(float(STIRLING[k]) * b ** (1 - 2 * k) for k in range(1, n + 1)))
+        return lhs - rhs
+
+    @pytest.mark.parametrize("B", [Q(1, 2), Q(5, 2), Q(21, 2)])
+    def test_residual_is_first_order_in_hbar(self, zjj, B):
+        r = {h: [self.residual(zjj, B, h, n) for n in range(3)] for h in (0.01, 0.005)}
+        for n in range(3):
+            # halving hbar halves the residual; at n = 0 the ratio is 1.74-1.83
+            lo = 1.6 if n == 0 else 1.8
+            assert lo <= r[0.01][n] / r[0.005][n] <= 2.2, (n, r)
+        for h in r:
+            # each WKB order brings the two sides closer
+            assert abs(r[h][2]) < abs(r[h][1]) < abs(r[h][0]) < 2e-3, r
+
+    def test_dual_sign(self, zjj):
+        # with +a_1(-u) in place of -a_1(-u) the n = 1 residual is 3.5e-2
+        assert abs(self.residual(zjj, Q(5, 2), 0.01, 1)) < 1e-5
+        assert abs(self.residual(zjj, Q(5, 2), 0.01, 1, dual_sign=1)) > 1e-2

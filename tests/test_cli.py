@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -91,6 +92,14 @@ class TestSubcommands:
         (diag,) = json.loads(out)["diagnostics"]
         assert diag["category"] == "RegimeWarning"
         assert "N*hbar = 2.4" in diag["message"]
+
+    def test_gap_far_from_its_leading_term_is_reported(self, capsys):
+        # above the barrier top, the leading term is 2.06 times the oracle width
+        code, out = run(capsys, "widths", "--kind", "gap", "--N", "10", "--hbar", "0.3")
+        assert code == EXIT_OK
+        (diag,) = json.loads(out)["diagnostics"]
+        assert diag["category"] == "RegimeWarning"
+        assert "first correction" in diag["message"] and "= 0.605" in diag["message"]
 
     def test_deep_width_resolves_with_its_tier(self, capsys):
         code, out = run(capsys, "widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
@@ -497,19 +506,21 @@ class TestOutputPlumbing:
         assert json.loads(entry.read_text()) == good
 
     def test_cache_key_carries_version(self, tmp_path, capsys, monkeypatch):
+        # another interpreter version is another key
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         run(capsys, "pert", "--order", "2", "--poly")
-        monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+        hexversion, crc = cli._code_key()
+        monkeypatch.setattr(cli, "_code_key", lambda: [hexversion + 1, crc])
         run(capsys, "pert", "--order", "2", "--poly")
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_entry_of_another_schema_is_recomputed(self, tmp_path, capsys, monkeypatch):
-        # a payload cached before its shape changed must not be served
+        # a payload cached by other code must not be served
         monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
         _, fresh = run(capsys, "actions", "--n", "1", "--order", "3")
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         with monkeypatch.context() as m:
-            m.setitem(cli._PAYLOAD_SCHEMA, "actions", cli._PAYLOAD_SCHEMA["actions"] - 1)
+            m.setattr(cli, "_code_key", lambda: [0, 0])
             m.setitem(cli._RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
             _, stale = run(capsys, "actions", "--n", "1", "--order", "3")
         assert "stale" in json.loads(stale)
@@ -518,20 +529,44 @@ class TestOutputPlumbing:
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_entry_for_a_rejected_argv_is_not_served(self, tmp_path, capsys, monkeypatch):
-        # schema 1 of pert evaluated hbar = nan and cached the NaN payload
+        # an older pert evaluated hbar = nan and cached the NaN payload
         argv = ("pert", "--order", "2", "--N", "0", "--hbar", "nan")
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         stale = {"rows": [], "at_N": {"N": 0, "coefficients": [], "value": math.nan}}
         with monkeypatch.context() as m:
-            m.setitem(cli._PAYLOAD_SCHEMA, "pert", 1)
+            m.setattr(cli, "_code_key", lambda: [0, 0])
             m.setitem(cli._RUNNERS, "pert", lambda args: dict(stale))
             code, out = run(capsys, *argv)
         assert code == EXIT_OK and "NaN" in out
         code, out = run(capsys, *argv)
         assert code == EXIT_DOMAIN and out == ""
 
-    def test_every_subcommand_has_a_payload_schema(self):
-        assert set(cli._PAYLOAD_SCHEMA) == set(cli._RUNNERS)
+    def test_edited_source_is_recomputed(self, tmp_path):
+        # a copy of the package run in fresh interpreters with one cache:
+        # lowering the double-precision digit cap of its oracle between two
+        # runs must show in the second
+        pkg = tmp_path / "mathieu_resurgence"
+        shutil.copytree(Path(mathieu_resurgence.__file__).parent, pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+
+        def errs(cache=True):
+            env["MATHIEU_RESURGENCE_CACHE"] = str(tmp_path / "cache") if cache else ""
+            proc = subprocess.run(
+                [sys.executable, "-m", "mathieu_resurgence", "spectrum", "--hbar", "1.0",
+                 "--bands", "1"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                check=True)
+            return {r["err"] for r in json.loads(proc.stdout)["rows"]}
+
+        assert errs() == {1e-13}
+        oracle = pkg / "oracle.py"
+        text = oracle.read_text()
+        cap = "digits = 13 if rel == 0 else max(0, min(13,"
+        assert text.count(cap) == 1
+        oracle.write_text(text.replace(cap, cap.replace("13", "12")))
+        assert errs(cache=False) == {1e-12}
+        assert errs() == {1e-12}
+        assert len(list((tmp_path / "cache").iterdir())) == 2
 
 
 class TestGrids:

@@ -7,6 +7,7 @@ import pytest
 from mathieu_resurgence.benderwu import mathieu_well_potential, polynomial_in_N
 from mathieu_resurgence.errors import DomainError, RegimeWarning, StructureError
 from mathieu_resurgence.series import PolyB
+from mathieu_resurgence.spectral import alphabeta_extract
 from mathieu_resurgence.widths import (
     band_width,
     barrier_top,
@@ -152,6 +153,29 @@ class TestGapWidth:
     @pytest.mark.parametrize("hbar", [4.0, 5.0, 6.0, 7.0, 8.0])
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_silent_above_the_barrier_top(self, hbar, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap_width(hbar, N)
+
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_first_correction_is_beta_1(self, N):
+        # the warning's beta_1 is the exact q^(N+2) term of the splitting
+        _, betas = alphabeta_extract(N, N + 2)
+        assert betas[1] == Q(-4 * (N + 2), (N * N - 1) ** 2)
+
+    @pytest.mark.parametrize(
+        "hbar, N, shift", [(0.3, 10, "0.605"), (0.05, 80, "1.28"), (2.0, 2, "0.111"),
+                           (1.5, 3, "0.0617")],
+    )
+    def test_warns_where_the_first_correction_passes_five_percent(self, hbar, N, shift):
+        # above the barrier top, where the leading term is 2.06, 3.76, 1.10
+        # and 1.07 times the oracle width
+        with pytest.warns(RegimeWarning, match=f"first correction.* = {shift} > 0.05"):
+            gap_width(hbar, N)
+
+    @pytest.mark.parametrize("hbar, N", [(1.2, 5), (0.2, 40)])
+    def test_silent_where_the_first_correction_is_small(self, hbar, N):
+        # the leading term is 1.024 and 1.042 times the oracle width here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gap_width(hbar, N)
