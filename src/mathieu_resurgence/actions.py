@@ -119,34 +119,21 @@ def action_leading_derivative(u: float) -> tuple[float, complex]:
     return da0, complex(0, math.sqrt(2) * Kd / (math.pi * math.sqrt(u + 1)))
 
 
-def _a1_closed(u: float) -> float:
+def action_higher(u: float, n: int) -> float:
+    """a_n(u) for n in {1, 2} from the closed elliptic forms, -1 < u < 1."""
+    if n not in (1, 2):
+        raise DomainError(
+            "closed forms implemented for n = 1, 2 only; use dunham.well_action_series"
+        )
     if not -1 < u < 1:
-        raise PoleError("a1 closed form has (1-u^2) poles; need -1 < u < 1")
-    m = (1 + u) / 2
-    K, E = _ellip_KE(m)
-    return ((1 - u) * K + 2 * u * E) / (48 * math.pi * (1 - u * u))
-
-
-def _a2_closed(u: float) -> float:
-    if not -1 < u < 1:
-        raise PoleError("a2 closed form has (1-u^2) poles; need -1 < u < 1")
-    m = (1 + u) / 2
-    K, E = _ellip_KE(m)
+        raise PoleError(f"a{n} closed form has (1-u^2) poles; need -1 < u < 1")
+    K, E = _ellip_KE((1 + u) / 2)
+    if n == 1:
+        return ((1 - u) * K + 2 * u * E) / (48 * math.pi * (1 - u * u))
     num = (1 - u) * (4 * u**3 + 93 * u**2 - 60 * u + 75) * K + 2 * (
         4 * u**4 - 153 * u**2 - 75
     ) * E
     return -num / (46080 * math.pi * (1 - u * u) ** 3)
-
-
-def action_higher(u: float, n: int) -> float:
-    """a_n(u) for n in {1, 2} from the closed elliptic forms."""
-    if n == 1:
-        return _a1_closed(u)
-    if n == 2:
-        return _a2_closed(u)
-    raise DomainError(
-        "closed forms implemented for n = 1, 2 only; use dunham.well_action_series"
-    )
 
 
 def wronskian_defect(u: float) -> complex:

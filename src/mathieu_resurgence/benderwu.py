@@ -30,29 +30,26 @@ __all__ = [
 
 
 class _PotentialFields(NamedTuple):
-    name: str
     taylor: tuple[Q, ...]
-    m: Q | None = None
 
 
 class PotentialSeries(_PotentialFields):
     """Taylor data of a potential about its minimum; exact coefficients.
 
-    ``taylor[k]`` multiplies x^k.  taylor[1] must vanish and taylor[2] > 0.
-    ``m`` tags the elliptic parameter when the coefficients came from a
-    parametric family (informational).  Immutable.
+    ``taylor[k]`` multiplies x^k.  taylor[1] must vanish and taylor[2] > 0;
+    construction checks both.  Immutable.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name: str, taylor: tuple[Q, ...], m: Q | None = None):
+    def __new__(cls, taylor: tuple[Q, ...]):
         if len(taylor) < 3:
             raise DomainError("potential needs Taylor data through x^2")
         if taylor[1] != 0:
             raise DomainError("expansion point is not a stationary point")
         if taylor[2] <= 0:
             raise DomainError("minimum must be harmonic: V''(0) > 0")
-        return super().__new__(cls, name, taylor, m)
+        return super().__new__(cls, taylor)
 
 
 def mathieu_well_potential(order: int) -> PotentialSeries:
@@ -63,7 +60,7 @@ def mathieu_well_potential(order: int) -> PotentialSeries:
         if k:
             fact *= k
         coeffs.append(Q(-(-1) ** (k // 2), fact) if k % 2 == 0 else Q(0))
-    return PotentialSeries(name="cosine-well", taylor=tuple(coeffs))
+    return PotentialSeries(tuple(coeffs))
 
 
 def lame_potential(m: Q, order: int) -> PotentialSeries:
@@ -74,7 +71,7 @@ def lame_potential(m: Q, order: int) -> PotentialSeries:
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
     coeffs = tuple(c / 2 for c in sd_squared_taylor(order, m))
-    return PotentialSeries(name="lame-well", taylor=coeffs, m=m)
+    return PotentialSeries(coeffs)
 
 
 def _sqrt_q(x: Q) -> Q:

@@ -17,28 +17,18 @@ from .series import PolyB, PolySeries
 __all__ = ["char_a", "char_b"]
 
 
-def _conv_cos(vec: dict[int, Q]) -> dict[int, Q]:
-    """Multiply a cosine series by 2 cos 2z: cos m -> cos(m+2) + cos|m-2|."""
-    out: dict[int, Q] = {}
-    for m, c in vec.items():
-        if not c:
-            continue
-        out[m + 2] = out.get(m + 2, Q(0)) + c
-        out[abs(m - 2)] = out.get(abs(m - 2), Q(0)) + c
-    return out
-
-
-def _conv_sin(vec: dict[int, Q]) -> dict[int, Q]:
-    """Multiply a sine series by 2 cos 2z: sin m -> sin(m+2) + sin(m-2),
-    with sin(-k) = -sin k and sin 0 = 0."""
+def _conv(vec: dict[int, Q], sine: bool) -> dict[int, Q]:
+    """Multiply a cosine (or, with ``sine``, a sine) series by 2 cos 2z:
+    cos m -> cos(m+2) + cos|m-2|, and sin m -> sin(m+2) + sin(m-2), with
+    sin(-k) = -sin k and sin 0 = 0."""
     out: dict[int, Q] = {}
     for m, c in vec.items():
         if not c:
             continue
         out[m + 2] = out.get(m + 2, Q(0)) + c
         mm = m - 2
-        if mm > 0:
-            out[mm] = out.get(mm, Q(0)) + c
+        if not sine or mm > 0:
+            out[abs(mm)] = out.get(abs(mm), Q(0)) + c
         elif mm < 0:
             out[-mm] = out.get(-mm, Q(0)) - c
     return out
@@ -51,13 +41,12 @@ def _char_series(N: int, order: int, kind: str) -> PolySeries:
         raise DomainError(f"need integers N >= 0 and order >= 0, got N={N!r}, order={order!r}")
     if kind == "b" and N == 0:
         raise DomainError("b_0 does not exist")
-    conv = _conv_cos if kind == "a" else _conv_sin
     # coefficient vectors per q-order: list of dict harmonic -> Q
     A: list[dict[int, Q]] = [{N: Q(1)}]
     alpha: list[Q] = [Q(N * N)]
     for j in range(1, order + 1):
         # q * (2 cos 2z) * y at order j uses y at order j-1
-        rhs: dict[int, Q] = dict(conv(A[j - 1]))
+        rhs: dict[int, Q] = dict(_conv(A[j - 1], kind == "b"))
         # alpha_i corrections from lower orders
         for i in range(1, j):
             for m, c in A[j - i].items():

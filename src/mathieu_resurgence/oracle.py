@@ -42,6 +42,7 @@ __all__ = [
     "width_num",
     "figure1_dataset",
     "figure2_dataset",
+    "crossing_Q",
 ]
 
 

@@ -158,22 +158,18 @@ def zjj_A_from_E(E_of_B: PolySeries) -> PolySeries:
     return PolySeries("hbar", order - 1, out)
 
 
-def zjj_quantization_solve(
-    hbar: float,
-    N: int,
-    theta: float,
-    order: int = 8,
-    branch: int = +1,
-) -> dict:
+def zjj_quantization_solve(hbar: float, N: int, theta: float, order: int = 8) -> dict:
     """Band-edge energy from the exact quantization condition, numerically.
 
-    Solves, for E near N + 1/2,
+    Solves, for E near N + 1/2, the real part of
 
         (32/hbar)^-B e^(A/2) / Gamma(1/2 - B)
         + (-32/hbar)^-B e^(-A/2) / Gamma(1/2 + B) = 2 cos(theta)/sqrt(2 pi)
 
-    with A, B the truncated quantization functions and (-1)^-B evaluated on
-    the chosen lateral branch.  Returns u = -1 + hbar E plus a truncation
+    with A, B the truncated quantization functions.  On either lateral
+    branch (-1)^-B = cos(pi B) -+ i sin(pi B), and the second term is that
+    phase times a real number, so its real part, and with it the edge, does
+    not depend on the branch.  Returns u = -1 + hbar E plus a truncation
     uncertainty estimated by redoing the solve one order lower.
     """
     require_positive("hbar", hbar)
@@ -183,8 +179,6 @@ def zjj_quantization_solve(
         raise DomainError(f"finite theta required, got {theta!r}")
     if order < 1:
         raise DomainError(f"order >= 1 required, got {order}")
-    if branch not in (+1, -1):
-        raise DomainError("branch is +1 or -1")
     import mpmath
 
     z = zjj_construct(order)
@@ -198,9 +192,8 @@ def zjj_quantization_solve(
             Av = 16.0 / hbar + float(Af(hbar, E))
             # reciprocal Gamma handles the Gamma poles at half-integer B
             t1 = (32.0 / hbar) ** (-Bv) * math.exp(Av / 2) * float(mpmath.rgamma(0.5 - Bv))
-            phase = complex(math.cos(math.pi * Bv), -branch * math.sin(math.pi * Bv))
             t2 = (32.0 / hbar) ** (-Bv) * math.exp(-Av / 2) * float(mpmath.rgamma(0.5 + Bv))
-            lhs = t1 + (phase * t2).real
+            lhs = t1 + math.cos(math.pi * Bv) * t2
             return lhs - 2 * math.cos(theta) / math.sqrt(2 * math.pi)
 
         lo, hi = N + 0.02, N + 0.98
@@ -226,7 +219,6 @@ def zjj_quantization_solve(
         "u": u,
         "uncertainty": abs(hbar * (E_full - E_lower)),
         "order": order,
-        "branch": branch,
     }
 
 
@@ -237,7 +229,6 @@ class GapEdges(NamedTuple):
     the upper edge (bottom of the spectrum's first band) exists.
     """
 
-    N: int
     lower: PolySeries | None
     upper: PolySeries
 
@@ -248,9 +239,6 @@ class GapEdges(NamedTuple):
 
     def u_upper(self, hbar: float) -> float:
         return _edge_value(self.upper, hbar)
-
-    def width(self, hbar: float) -> float:
-        return self.u_upper(hbar) - self.u_lower(hbar)
 
 
 def _edge_value(series: PolySeries, hbar: float) -> float:
@@ -274,7 +262,7 @@ def gap_edge_series(N: int, order: int) -> GapEdges:
         raise DomainError(f"order >= 0 required, got {order}")
     upper = charvalues.char_a(N, order)
     lower = charvalues.char_b(N, order) if N >= 1 else None
-    return GapEdges(N=N, lower=lower, upper=upper)
+    return GapEdges(lower=lower, upper=upper)
 
 
 def alphabeta_extract(N: int, order: int) -> tuple[list[Q], list[Q]]:
@@ -284,10 +272,13 @@ def alphabeta_extract(N: int, order: int) -> tuple[list[Q], list[Q]]:
                +- (hbar^2/8) (2/hbar)^(2N) / (2^(N-1) (N-1)!)^2
                   * sum_n beta_n / hbar^(4n)
 
-    Returns (alpha, beta) as exact rationals.
+    Returns (alpha, beta) as exact rationals.  The splitting starts at
+    q^N, so order >= N is required.
     """
     if N < 1:
         raise DomainError("gap label N >= 1 required")
+    if order < N:
+        raise DomainError(f"order >= N required for the splitting at q^{N}, got order {order}")
     edges = gap_edge_series(N, order)
     a, b = edges.upper, edges.lower
     mean = (a + b) / 2

@@ -8,12 +8,13 @@ extended-precision tier that exponentially narrow widths require, or
 mpmath.mpf) take the values of the double-precision copy of the matrix
 when none are given.  An approximation is bracketed by 1e-6 of the
 Gershgorin scale either side, and the bracket is kept when two Sturm counts
-show that it holds its index alone.  The other indices are found from the
-Gershgorin interval: in double precision they are isolated together by
-bisection on Sturm counts, an interval being split only while it holds a
-requested index and more than one eigenvalue, so that the counts per index
-grow only with the logarithm of the spectrum's spread; in another type
-each is refined from that interval.
+show that it holds its index alone; the other indices share the
+Gershgorin interval.  Both kinds of interval go on one work list, in every
+arithmetic type: an interval is split by bisection on Sturm counts only
+while it holds a requested index and more than one eigenvalue (in double
+precision, also while it is too wide for the certificate below), so that
+the counts per index grow only with the logarithm of the spectrum's
+spread, and each isolated eigenvalue is then refined.
 
 Inside a bracket, Newton steps on det(T - x) refine the eigenvalue, and
 each step's Sturm count shrinks the bracket; a step that leaves the
@@ -140,38 +141,34 @@ def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
         s = max(max(map(abs, e), default=0.0), _EPS * max(map(abs, d))) or sys.float_info.min
     e2 = [v * v for v in e]
     w = max(abs(lo), abs(hi)) / _SEED_SPLIT
-    out: dict = {}
-    rest = []
+    # (a, b, count_below(a), count_below(b), the indices inside): a seed's
+    # bracket where its two counts confirm it, and the Gershgorin interval
+    # for every other index
+    todo, rest = [], []
     for k in ks:
         if k in approx:
             v = unit(approx[k])
             a, b = v - w, v + w
             if count_below(d, e, a) == k and count_below(d, e, b) == k + 1:
-                if not floats:
-                    out[k] = _refine(d, e, e2, k, a, b, tol)
-                    continue
-                # the float certificate's t bounds tol/2 (as in the isolation below)
-                wide = max(abs(a), abs(b), s)
-                if wide <= 2 * max(min(abs(a), abs(b)) if a * b > 0 else 0.0, s):
-                    out[k] = _refine(d, e, e2, k, a, b, 8 * _EPS * wide)
-                    continue
+                todo.append((a, b, k, k + 1, [k]))
+                continue
         rest.append(k)
-    if not floats:
-        out.update((k, _refine(d, e, e2, k, lo, hi, tol)) for k in rest)
-        return out
-    todo = [(lo, hi, 0, len(d), rest)] if rest else []
+    if rest:
+        todo.append((lo, hi, 0, len(d), rest))
+    out: dict = {}
     while todo:
         a, b, ca, cb, want = todo.pop()
-        wide = max(abs(a), abs(b), s)
-        tol = 8 * _EPS * wide
+        if floats:
+            wide = max(abs(a), abs(b), s)
+            tol = 8 * _EPS * wide
+            near = min(abs(a), abs(b)) if a * b > 0 else 0.0
         if b - a <= tol:
             out.update(dict.fromkeys(want, (a + b) / 2))
             continue
-        # refine an isolated eigenvalue once wide <= 2 max(|v|, s) for every
-        # v in [a, b]: then tol/2 <= t, and the refined value's certificate
-        # is the documented one
-        near = min(abs(a), abs(b)) if a * b > 0 else 0.0
-        if cb - ca == 1 and wide <= 2 * max(near, s):
+        # refine an isolated eigenvalue; in floats, once wide <= 2 max(|v|, s)
+        # for every v in [a, b]: then tol/2 <= t, and the refined value's
+        # certificate is the documented one
+        if cb - ca == 1 and (not floats or wide <= 2 * max(near, s)):
             out[want[0]] = _refine(d, e, e2, want[0], a, b, tol)
             continue
         x = (a + b) / 2

@@ -74,23 +74,15 @@ def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
     if up.order < order + 2:
         raise DomainError("u_series needed to two orders beyond the request")
     dudN = up.derivative_B()
-    # bracket = du/dN - hbar + B hbar^2 / S, coefficients of hbar^n
-    bracket = [PolyB() for _ in range(up.order + 1)]
-    for n in range(up.order + 1):
-        bracket[n] = dudN[n]
-    bracket[1] = bracket[1] - PolyB.const(1)
-    bracket[2] = bracket[2] + PolyB((0, Q(1, S)))
-    if not (bracket[0].is_zero() and bracket[1].is_zero() and bracket[2].is_zero()):
+    # the bracket du/dN - hbar + B hbar^2 / S shares du/dN's coefficients of
+    # hbar^n from n = 3 on, and must vanish below
+    if dudN[0] or dudN[1] != 1 or dudN[2] != PolyB((0, Q(-1, S))):
         raise StructureError(
             "integrand bracket not O(hbar^3): input is not a consistent "
             "perturbative band-location series"
         )
     # S * int dh h^(n-3) = S c_n h^(n-2)/(n-2) for n >= 3
-    expo = [PolyB() for _ in range(order + 1)]
-    for n in range(3, up.order + 1):
-        k = n - 2
-        if k <= order:
-            expo[k] = bracket[n] * Q(S, n - 2)
+    expo = [PolyB()] + [dudN[k + 2] * Q(S, k) for k in range(1, order + 1)]
     expo_series = PolySeries("hbar", order, expo)
     pref = [dudN[n + 1] for n in range(order + 1)]  # du/dN / hbar
     pref_series = PolySeries("hbar", order, pref)

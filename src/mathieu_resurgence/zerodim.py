@@ -35,16 +35,17 @@ class SaddleExpansion(NamedTuple):
         int exp(-f/hbar) = exp(-action/hbar) sqrt(pi hbar / curvature)
                            * sum_r coeffs[r] hbar^r,
 
-    with coeffs[0] = 1.  ``rotated`` marks saddles whose descent direction
-    is i times the original one (contributing a factor i to the sector).
-    All stored numbers are exact rationals.
+    with coeffs[0] = 1, the integral taken along the saddle's descent
+    direction.  Where that direction is i times the original one (the real
+    and imaginary saddles of ``lame_saddles``), the sector gains a factor
+    i that the record does not carry.  All stored numbers are exact
+    rationals.
     """
 
     label: str
     action: Q
     curvature: Q
     coeffs: list[Q]
-    rotated: bool = False
 
     def sector_coeff(self, r: int):
         """a_r = coeffs[r]/sqrt(curvature), the partition-normalized fluctuation
@@ -116,8 +117,7 @@ def _gaussian_moments(taylor: list[Q], c2: Q, order: int) -> list[Q]:
     return out
 
 
-def saddle_series(taylor, order: int, label: str = "saddle",
-                  rotated: bool = False) -> SaddleExpansion:
+def saddle_series(taylor, order: int, label: str = "saddle") -> SaddleExpansion:
     """Gaussian-moment expansion about a nondegenerate saddle.
 
     ``taylor``: exact coefficients [c0, c1, c2, c3, ...] of f along the
@@ -139,7 +139,7 @@ def saddle_series(taylor, order: int, label: str = "saddle",
         raise DomainError("degenerate or wrongly oriented saddle: c2 must be > 0")
     return SaddleExpansion(
         label=label, action=taylor[0], curvature=c2,
-        coeffs=_gaussian_moments(taylor, c2, order), rotated=rotated,
+        coeffs=_gaussian_moments(taylor, c2, order),
     )
 
 
@@ -182,10 +182,8 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
     m1 = 1 - m
     return {
         "vacuum": SaddleExpansion("vacuum", Q(0), Q(1), _binomial_saddle(m1, -m, order)),
-        "real": SaddleExpansion("real", 1 / m1, 1 / m1, _binomial_saddle(-m1, -m * m1, order),
-                                rotated=True),
-        "imag": SaddleExpansion("imag", -1 / m, 1 / m, _binomial_saddle(m, m * m1, order),
-                                rotated=True),
+        "real": SaddleExpansion("real", 1 / m1, 1 / m1, _binomial_saddle(-m1, -m * m1, order)),
+        "imag": SaddleExpansion("imag", -1 / m, 1 / m, _binomial_saddle(m, m * m1, order)),
     }
 
 
@@ -327,18 +325,15 @@ _MAX_BOREL_ORDER = 200
 _MAX_TRAPEZOID_NODES = 2 ** 14
 
 
-def borel_lateral_check(
-    m: Q,
-    hbar_list,
-    j_max: int = 8,
-    n_cut: int | None = None,
-) -> list[dict]:
+def borel_lateral_check(m: Q, hbar_list, j_max: int = 8) -> list[dict]:
     """Superasymptotic lateral-Borel reconstruction of Z(hbar | m).
 
     The exact vacuum coefficients are kept up to the optimal truncation
-    n_cut (chosen per hbar as the index of the smallest term when not
-    given); the factorially divergent tail is replaced sector by sector
-    using the coefficient relation
+    n_cut, the index of the smallest term at each hbar, capped at
+    max(34, ceil(|S|/hbar) + 2) with |S| the nearer saddle's action
+    (ConvergenceError where |S|/hbar passes 196).  The factorially
+    divergent tail is replaced sector by sector using the coefficient
+    relation
 
         a_n ~ sum_j ((n-j-1)!/pi) (a_j^(1)/S1^(n-j) + a_j^(2)/S2^(n-j)),
 
@@ -359,25 +354,20 @@ def borel_lateral_check(
         raise DomainError("need at least one hbar")
     for hb in hbar_list:
         require_positive("hbar", hb)
-    if j_max < 0 or (n_cut is not None and n_cut < 0):
-        raise DomainError(f"need j_max >= 0 and n_cut >= 0, got {j_max} and {n_cut}")
+    if j_max < 0:
+        raise DomainError(f"need j_max >= 0, got {j_max}")
     rows = []
     # |a_n| hbar^n ~ (n-1)! (hbar/|S|)^n is smallest near n = |S|/hbar for the
     # nearer saddle, |S| = min(1/(1-m), 1/m); a few orders past it show the
-    # minimum.  A given n_cut sets the depth itself; at least 36 orders are
-    # always kept.
+    # minimum.  At least 36 orders are always kept.
     s_min = min(1 / (1 - m), 1 / m)
-    if n_cut is not None:
-        deepest = [n_cut]
-    else:
-        depths = [float(s_min) / float(hb) for hb in hbar_list]
-        if not max(depths) + 4 <= _MAX_BOREL_ORDER:
-            raise ConvergenceError(
-                f"the smallest term of hbar={min(hbar_list)!r} lies past order "
-                f"{_MAX_BOREL_ORDER}, the deepest the Borel check keeps"
-            )
-        deepest = [math.ceil(x) + 2 for x in depths]
-    order_needed = max([34, *deepest]) + 2
+    depths = [float(s_min) / float(hb) for hb in hbar_list]
+    if not max(depths) + 4 <= _MAX_BOREL_ORDER:
+        raise ConvergenceError(
+            f"the smallest term of hbar={min(hbar_list)!r} lies past order "
+            f"{_MAX_BOREL_ORDER}, the deepest the Borel check keeps"
+        )
+    order_needed = max([34, *(math.ceil(x) + 2 for x in depths)]) + 2
     sads = lame_saddles(m, max(j_max + 2, order_needed))
     vac = sads["vacuum"].coeffs
     S1, S2 = sads["real"].action, sads["imag"].action
@@ -392,16 +382,12 @@ def borel_lateral_check(
         for hb, quad in zip(hbar_list, quads):
             h = mpmath.mpf(hb)
             lhs = mpmath.mpf(quad)
-            if n_cut is None:
-                terms = {
-                    n: abs(mpmath.mpf(c.numerator) / c.denominator) * h ** n
-                    for n, c in enumerate(vac[1:], start=1)
-                    if c != 0
-                }
-                nc = min(terms, key=terms.__getitem__)
-                nc = min(nc, order_needed - 2)
-            else:
-                nc = n_cut
+            terms = {
+                n: abs(mpmath.mpf(c.numerator) / c.denominator) * h ** n
+                for n, c in enumerate(vac[1:], start=1)
+                if c != 0
+            }
+            nc = min(min(terms, key=terms.__getitem__), order_needed - 2)
             head = mpmath.mpf(0)
             for n in range(nc + 1):
                 head += mpmath.mpf(vac[n].numerator) / vac[n].denominator * h ** n

@@ -87,15 +87,15 @@ class TestLame:
 class TestPotentialPlumbing:
     def test_not_a_minimum(self):
         with pytest.raises(DomainError):
-            PotentialSeries("bad", (Q(0), Q(1), Q(1)))
+            PotentialSeries((Q(0), Q(1), Q(1)))
 
     def test_not_harmonic(self):
         with pytest.raises(DomainError):
-            PotentialSeries("flat", (Q(0), Q(0), Q(0), Q(1)))
+            PotentialSeries((Q(0), Q(0), Q(0), Q(1)))
 
     def test_odd_taylor_terms_supported(self):
-        V = PotentialSeries("cubic", (Q(0), Q(0), Q(1, 2), Q(1, 10), Q(0), Q(0),
-                                      Q(0), Q(0), Q(0), Q(0), Q(0)))
+        V = PotentialSeries((Q(0), Q(0), Q(1, 2), Q(1, 10), Q(0), Q(0),
+                             Q(0), Q(0), Q(0), Q(0), Q(0)))
         s = rs_series(V, 0, 3)
         # first shift from the cubic term is the standard -(11/8) v3^2 hbar^2
         assert s[2].const_value() == Q(-11, 8) * Q(1, 10) ** 2

@@ -146,6 +146,39 @@ def test_no_module_level_memo():
     assert found == []
 
 
+def _is_named_tuple(node: ast.ClassDef) -> bool:
+    return any((b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) == "NamedTuple"
+               for b in node.bases)
+
+
+def test_every_record_field_is_read():
+    # a record field that nothing reads is a setting without a reader: every
+    # field of a NamedTuple in the package (a subclass such as
+    # PotentialSeries adds none of its own) must be read as an attribute
+    # somewhere in the package.  The check goes by attribute name only, so a
+    # field is taken as read where any object's attribute of that name is:
+    # an unread field named m or N would pass, because the CLI's arguments
+    # and SpectralPoint are read as .m and .N
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PKG_DIR.rglob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (cls.name, item.target.id)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_named_tuple(cls)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert fields
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
+
+
 NAN, INF = math.nan, math.inf
 
 
@@ -167,6 +200,8 @@ NAN, INF = math.nan, math.inf
         (spectral.zjj_quantization_solve, 0.1, 0, NAN),
         (spectral.zjj_quantization_solve, 0.1, 0, INF),
         (spectral.zjj_quantization_solve, 0.1, 0, 0.3, 0),
+        # the splitting starts at q^N: a shorter series is a short request
+        (spectral.alphabeta_extract, 3, 2),
         (widths.large_order_prediction, -1, 5),
         (widths.large_order_prediction, 0, -3),
         (charvalues.char_a, -1, 3),

@@ -237,11 +237,6 @@ class TestQuantizationSolve:
         )
         assert abs(split / lead - 1) < 0.10
 
-    def test_branch_symmetry(self):
-        a = zjj_quantization_solve(0.4, 0, 0.0, order=6, branch=+1)
-        b = zjj_quantization_solve(0.4, 0, 0.0, order=6, branch=-1)
-        assert a["u"] == pytest.approx(b["u"], abs=1e-13)
-
 
 class TestGapEdges:
     def test_u1_rows(self):

@@ -1,11 +1,12 @@
 """Tridiagonal eigenvalues against a plain bisection.
 
-`tridiag.eigenvalues` isolates a set of float eigenvalues together before
-refining each by Newton steps, and for mpf entries brackets each in double
-precision before refining it in mpf; an approximate value given with an
-index replaces the isolation.  These tests hold each path to the k-th
-eigenvalue found by a bisection written here, at 40 digits, and to their
-Sturm certificates.
+`tridiag.eigenvalues` isolates a set of eigenvalues together by bisection
+on Sturm counts before refining each by Newton steps, in floats and in mpf
+alike.  An index may come with an approximate value, and mpf entries take
+one from their double-precision copy: a bracket about it that its counts
+confirm replaces the Gershgorin interval as the index's start.  These
+tests hold each path to the k-th eigenvalue found by a bisection written
+here, at 40 digits, and to their Sturm certificates.
 """
 import contextlib
 import sys
@@ -81,8 +82,8 @@ def _pass_budget(limit):
         tridiag._count_and_step = real
 
 
-# scaled by 10^400 the float copy overflows, so Newton starts from the
-# Gershgorin bracket and leans on its bisection safeguard
+# scaled by 10^400 the float copy overflows, so the index is isolated from
+# the Gershgorin interval in mpf before Newton refines it
 @pytest.mark.parametrize("exponent", [0, 400], ids=["double-range", "beyond-double-range"])
 @settings(max_examples=150, deadline=None)
 @given(case=_matrices())

@@ -38,8 +38,8 @@ def moment_reference(m, order):
     imag = [-p.const_value() / m for p in saddle_potential_imag(n, m).c]
     return {
         "vacuum": saddle_series(sd_squared_taylor(n, m).c, order, "vacuum"),
-        "real": saddle_series(real, order, "real", rotated=True),
-        "imag": saddle_series(imag, order, "imag", rotated=True),
+        "real": saddle_series(real, order, "real"),
+        "imag": saddle_series(imag, order, "imag"),
     }
 
 
@@ -67,7 +67,7 @@ class TestSaddleSeries:
         # about z = pi/2 the descent-line Taylor is sinh^2-like: alternating
         taylor = [abs(c) for c in sin2_taylor(30)]
         taylor[0] = Q(1)  # action of the nontrivial saddle
-        sad = saddle_series(taylor, 8, "sin2-top", rotated=True)
+        sad = saddle_series(taylor, 8, "sin2-top")
         for r in range(9):
             assert sad.coeffs[r] == (-1) ** r * sin2_vacuum_exact(r)
 
@@ -85,7 +85,7 @@ class TestSaddleSeries:
 class TestClosedFormSaddles:
     @pytest.mark.parametrize("m", [Q(1, 4), Q(1, 3), Q(1, 2), Q(3, 4), Q(2, 7)])
     def test_equal_to_the_moment_engine(self, m):
-        # label, action, curvature, coefficients and rotated flag, exactly
+        # label, action, curvature and coefficients, exactly
         want = moment_reference(m, 30)
         assert lame_saddles(m, 30) == want
         assert [p(m) for p in lame_vacuum_symbolic(16)] == want["vacuum"].coeffs[:17]
@@ -132,9 +132,8 @@ class TestDomain:
         [
             lambda: exact_relation_check(Q(1, 4), [10], j_max=-1),
             lambda: borel_lateral_check(Q(1, 4), [0.1], j_max=-1),
-            lambda: borel_lateral_check(Q(1, 4), [0.1], n_cut=-5),
         ],
-        ids=["relation-jmax", "borel-jmax", "borel-ncut"],
+        ids=["relation-jmax", "borel-jmax"],
     )
     def test_numeric_arguments_out_of_range(self, call):
         with pytest.raises(DomainError):
@@ -453,10 +452,6 @@ class TestBorelLateral:
         (row,) = borel_lateral_check(Q(1, 4), [0.03], j_max=6)
         assert row["n_cut"] == 45
         assert row["rel_defect"] < 1e-12
-
-    def test_given_cut_deeper_than_default_depth(self):
-        (row,) = borel_lateral_check(Q(1, 4), [0.1], j_max=4, n_cut=40)
-        assert row["n_cut"] == 40
 
     def test_hbar_domain(self):
         with pytest.raises(DomainError):
