@@ -259,25 +259,20 @@ def richardson(seq: Sequence, steps: int, n0: int = 1):
     return work[-1]
 
 
-def large_order_fit(
-    coeffs: Sequence[Q],
-    model: str = "single-action",
-    n_offset: int = 0,
-) -> dict:
+def large_order_fit(coeffs: Sequence[Q], n_offset: int = 0) -> dict:
     """Fit the factorial growth c_n ~ A n!/S^(n+1) and estimate S.
 
     ``coeffs[i]`` is the coefficient of order n_offset + i.
 
-    ``single-action``: Richardson-accelerate S_n = (n+1) c_n / c_{n+1}.
-    ``two-action``: fold signs out first (|c_n|) and accelerate the even
-    and odd ratio subsequences separately; their common limit is the
-    dominant action when a subdominant alternating saddle contaminates
-    the plain ratios.
-
-    The ratios are formed at 60 digits.  Either model compares Richardson
-    at 5 steps with 4 (on each subsequence for ``two-action``) and raises
-    ConvergenceError when that spread exceeds 0.2 |action|; the largest
-    spread is returned under ``"spread"``.
+    The ratios S_n = (n+1) |c_n / c_{n+1}| are formed at 60 digits, split
+    by the parity of n, and each non-empty subsequence is
+    Richardson-accelerated on its own; their common limit is the dominant
+    action even when a subdominant alternating saddle makes the plain
+    ratios oscillate.  When every other coefficient vanishes, the ratio
+    spans two orders and its square root is taken.  Each subsequence
+    compares Richardson at 5 steps with 4; the largest of those spreads is
+    returned under ``"spread"``, and ConvergenceError is raised when it
+    exceeds 0.2 |action|.
     """
     if len(coeffs) < 8:
         raise DomainError("need at least 8 coefficients for a ratio fit")
@@ -286,8 +281,6 @@ def large_order_fit(
     with mpmath.workdps(60):
         c = [mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator) for x in coeffs]
         tail = [(n_offset + i, c[i]) for i in range(len(c)) if c[i] != 0]
-        if len(tail) < 8:
-            raise DomainError("too many vanishing coefficients for a fit")
         ratios = []
         for (n1, c1), (n2, c2) in zip(tail, tail[1:]):
             if n2 - n1 == 1:
@@ -295,34 +288,22 @@ def large_order_fit(
             elif n2 - n1 == 2:
                 # every other coefficient vanishes: ratio jumps two orders
                 ratios.append((n1, mpmath.sqrt(abs(c1 / c2) * (n1 + 1) * (n1 + 2))))
+        if len(ratios) < 7:
+            raise DomainError("too many vanishing coefficients for a fit")
         k = 5
-
-        def settled(win, n0):
-            """Richardson at k steps and its distance from k - 1 steps."""
-            vals = [v for _n, v in win]
-            s = richardson(vals, k, n0=n0)
-            return s, abs(s - richardson(vals, k - 1, n0=n0))
-
-        if model == "single-action":
-            win = ratios[-(k + 7):]
-            s_fit, spread = settled(win, win[0][0])
-            out = {"model": model, "action": s_fit, "spread": spread,
-                   "ratios": [v for _n, v in ratios]}
-        elif model == "two-action":
-            even = [(n, v) for (n, v) in ratios if n % 2 == 0]
-            odd = [(n, v) for (n, v) in ratios if n % 2 == 1]
-            we, wo = even[-(k + 4):], odd[-(k + 4):]
-            # even/odd subsequences step by 2 in n; relabel to unit steps
-            s_even, spread_even = settled(we, we[0][0] // 2)
-            s_odd, spread_odd = settled(wo, (wo[0][0] - 1) // 2)
-            out = {"model": model, "action": (s_even + s_odd) / 2,
-                   "spread": max(spread_even, spread_odd),
-                   "action_even": s_even, "action_odd": s_odd}
-        else:
-            raise DomainError(f"unknown model {model!r}")
-        if out["spread"] > abs(out["action"]) * mpmath.mpf("0.2"):
+        fits = []
+        for parity in (0, 1):
+            win = [(n, v) for n, v in ratios if n % 2 == parity][-(k + 4):]
+            if win:
+                # the subsequence steps by 2 in n; n // 2 relabels it to unit steps
+                vals, n0 = [v for _n, v in win], win[0][0] // 2
+                s = richardson(vals, k, n0=n0)
+                fits.append((s, abs(s - richardson(vals, k - 1, n0=n0))))
+        action = sum(s for s, _ in fits) / len(fits)
+        spread = max(d for _, d in fits)
+        if spread > abs(action) * mpmath.mpf("0.2"):
             raise ConvergenceError(
-                f"ratio acceleration did not settle: spread {float(out['spread']):.3g} "
-                f"around {float(out['action']):.6g}"
+                f"ratio acceleration did not settle: spread {float(spread):.3g} "
+                f"around {float(action):.6g}"
             )
-        return out
+        return {"action": action, "spread": spread}

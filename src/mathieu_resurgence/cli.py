@@ -27,7 +27,7 @@ from .errors import ConvergenceError, DomainError, RegimeWarning, require_positi
 # does multiprecision arithmetic in it: `zerodim --check relation` and
 # `--check borel`.  The mp Hill tier behind `widths` runs on `decimal`.
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -50,11 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _q_str(x) -> str:
-    """A Fraction as "p/q", or "p" when it is an integer."""
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _series_rows(series, var_name: str):
     rows = []
     for n in range(series.order + 1):
@@ -63,7 +58,7 @@ def _series_rows(series, var_name: str):
             {
                 "power": n,
                 "variable": var_name,
-                "coefficients_in_B": [_q_str(c) for c in poly.c] or ["0"],
+                "coefficients_in_B": [str(c) for c in poly.c] or ["0"],
             }
         )
     return rows
@@ -139,16 +134,21 @@ _OUTPUT_OPTIONS = ("format", "output", "pretty")
 
 def _code_key() -> list:
     """The interpreter and the package source that compute a payload: the
-    interpreter's ``sys.hexversion`` and one CRC-32 chained over the name
-    and bytes of every ``*.py`` file in the package, in sorted order."""
+    interpreter's ``sys.hexversion`` and one CRC-32 chained over the name,
+    modification time and bytes of every ``*.py`` file in the package, in
+    sorted order.  Python runs a cached ``.pyc`` while the source's size
+    and whole-second mtime match it, so an edit that keeps both is computed
+    by the old code until the file is touched; the touch makes a new key."""
     import zlib
 
     pkg = os.path.dirname(__file__)
     crc = 0
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
-            with open(os.path.join(pkg, name), "rb") as fh:
-                crc = zlib.crc32(fh.read(), zlib.crc32(name.encode(), crc))
+            path = os.path.join(pkg, name)
+            stamp = f"{name}:{os.stat(path).st_mtime_ns}"
+            with open(path, "rb") as fh:
+                crc = zlib.crc32(fh.read(), zlib.crc32(stamp.encode(), crc))
     return [sys.hexversion, crc]
 
 
@@ -216,7 +216,7 @@ def build_parser() -> _Parser:
     common.add_argument("--output", help="write to file instead of stdout")
     common.add_argument("--pretty", action="store_true", help="human-oriented table")
 
-    p = _Parser(prog="mathieu-resurgence", description=__doc__, parents=[common])
+    p = _Parser(prog="mathieu-resurgence", description=__doc__)
     subs = p.add_subparsers(dest="command", required=True)
 
     def sub_parser(name, **kw):
@@ -322,7 +322,7 @@ def _run_pert(args) -> dict:
         ev = series.eval_at_B(Q(2 * args.N + 1, 2))
         out["at_N"] = {
             "N": args.N,
-            "coefficients": [_q_str(ev[n].const_value()) for n in range(ev.order + 1)],
+            "coefficients": [str(ev[n].const_value()) for n in range(ev.order + 1)],
         }
         if args.hbar is not None:
             require_positive("hbar", args.hbar)
@@ -345,7 +345,7 @@ def _run_strong(args) -> dict:
         rows.append(
             {
                 "edge": name,
-                "q_coefficients": [_q_str(ser[j].const_value())
+                "q_coefficients": [str(ser[j].const_value())
                                    for j in range(ser.order + 1)],
             }
         )
@@ -372,7 +372,7 @@ def _run_pinst(args) -> dict:
         ev = P.eval_at_B(B)
         # rendered as a series in (hbar/8), the customary instanton unit
         out["at_N_in_hbar_over_8"] = [
-            _q_str(ev[n].const_value() * Q(8) ** n) for n in range(ev.order + 1)
+            str(ev[n].const_value() * Q(8) ** n) for n in range(ev.order + 1)
         ]
     return out
 
@@ -396,10 +396,10 @@ def _run_actions(args) -> dict:
 
     if args.region == "well":
         coeffs = dunham.well_action_series(args.n, args.order)[args.n]
-        rows = [{"power_of_u_plus_1": k, "coefficient": _q_str(c)} for k, c in enumerate(coeffs)]
+        rows = [{"power_of_u_plus_1": k, "coefficient": str(c)} for k, c in enumerate(coeffs)]
     else:
         table = dunham.high_action_series(args.n, args.order)[args.n]
-        rows = [{"half_power_of_2u": h, "coefficient": _q_str(c)} for h, c in table.items()]
+        rows = [{"half_power_of_2u": h, "coefficient": str(c)} for h, c in table.items()]
     return {"rows": rows}
 
 
@@ -515,7 +515,7 @@ def _run_zerodim(args) -> dict:
         sym = zerodim.lame_vacuum_symbolic(args.order)
         return {
             "rows": [
-                {"r": r, "coefficient_at_m": _q_str(p(m)), "poly_in_m": [_q_str(c) for c in p.c] or ["0"]}
+                {"r": r, "coefficient_at_m": str(p(m)), "poly_in_m": [str(c) for c in p.c] or ["0"]}
                 for r, p in enumerate(sym)
             ]
         }
@@ -542,7 +542,7 @@ def _run_benderwu(args) -> dict:
     series = benderwu.rs_series(V, args.N, args.order)
     return {
         "rows": [
-            {"power": n, "coefficient": _q_str(series[n].const_value())}
+            {"power": n, "coefficient": str(series[n].const_value())}
             for n in range(series.order + 1)
         ]
     }

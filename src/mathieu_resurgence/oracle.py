@@ -206,6 +206,7 @@ def band_edges(
         )
     lam = cfg.potential_scale
     if cfg.dps is None:
+        # digits capped at the double-precision eigensolver roundoff floor
         return _points(hbar, edges, M, half_M, lam, 1.0, None, 13)
     import decimal
 
@@ -225,11 +226,9 @@ def _points(hbar, edges, M, half_M, lam, one, rtol, max_digits) -> list[Spectral
     for N, edge in edges:
         u = full[(N, edge)]
         rel = abs(u - half[(N, edge)]) / max(abs(u), one)
-        if rtol is None:
-            # capped at the double-precision eigensolver roundoff floor
-            digits = 13 if rel == 0 else max(0, min(13, int(-math.log10(rel + 1e-300))))
-        else:
-            digits = max_digits if rel == 0 else max(0, min(max_digits, int(-rel.log10())))
+        # a Decimal takes its own log10: as a float it underflows below 1e-308
+        log10 = math.log10 if isinstance(rel, float) else type(rel).log10
+        digits = max_digits if rel == 0 else max(0, min(max_digits, int(-log10(rel))))
         if digits < 6:
             raise ConvergenceError(
                 f"band edge not converged at truncation M={M}: ~{digits} digits"

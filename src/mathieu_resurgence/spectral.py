@@ -18,7 +18,6 @@ from .series import PolyB, PolySeries, horner, newton_solve
 __all__ = [
     "bs_invert_weak",
     "bs_invert_strong",
-    "StrongExpansion",
     "ZjjFunctions",
     "zjj_construct",
     "zjj_A_from_E",
@@ -51,29 +50,12 @@ def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) 
     return v - PolySeries.const("hbar", order, 1)
 
 
-class StrongExpansion(NamedTuple):
-    """u as a double expansion at strong coupling.
-
-    terms[(i, k)] multiplies hbar^(2i) * a^(2-k) with a = N hbar / 2.
-    """
-
-    terms: dict[tuple[int, int], Q]
-
-    def u(self, hbar: float, N: int) -> float:
-        a = N * hbar / 2.0
-        return sum(
-            float(c) * hbar ** (2 * i) * a ** (2 - k) for (i, k), c in self.terms.items()
-        )
-
-    def f_series(self, i: int) -> dict[int, Q]:
-        """The hbar^(2i) row as {power of 1/a: coefficient} relative to a^2."""
-        return {k: c for (j, k), c in self.terms.items() if j == i}
-
-
-def bs_invert_strong(order: int, depth: int = 8) -> StrongExpansion:
+def bs_invert_strong(order: int, depth: int = 8) -> PolySeries:
     """Invert hbar N / 2 = a(hbar, u) for u >> 1.
 
-    ``order`` bounds the hbar^(2i) rows kept, ``depth`` the 1/a powers.
+    Returns u / a^2, a = N hbar / 2, as a series in 1/a through
+    (1/a)^(depth + 2) whose coefficients are polynomials in hbar^2 of degree
+    <= ``order``, written in the B slot as ``zjj_construct`` writes E there.
     """
     if order < 0 or depth < 0:
         raise DomainError("order >= 0 and depth >= 0 required")
@@ -98,10 +80,7 @@ def bs_invert_strong(order: int, depth: int = 8) -> StrongExpansion:
     d = newton_solve(
         [PolySeries("1/a", kmax, col) for col in coeffs], PolySeries.const("1/a", kmax, 1), 0
     )
-    u = (1 + d) ** 2 / 2  # u / a^2, stored against a^(2-k)
-    return StrongExpansion(
-        terms={(i, k): c for k in range(kmax + 1) for i, c in enumerate(u[k].c[: order + 1]) if c}
-    )
+    return ((1 + d) ** 2 / 2).map_coeffs(lambda p: PolyB(p.c[: order + 1]))
 
 
 class ZjjFunctions(NamedTuple):

@@ -295,7 +295,7 @@ def test_criterion_10_elliptic_well_oracle():
         V = benderwu.lame_potential(m, 72)
         series = benderwu.rs_series(V, 0, 34)
         coeffs = [series[n].const_value() for n in range(2, 35)]
-        fit = benderwu.large_order_fit(coeffs, "two-action", n_offset=2)
+        fit = benderwu.large_order_fit(coeffs, n_offset=2)
         mf = float(m)
         s_small = min(mf, 1 - mf)
         target = 2 * 2 * math.asin(math.sqrt(s_small)) / math.sqrt(mf * (1 - mf))

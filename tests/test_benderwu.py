@@ -110,14 +110,14 @@ class TestLargeOrder:
     def test_mathieu_twice_instanton_action(self):
         series = rs_series(mathieu_well_potential(72), 0, 34)
         coeffs = [series[n].const_value() for n in range(2, 35)]
-        fit = large_order_fit(coeffs, "single-action", n_offset=2)
+        fit = large_order_fit(coeffs, n_offset=2)
         assert abs(float(fit["action"]) - 16) / 16 < 0.01
 
     def test_lame_quarter_dominant_action(self):
         V = lame_potential(Q(1, 4), 72)
         series = rs_series(V, 0, 34)
         coeffs = [series[n].const_value() for n in range(2, 35)]
-        fit = large_order_fit(coeffs, "two-action", n_offset=2)
+        fit = large_order_fit(coeffs, n_offset=2)
         m = 0.25
         s_inst = 2 * math.asin(math.sqrt(m)) / math.sqrt(m * (1 - m))
         assert abs(float(fit["action"]) - 2 * s_inst) / (2 * s_inst) < 0.03
@@ -126,7 +126,7 @@ class TestLargeOrder:
         V = lame_potential(Q(3, 4), 72)
         series = rs_series(V, 0, 34)
         coeffs = [series[n].const_value() for n in range(2, 35)]
-        fit = large_order_fit(coeffs, "two-action", n_offset=2)
+        fit = large_order_fit(coeffs, n_offset=2)
         m = 0.75
         s_ghost = 2 * math.asin(math.sqrt(1 - m)) / math.sqrt(m * (1 - m))
         assert abs(float(fit["action"]) - 2 * s_ghost) / (2 * s_ghost) < 0.03
@@ -135,15 +135,29 @@ class TestLargeOrder:
         V = lame_potential(Q(1, 4), 72)
         series = rs_series(V, 0, 34)
         coeffs = [series[n].const_value() for n in range(2, 35)]
-        fit = large_order_fit(coeffs, "two-action", n_offset=2)
+        fit = large_order_fit(coeffs, n_offset=2)
         assert 0 < fit["spread"] < 1e-3 * abs(fit["action"])
 
-    @pytest.mark.parametrize("model", ["single-action", "two-action"])
-    def test_unsettled_ratios_are_a_convergence_error(self, model):
-        # ratios cycling with period 3 have no limit on either subsequence
+    def test_lame_half_every_other_coefficient_vanishing(self):
+        # at m = 1/2 the odd orders vanish, so each ratio spans two orders
+        # and only the even subsequence exists; both actions are 2 pi
+        series = rs_series(lame_potential(Q(1, 2), 72), 0, 34)
+        coeffs = [series[n].const_value() for n in range(2, 35)]
+        fit = large_order_fit(coeffs, n_offset=2)
+        assert abs(float(fit["action"]) - 2 * math.pi) / (2 * math.pi) < 2e-3
+
+    @pytest.mark.parametrize("shape", ["single-action", "two-action"])
+    def test_unsettled_ratios_are_a_convergence_error(self, shape):
+        # ratios cycling with period 3 have no limit on either subsequence,
+        # with or without an alternating subdominant saddle at action 2
         coeffs = [Q(math.factorial(n) * 3 ** (n % 3)) for n in range(2, 35)]
+        if shape == "two-action":
+            coeffs = [
+                c + Q((-1) ** n * math.factorial(n) * 2 ** (n % 3), 2**n)
+                for n, c in zip(range(2, 35), coeffs)
+            ]
         with pytest.raises(ConvergenceError):
-            large_order_fit(coeffs, model, n_offset=2)
+            large_order_fit(coeffs, n_offset=2)
 
     def test_sin2_well_subleading_sequence(self):
         # the 1/n and 1/(n(n-1)) corrections of the normalized large-order

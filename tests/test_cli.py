@@ -205,10 +205,14 @@ class TestExitCodes:
             ["benderwu", "--poly", "--order", "3", "--N", "0"],
             ["zerodim", "--check", "borel", "--hbar", "0.2", "--order", "4"],
             ["zerodim", "--check", "borel", "--order", "8"],
+            ["--format", "csv", "pert", "--order", "1"],
+            ["--pretty", "pert"],
+            ["--output", "out.json", "pert"],
         ],
     )
     def test_option_the_mode_would_drop_is_usage(self, capsys, argv):
-        # an option that would be accepted and silently ignored
+        # an option that would be accepted and silently ignored; the output
+        # options belong to the subcommand, whose defaults would overwrite them
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
@@ -541,14 +545,15 @@ class TestOutputPlumbing:
         code, out = run(capsys, *argv)
         assert code == EXIT_DOMAIN and out == ""
 
-    def test_edited_source_is_recomputed(self, tmp_path):
-        # a copy of the package run in fresh interpreters with one cache:
-        # lowering the double-precision digit cap of its oracle between two
-        # runs must show in the second
-        pkg = tmp_path / "mathieu_resurgence"
-        shutil.copytree(Path(mathieu_resurgence.__file__).parent, pkg,
+    @staticmethod
+    def _copy_and_run(tmp_path, **env):
+        """Copy the package under tmp_path; return a runner of `spectrum
+        --hbar 1.0 --bands 1` on the copy in a fresh interpreter, with or
+        without one cache, that returns the set of its `err` values."""
+        shutil.copytree(Path(mathieu_resurgence.__file__).parent, tmp_path / "mathieu_resurgence",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"} | env
+        env["PYTHONPATH"] = str(tmp_path)
 
         def errs(cache=True):
             env["MATHIEU_RESURGENCE_CACHE"] = str(tmp_path / "cache") if cache else ""
@@ -558,15 +563,39 @@ class TestOutputPlumbing:
                 check=True)
             return {r["err"] for r in json.loads(proc.stdout)["rows"]}
 
+        return errs
+
+    def test_edited_source_is_recomputed(self, tmp_path):
+        # a copy of the package run in fresh interpreters with one cache:
+        # lowering the double-precision digit cap of its oracle between two
+        # runs must show in the second
+        errs = self._copy_and_run(tmp_path, PYTHONDONTWRITEBYTECODE="1")
         assert errs() == {1e-13}
-        oracle = pkg / "oracle.py"
+        oracle = tmp_path / "mathieu_resurgence" / "oracle.py"
         text = oracle.read_text()
-        cap = "digits = 13 if rel == 0 else max(0, min(13,"
+        cap = "None, 13)"
         assert text.count(cap) == 1
         oracle.write_text(text.replace(cap, cap.replace("13", "12")))
         assert errs(cache=False) == {1e-12}
         assert errs() == {1e-12}
         assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    def test_payload_of_stale_bytecode_is_not_served_after_recompiling(self, tmp_path):
+        # Python runs a module's cached .pyc while the source keeps its size
+        # and whole-second mtime, so an edit that keeps both is computed by
+        # the old code; once a touch recompiles it, the cache must not serve
+        # that stale payload under the edited source's key
+        errs = self._copy_and_run(tmp_path)
+        assert errs() == {1e-13}
+        oracle = tmp_path / "mathieu_resurgence" / "oracle.py"
+        st = oracle.stat()
+        oracle.write_text(oracle.read_text().replace("None, 13)", "None, 12)"))
+        os.utime(oracle, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert oracle.stat().st_size == st.st_size
+        assert errs() == {1e-13}  # the old bytecode ran
+        os.utime(oracle)
+        assert errs(cache=False) == {1e-12}
+        assert errs() == {1e-12}
 
 
 class TestGrids:

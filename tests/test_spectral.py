@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mathieu_resurgence.benderwu import mathieu_well_potential, polynomial_in_N
+from mathieu_resurgence.charvalues import char_a
 from mathieu_resurgence.errors import DomainError, StructureError
 from mathieu_resurgence.series import PolyB, PolySeries, horner
 from mathieu_resurgence.spectral import (
@@ -66,27 +67,24 @@ class TestWeakInversion:
 
 class TestStrongInversion:
     def test_printed_rows(self):
-        se = bs_invert_strong(2, depth=12)
-        f0 = se.f_series(0)
-        assert f0[0] == Q(1, 2)
-        assert f0[4] == Q(1, 4)
-        assert f0[8] == Q(5, 64)
-        assert f0[12] == Q(9, 128)
-        f1 = se.f_series(1)
-        assert f1[6] == Q(1, 16)
-        assert f1[10] == Q(21, 128)
-        assert f1[14] == Q(55, 128)
+        u = bs_invert_strong(2, depth=12)
+        assert u[0][0] == Q(1, 2)
+        assert u[4][0] == Q(1, 4)
+        assert u[8][0] == Q(5, 64)
+        assert u[12][0] == Q(9, 128)
+        assert u[6][1] == Q(1, 16)
+        assert u[10][1] == Q(21, 128)
+        assert u[14][1] == Q(55, 128)
 
     def test_resummed_pole_structure(self):
         # collecting (2/hbar)^4 at fixed N reproduces 1/(2(N^2-1)):
         # the hbar^-2 coefficient of (hbar^2/8)(2/hbar)^4/(2(N^2-1)) is
         # 1/(N^2-1) and the double series reproduces its 1/N^2 expansion
-        se = bs_invert_strong(5, depth=20)
+        u = bs_invert_strong(5, depth=20)
         for N in (5, 9):
             got = 0.0
-            for (i, k), c in se.terms.items():
-                if k - 2 * i == 4:  # hbar power 2i + 2 - k = -2
-                    got += float(c) * (N / 2.0) ** (2 - k)
+            for i in range(6):  # hbar power 2i + 2 - k = -2 at k = 2i + 4
+                got += float(u[2 * i + 4][i]) * (N / 2.0) ** (-2 * i - 2)
             want = 1 / (N * N - 1)
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -95,9 +93,8 @@ class TestStrongInversion:
         # so the hbar^(-2-4j) row is k = 2i + 4 + 4j, and it carries
         # (N/2)^(-2i-2-4j) = 4^(i+1+2j) x^(i+1+2j) in x = 1/N^2.  The
         # hbar^-2 term of u is 1/(N^2-1) = sum_i x^(i+1): the row is 1/4^(i+1).
-        se = bs_invert_strong(8, 30)
-        row = {i: c for (i, k), c in se.terms.items() if k == 2 * i + 4}
-        assert row == {i: Q(1, 4 ** (i + 1)) for i in range(9)}
+        u = bs_invert_strong(8, 30)
+        assert [u[2 * i + 4][i] for i in range(9)] == [Q(1, 4 ** (i + 1)) for i in range(9)]
 
         def laurent(num, poles, n):
             # [x^0..x^n] of num(x) / prod (1 - a x)^e over (a, e) in poles
@@ -117,8 +114,22 @@ class TestStrongInversion:
             (2, [72, 464, 232], [(1, 5), (4, 1), (9, 1)]),
         ):
             want = laurent(num, poles, 8)
-            row = {i: c for (i, k), c in se.terms.items() if k == 2 * i + 4 + 4 * j}
-            assert row == {i: want[i] / 4 ** (i + 1 + 2 * j) for i in range(9)}
+            row = [u[2 * i + 4 + 4 * j][i] for i in range(9)]
+            assert row == [want[i] / 4 ** (i + 1 + 2 * j) for i in range(9)]
+
+    @pytest.mark.parametrize("N", [15, 25])
+    def test_agrees_with_harmonic_balance(self, N):
+        # two independent routes to the same q-series: the WKB inversion's
+        # hbar^(2-2j) coefficient at a = N hbar/2 collects k = 2i + 2j, and
+        # u = (hbar^2/8) a_N(q) with q = 4/hbar^2 makes it (4^j/8) [q^j] a_N.
+        # Keeping i <= 8 truncates the 1/N^2 expansion: at N = 9 the j = 6
+        # residual is 1.2e-8, at N = 15 it is 1.4e-12.
+        u = bs_invert_strong(8, 30)
+        a = char_a(N, 8)
+        for j in range(7):
+            wkb = sum(u[2 * i + 2 * j][i] * Q(N, 2) ** (2 - 2 * i - 2 * j) for i in range(9))
+            exact = Q(4**j, 8) * a[j].const_value()
+            assert abs(wkb - exact) <= Q(1, 10**11) * abs(exact)
 
     @pytest.mark.parametrize("order, depth", [(-1, 8), (2, -3)])
     def test_negative_arguments(self, order, depth):
@@ -126,8 +137,9 @@ class TestStrongInversion:
             bs_invert_strong(order, depth)
 
     def test_numeric_against_printed_strong_expansion(self):
-        se = bs_invert_strong(2, depth=12)
+        u = bs_invert_strong(2, depth=12)
         N, hbar = 7, 9.0
+        a = N * hbar / 2
         t = hbar**2 / 8 * (
             N**2
             + (2 / hbar) ** 4 / (2 * (N**2 - 1))
@@ -136,7 +148,7 @@ class TestStrongInversion:
             * (2 / hbar) ** 12
             / (64 * (N**2 - 1) ** 5 * (N**2 - 4) * (N**2 - 9))
         )
-        assert se.u(hbar, N) == pytest.approx(t, abs=5e-9)
+        assert a * a * u(1 / a, hbar**2) == pytest.approx(t, abs=5e-9)
 
 
 class TestZjj:

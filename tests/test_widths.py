@@ -288,9 +288,9 @@ class TestBarrierTop:
         hbar = 0.12
         Nb = 8 / (math.pi * hbar) - 0.5
         u_weak = float(bs_invert_weak(10)(hbar, Q(int(round(Nb)) * 2 + 1, 2)))
-        se = bs_invert_strong(2, depth=12)
-        Ng = int(round(8 / (math.pi * hbar)))
-        u_strong = se.u(hbar, Ng)
+        u = bs_invert_strong(2, depth=12)
+        a = int(round(8 / (math.pi * hbar))) * hbar / 2
+        u_strong = a * a * u(1 / a, hbar**2)
         assert u_weak == pytest.approx(1.0, abs=0.12)
         assert u_strong == pytest.approx(1.0, abs=0.12)
 
