@@ -520,6 +520,9 @@ def _run_zerodim(args) -> dict:
             ]
         }
     if args.check == "relation":
+        if args.order < 8:
+            raise DomainError(f"--check relation tests n = 8, 12, ... up to --order: "
+                              f"needs --order >= 8, got {args.order}")
         rep = zerodim.exact_relation_check(m, range(8, args.order + 1, 4))
         return {"rows": rep["rows"], "max_rel_defect": rep["max_rel_defect"]}
     hbars = args.hbar or [0.2, 0.1, 0.05]

@@ -185,14 +185,11 @@ class PolyB:
     def derivative(self) -> "PolyB":
         return PolyB._from([k * self.n[k] for k in range(1, len(self.n))], self.d)
 
-    def compose(self, inner: "PolyB") -> "PolyB":
-        """p(inner(B)) by Horner over the integer numerators."""
-        return horner(self.n, inner) / self.d
-
     def __call__(self, x):
         """Evaluate at x.  A rational x gives the exact Fraction, by Horner
         over the integer numerators; any other x (float, mpf, a ring
-        element) takes Horner over the Fraction coefficients."""
+        element) takes Horner over the Fraction coefficients, so a PolyB x
+        gives the composition p(x(B))."""
         if not isinstance(x, (int, Fraction)):
             return horner(self.c, x)
         if not self.n:

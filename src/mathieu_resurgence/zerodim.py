@@ -13,7 +13,7 @@ import math
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, TruncationError, require_positive
+from .errors import ConvergenceError, DomainError, require_positive
 
 __all__ = [
     "SaddleExpansion",
@@ -38,30 +38,14 @@ class SaddleExpansion(NamedTuple):
     with coeffs[0] = 1, the integral taken along the saddle's descent
     direction.  Where that direction is i times the original one (the real
     and imaginary saddles of ``lame_saddles``), the sector gains a factor
-    i that the record does not carry.  All stored numbers are exact
-    rationals.
+    i that the record does not carry.  All three fields are exact
+    rationals; the checks below take the partition-normalized coefficients
+    a_r = coeffs[r]/sqrt(curvature) in mpmath (``_sector_coeffs``).
     """
 
-    label: str
     action: Q
     curvature: Q
     coeffs: list[Q]
-
-    def sector_coeff(self, r: int):
-        """a_r = coeffs[r]/sqrt(curvature), the partition-normalized fluctuation
-        coefficient: an mpf (irrational in general) at the caller's precision."""
-        if r < 0:
-            raise DomainError(f"sector coefficient index must be >= 0, got {r}")
-        if r >= len(self.coeffs):
-            raise TruncationError(
-                f"sector coefficient {r} beyond stored order {len(self.coeffs) - 1} "
-                f"of the {self.label!r} saddle"
-            )
-        import mpmath
-
-        c2 = mpmath.mpf(self.curvature.numerator) / self.curvature.denominator
-        b = mpmath.mpf(self.coeffs[r].numerator) / self.coeffs[r].denominator
-        return b / mpmath.sqrt(c2)
 
 
 def _dfac(n: int) -> int:
@@ -78,47 +62,28 @@ def _gaussian_moments(taylor: list[Q], c2: Q, order: int) -> list[Q]:
 
     ``taylor`` holds the rationals c_k of f = sum_k c_k s^k, with c_1 = 0
     and c_2 = ``c2``.  With s -> sqrt(hbar) s, exp(-A) has
-    A = sum_{k>=3} c_k delta^(k-2) s^k, delta = sqrt(hbar).  The n-th term
-    A^n/n! at delta^d carries s^(d+2n), so only a list over d is kept per
-    n, and hbar^r takes the moments <s^(2j)> = (2j-1)!!/(2 c2)^j with
-    j = r + n.  The lists hold integers: A/s^2 is written over one
-    denominator, and A^n/n! over one denominator per n, reduced by one gcd.
+    A = sum_{k>=3} c_k delta^(k-2) s^k, delta = sqrt(hbar): a delta-series
+    whose coefficients are polynomials in s (PolyB), exponentiated by
+    ``PolySeries.exp``.  b_r is its delta^(2r) coefficient with each s^(2j)
+    replaced by the Gaussian moment <s^(2j)> = (2j-1)!!/(2 c2)^j.
     """
-    dmax = 2 * order
-    # the nonzero a[d], which multiplies delta^d in A/s^2 = sum_k c_k
-    # (delta s)^(k-2), as (d, numerator) over one denominator D
-    nz = [(d, c) for d, c in enumerate(taylor[3 : dmax + 3], start=1) if c]
-    D = math.lcm(*(c.denominator for _, c in nz))
-    a = [(d, c.numerator * (D // c.denominator)) for d, c in nz]
-    # (2j-1)!! / (2 c2)^j = moment[j][0] / moment[j][1]
-    u, v = c2.numerator, c2.denominator
-    moment, dfac = [], 1
-    for j in range(order + dmax + 1):
-        moment.append((dfac * v ** j, (2 * u) ** j))
-        dfac *= 2 * j + 1
-    term, den = [1] + [0] * dmax, 1  # (-A)^n/n! = term / den, from n = 0
-    out = [Q(0)] * (order + 1)
-    for n in range(dmax + 1):
-        for r in range(order + 1):
-            if term[2 * r]:
-                num, mden = moment[r + n]
-                out[r] += term[2 * r] * Q(num, mden * den)
-        new = [0] * (dmax + 1)
-        for d1, t in enumerate(term):
-            if t:
-                for d2, x in a:
-                    if d1 + d2 > dmax:
-                        break
-                    new[d1 + d2] += t * x
-        # (-A)^(n+1)/(n+1)! = -A (-A)^n/n! / (n+1), reduced by one gcd
-        den *= -D * (n + 1)
-        g = math.gcd(den, *new)
-        term, den = [t // g for t in new], den // g
+    from .series import PolyB, PolySeries
+
+    A = PolySeries("delta", 2 * order, [0] + [
+        PolyB([0] * (d + 2) + [taylor[d + 2]]) for d in range(1, 2 * order + 1)
+    ])
+    e = (-A).exp()
+    out = []
+    for r in range(order + 1):
+        p = e[2 * r]  # even in s: a delta^d term carries s^(d + 2n) from A^n
+        out.append(sum((p[2 * j] * _dfac(2 * j - 1) / (2 * c2) ** j
+                        for j in range(p.degree // 2 + 1)), Q(0)))
     return out
 
 
-def saddle_series(taylor, order: int, label: str = "saddle") -> SaddleExpansion:
-    """Gaussian-moment expansion about a nondegenerate saddle.
+def saddle_series(taylor, order: int) -> SaddleExpansion:
+    """Gaussian-moment expansion about a nondegenerate saddle: the reference
+    engine that the closed form of ``lame_saddles`` is checked against.
 
     ``taylor``: exact coefficients [c0, c1, c2, c3, ...] of f along the
     (possibly rotated) descent direction; requires c1 = 0 and c2 > 0.
@@ -137,10 +102,7 @@ def saddle_series(taylor, order: int, label: str = "saddle") -> SaddleExpansion:
     c2 = taylor[2]
     if c2 <= 0:
         raise DomainError("degenerate or wrongly oriented saddle: c2 must be > 0")
-    return SaddleExpansion(
-        label=label, action=taylor[0], curvature=c2,
-        coeffs=_gaussian_moments(taylor, c2, order),
-    )
+    return SaddleExpansion(taylor[0], c2, _gaussian_moments(taylor, c2, order))
 
 
 def _binomial_saddle(alpha, beta, order: int) -> list:
@@ -181,9 +143,9 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
         raise DomainError("saddle set needs 0 < m < 1; use sin2_vacuum_exact at m=0")
     m1 = 1 - m
     return {
-        "vacuum": SaddleExpansion("vacuum", Q(0), Q(1), _binomial_saddle(m1, -m, order)),
-        "real": SaddleExpansion("real", 1 / m1, 1 / m1, _binomial_saddle(-m1, -m * m1, order)),
-        "imag": SaddleExpansion("imag", -1 / m, 1 / m, _binomial_saddle(m, m * m1, order)),
+        "vacuum": SaddleExpansion(Q(0), Q(1), _binomial_saddle(m1, -m, order)),
+        "real": SaddleExpansion(1 / m1, 1 / m1, _binomial_saddle(-m1, -m * m1, order)),
+        "imag": SaddleExpansion(-1 / m, 1 / m, _binomial_saddle(m, m * m1, order)),
     }
 
 
@@ -229,7 +191,7 @@ def z_quadrature(hbars, m) -> list[float]:
     import mpmath
 
     with mpmath.workdps(30):
-        mm = mpmath.mpf(m.numerator) / m.denominator if isinstance(m, Q) else mpmath.mpf(m)
+        mm = _mpq(m) if isinstance(m, Q) else mpmath.mpf(m)
         sd2_at = {}  # z -> sd^2(z | m), shared by every hbar
 
         def f(k, n, h):  # exp(-sd^2/hbar) at z = kK/n
@@ -259,6 +221,23 @@ def z_quadrature(hbars, m) -> list[float]:
         return out
 
 
+def _mpq(x: Q):
+    """The rational x as an mpf at the caller's precision."""
+    import mpmath
+
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _sector_coeffs(saddle: SaddleExpansion, j_max: int) -> list:
+    """a_j = coeffs[j]/sqrt(curvature) for j = 0..j_max (as far as stored),
+    the partition-normalized fluctuation coefficients: mpf (irrational in
+    general) at the caller's precision."""
+    import mpmath
+
+    root = mpmath.sqrt(_mpq(saddle.curvature))
+    return [_mpq(b) / root for b in saddle.coeffs[: j_max + 1]]
+
+
 def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
     """Vacuum coefficients against the (n-1)!-weighted sums over the two
     adjacent saddles,
@@ -276,22 +255,18 @@ def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
         raise DomainError("need at least one coefficient index, each n >= 1, and j_max >= 0")
     sads = lame_saddles(m, max(n_values))
     vac = sads["vacuum"]
-    S1, S2 = sads["real"].action, sads["imag"].action
     rows = []
     import mpmath
 
     with mpmath.workdps(60):
-        s1 = mpmath.mpf(S1.numerator) / S1.denominator
-        s2 = mpmath.mpf(S2.numerator) / S2.denominator
+        s1, s2 = _mpq(sads["real"].action), _mpq(sads["imag"].action)
+        a1, a2 = _sector_coeffs(sads["real"], j_max), _sector_coeffs(sads["imag"], j_max)
         for n in n_values:
-            lhs = mpmath.mpf(vac.coeffs[n].numerator) / vac.coeffs[n].denominator
+            lhs = _mpq(vac.coeffs[n])
             rhs = mpmath.mpf(0)
             for j in range(min(j_max, n - 1) + 1):
                 w = mpmath.factorial(n - j - 1) / mpmath.pi
-                rhs += w * (
-                    sads["real"].sector_coeff(j) / s1 ** (n - j)
-                    + sads["imag"].sector_coeff(j) / s2 ** (n - j)
-                )
+                rhs += w * (a1[j] / s1 ** (n - j) + a2[j] / s2 ** (n - j))
             rel = abs(lhs - rhs) / abs(lhs)
             rows.append({"m": float(m), "n": n, "lhs": float(lhs),
                          "rhs": float(rhs), "rel_defect": float(rel)})
@@ -370,27 +345,24 @@ def borel_lateral_check(m: Q, hbar_list, j_max: int = 8) -> list[dict]:
     order_needed = max([34, *(math.ceil(x) + 2 for x in depths)]) + 2
     sads = lame_saddles(m, max(j_max + 2, order_needed))
     vac = sads["vacuum"].coeffs
-    S1, S2 = sads["real"].action, sads["imag"].action
     import mpmath
 
     with mpmath.workdps(60):
-        s1 = mpmath.mpf(S1.numerator) / S1.denominator
-        s2 = mpmath.mpf(S2.numerator) / S2.denominator
-        a1 = [sads["real"].sector_coeff(j) for j in range(j_max + 1)]
-        a2 = [sads["imag"].sector_coeff(j) for j in range(j_max + 1)]
+        s1, s2 = _mpq(sads["real"].action), _mpq(sads["imag"].action)
+        a1, a2 = _sector_coeffs(sads["real"], j_max), _sector_coeffs(sads["imag"], j_max)
         quads = z_quadrature([float(hb) for hb in hbar_list], m)
         for hb, quad in zip(hbar_list, quads):
             h = mpmath.mpf(hb)
             lhs = mpmath.mpf(quad)
             terms = {
-                n: abs(mpmath.mpf(c.numerator) / c.denominator) * h ** n
+                n: abs(_mpq(c)) * h ** n
                 for n, c in enumerate(vac[1:], start=1)
                 if c != 0
             }
             nc = min(min(terms, key=terms.__getitem__), order_needed - 2)
             head = mpmath.mpf(0)
             for n in range(nc + 1):
-                head += mpmath.mpf(vac[n].numerator) / vac[n].denominator * h ** n
+                head += _mpq(vac[n]) * h ** n
             tail = mpmath.mpf(0)
             amb = mpmath.mpf(0)
             tails1, tails2 = _phi_tails(h / s1, nc), _phi_tails(h / s2, nc)

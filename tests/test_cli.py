@@ -342,6 +342,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("order", ["1", "4", "7"])
+    def test_zerodim_relation_order_below_its_first_row(self, capsys, order):
+        # the relation rows are n = 8, 12, ... up to --order, so a lower
+        # order selects none: the message names the option the user set
+        assert main(["zerodim", "--check", "relation", "--order", order]) == EXIT_DOMAIN
+        assert "--order >= 8" in capsys.readouterr().err
+
     def test_lame_parameter_out_of_domain(self, capsys):
         argv = ["benderwu", "--potential", "lame", "--m", "3/2", "--order", "2"]
         assert main(argv) == EXIT_DOMAIN

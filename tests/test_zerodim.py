@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jacobi_reference import saddle_potential_imag, saddle_potential_real, sd_squared_taylor
 
 from mathieu_resurgence import zerodim
-from mathieu_resurgence.errors import ConvergenceError, DomainError, TruncationError
+from mathieu_resurgence.errors import ConvergenceError, DomainError
 from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.zerodim import (
     borel_lateral_check,
@@ -37,9 +37,9 @@ def moment_reference(m, order):
     real = [p.const_value() / (1 - m) for p in saddle_potential_real(n, m).c]
     imag = [-p.const_value() / m for p in saddle_potential_imag(n, m).c]
     return {
-        "vacuum": saddle_series(sd_squared_taylor(n, m).c, order, "vacuum"),
-        "real": saddle_series(real, order, "real"),
-        "imag": saddle_series(imag, order, "imag"),
+        "vacuum": saddle_series(sd_squared_taylor(n, m).c, order),
+        "real": saddle_series(real, order),
+        "imag": saddle_series(imag, order),
     }
 
 
@@ -59,7 +59,7 @@ def convolution_reference(alpha, beta, order):
 
 class TestSaddleSeries:
     def test_sin2_vacuum_closed_form(self):
-        vac = saddle_series(sin2_taylor(46), 21, "sin2")
+        vac = saddle_series(sin2_taylor(46), 21)
         for r in range(21):
             assert vac.coeffs[r] == sin2_vacuum_exact(r)
 
@@ -67,9 +67,22 @@ class TestSaddleSeries:
         # about z = pi/2 the descent-line Taylor is sinh^2-like: alternating
         taylor = [abs(c) for c in sin2_taylor(30)]
         taylor[0] = Q(1)  # action of the nontrivial saddle
-        sad = saddle_series(taylor, 8, "sin2-top")
+        sad = saddle_series(taylor, 8)
         for r in range(9):
             assert sad.coeffs[r] == (-1) ** r * sin2_vacuum_exact(r)
+
+    @pytest.mark.parametrize("lam", [Q(1), Q(-2, 3), Q(5, 7)])
+    def test_cubic_odd_taylor_data(self, lam):
+        # f = s^2/2 + lam s^3: every other input here is even in s, so this
+        # is the one check of the odd cross terms of exp(-A).  s -> sqrt(hbar) t
+        # gives exp(-lam sqrt(hbar) t^3), whose hbar^r term is
+        # lam^(2r) <t^(6r)>/(2r)! with <t^(6r)> = (6r-1)!! under exp(-t^2/2)
+        sad = saddle_series([Q(0), Q(0), Q(1, 2), lam] + [Q(0)] * 23, 12)
+        assert (sad.action, sad.curvature) == (0, Q(1, 2))
+        assert sad.coeffs == [
+            lam ** (2 * r) * Q(math.prod(range(6 * r - 1, 0, -2)), math.factorial(2 * r))
+            for r in range(13)
+        ]
 
     def test_degenerate_saddle_rejected(self):
         with pytest.raises(DomainError):
@@ -85,7 +98,7 @@ class TestSaddleSeries:
 class TestClosedFormSaddles:
     @pytest.mark.parametrize("m", [Q(1, 4), Q(1, 3), Q(1, 2), Q(3, 4), Q(2, 7)])
     def test_equal_to_the_moment_engine(self, m):
-        # label, action, curvature and coefficients, exactly
+        # action, curvature and coefficients, exactly
         want = moment_reference(m, 30)
         assert lame_saddles(m, 30) == want
         assert [p(m) for p in lame_vacuum_symbolic(16)] == want["vacuum"].coeffs[:17]
@@ -146,18 +159,6 @@ class TestDomain:
             lame_saddles(Q(1, 4), -1)
         with pytest.raises(DomainError):
             saddle_series(sin2_taylor(8), -1)
-
-    def test_sector_coeff_negative_index(self):
-        # a negative r must not read the coefficients from the end
-        with pytest.raises(DomainError):
-            lame_saddles(Q(1, 4), 3)["real"].sector_coeff(-1)
-
-    def test_sector_coeff_past_stored_order(self):
-        real = lame_saddles(Q(1, 4), 3)["real"]
-        last = float(real.coeffs[3]) / math.sqrt(real.curvature)
-        assert float(real.sector_coeff(3)) == pytest.approx(last, rel=1e-14)
-        with pytest.raises(TruncationError):
-            real.sector_coeff(4)
 
     def test_short_taylor_data(self):
         # order r reads c_k up to k = 2r + 2; sin2_taylor(8) stops at c_8
@@ -220,7 +221,7 @@ class TestLameRows:
         sym = lame_vacuum_symbolic(12)
         flip = PolyB((1, -1))
         for n, p in enumerate(sym):
-            assert p.compose(flip) == p * (-1) ** n
+            assert p(flip) == p * (-1) ** n
 
 
 class TestQuadrature:
