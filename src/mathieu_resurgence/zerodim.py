@@ -9,11 +9,17 @@ coefficient relations, and lateral Borel-type resummation experiments.
 """
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal as D
 from fractions import Fraction as Q
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, require_positive
+
+# pi and Euler's gamma to 77 digits, above every precision used here
+_PI = D("3.1415926535897932384626433832795028841971693993751058209749445923078164062862")
+_EULER = D("0.57721566490153286060651209008240243104215933593992359880576723488486772677766")
 
 __all__ = [
     "SaddleExpansion",
@@ -40,7 +46,8 @@ class SaddleExpansion(NamedTuple):
     and imaginary saddles of ``lame_saddles``), the sector gains a factor
     i that the record does not carry.  All three fields are exact
     rationals; the checks below take the partition-normalized coefficients
-    a_r = coeffs[r]/sqrt(curvature) in mpmath (``_sector_coeffs``).
+    a_r = coeffs[r]/sqrt(curvature) in the standard library's decimal
+    (``_sector_coeffs``).
     """
 
     action: Q
@@ -170,72 +177,101 @@ def z_quadrature(hbars, m) -> list[float]:
     """1/sqrt(pi hbar) int_{-K}^{K} exp(-sd^2(z|m)/hbar) dz at every hbar
     in ``hbars``, by the trapezoidal rule at 30 digits.
 
-    sd^2 is even with period 2K, so the rule folds onto [0, K]:
-    T_n = (K/n) [f(0) + f(K) + 2 sum_(0<k<n) f(kK/n)], f = exp(-sd^2/hbar),
-    converging geometrically on this analytic periodic integrand (Trefethen
-    and Weideman, SIAM Rev. 56 (2014) 385).  n doubles from 4, adding only
-    the odd k, until two sums agree to 1e-25 relative; ConvergenceError past
-    _MAX_TRAPEZOID_NODES.  At m = 1 the rule runs to K = asinh(sqrt(35 ln(10)
-    hbar)), where the integrand exp(-sinh^2 z/hbar) has fallen to 1e-35.
-    Nodes grow like K/sqrt(hbar), 64 at hbar = 0.05 and 8192 at 1e-6 (m =
-    1/4): cheaper than tanh-sinh above hbar ~ 1e-3, and the CLI's Borel
-    check keeps hbar >= min(1/m, 1/(1-m))/196 > 0.005.  The hbars share
-    one sd^2 table, one ``mpmath.ellipfun`` per node.  It reads no saddle
-    data: it is the independent route the saddle sums are checked against.
+    The rule runs in the Jacobi amplitude phi = am(z|m) (DLMF 22.16), where
+    sn = sin phi and dn = sqrt(1 - m sin^2 phi), so with s = sin^2 phi,
+    dz = dphi/dn and sd^2 = s/(1 - m s):
+
+        Z = 1/sqrt(pi hbar) int_{-pi/2}^{pi/2} exp(-sd^2/hbar) / dn dphi.
+
+    The integrand is even with period pi in phi for every m in [0, 1], so
+    the rule folds onto [0, pi/2]:
+    T_n = (pi/(2n)) [f(0) + f(pi/2) + 2 sum_(0<k<n) f(k pi/(2n))], converging
+    geometrically on this periodic integrand, analytic for m < 1 (Trefethen
+    and Weideman, SIAM Rev. 56 (2014) 385); at m = 1 (z over the whole
+    line) it vanishes to all orders at phi = pi/2, and the rule converges
+    faster than any power of 1/n.  n doubles from 4,
+    adding only the odd k, until two sums agree to 1e-25 relative;
+    ConvergenceError past _MAX_TRAPEZOID_NODES.  The hbars share one table
+    of the node values sd^2 and 1/dn (``_amplitude_node``), which hold all
+    the m-dependence, so each hbar costs one exp per node.  It reads no
+    saddle data: it is the independent route the saddle sums are checked
+    against.
     """
     hbars = list(hbars)
     for hbar in hbars:
         require_positive("hbar", hbar)
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
-    import mpmath
+    # Context(prec=...) rather than localcontext(prec=...), which needs 3.11
+    with decimal.localcontext(decimal.Context(prec=30)):
+        mm = _dec(m) if isinstance(m, Q) else D(m)
+        half_pi = _PI / 2
+        nodes = {}  # t -> (sd^2, 1/dn) at phi = t pi/2, shared by every hbar
 
-    with mpmath.workdps(30):
-        mm = _mpq(m) if isinstance(m, Q) else mpmath.mpf(m)
-        sd2_at = {}  # z -> sd^2(z | m), shared by every hbar
+        def f(t, h):  # exp(-sd^2/hbar)/dn at phi = t pi/2, t = k/n exact in binary
+            if t not in nodes:
+                nodes[t] = _amplitude_node(t, mm)
+            sd2, inv_dn = nodes[t]
+            return (-sd2 / h).exp() * inv_dn
 
-        def f(k, n, h):  # exp(-sd^2/hbar) at z = kK/n
-            z = K * k / n
-            if z not in sd2_at:
-                sd2_at[z] = mpmath.ellipfun("sd", z, m=mm) ** 2
-            return mpmath.exp(-sd2_at[z] / h)
-
-        if mm < 1:
-            K = mpmath.ellipk(mm)
         out = []
         for hbar in hbars:
-            h = mpmath.mpf(hbar)
-            if mm == 1:
-                # sinh^2 well: integrate to where exp(-sinh^2/hbar) = 1e-35
-                K = mpmath.asinh(mpmath.sqrt(35 * mpmath.log(10) * h))
-            n, diff = 4, mpmath.inf
-            total = f(0, 1, h) + f(1, 1, h) + 2 * sum(f(k, n, h) for k in range(1, n))
-            while diff > 1e-25:
+            h = D(hbar)
+            n, diff = 4, D("Infinity")
+            total = f(0.0, h) + f(1.0, h) + 2 * sum(f(k / n, h) for k in range(1, n))
+            while diff > D("1e-25"):
                 if n >= _MAX_TRAPEZOID_NODES:
                     raise ConvergenceError(f"quadrature at hbar={hbar!r}: {n} nodes leave "
                                            f"a relative difference {float(diff):.1e}")
-                prev, n = K * total / n, 2 * n
-                total += 2 * sum(f(k, n, h) for k in range(1, n, 2))
-                diff = abs(K * total / n - prev) / prev
-            out.append(float(K * total / n / mpmath.sqrt(mpmath.pi * h)))
+                prev, n = half_pi * total / n, 2 * n
+                total += 2 * sum(f(k / n, h) for k in range(1, n, 2))
+                diff = abs(half_pi * total / n - prev) / prev
+            out.append(float(half_pi * total / n / (_PI * h).sqrt()))
         return out
 
 
-def _mpq(x: Q):
-    """The rational x as an mpf at the caller's precision."""
-    import mpmath
+def _amplitude_node(t: float, m: D) -> tuple[D, D]:
+    """(sd^2, 1/dn) at amplitude phi = t pi/2, 0 <= t <= 1, from sn = sin phi
+    and dn = sqrt(1 - m sin^2 phi), at the caller's precision.  sin^2 phi
+    comes from the series about the nearer end of [0, pi/2], so 1 - sin^2
+    phi keeps its digits near pi/2.  At m = 1 and phi = pi/2 (z = infinity)
+    it returns (inf, 0), whose exp(-inf) * 0 is the integrand's limit 0."""
+    if t <= 0.5:
+        s = _sin_squared(_PI * D(t) / 2)
+    else:
+        s = 1 - _sin_squared(_PI * D(1 - t) / 2)
+    dn2 = 1 - m * s
+    if not dn2:
+        return D("Infinity"), D(0)
+    return s / dn2, 1 / dn2.sqrt()
 
-    return mpmath.mpf(x.numerator) / x.denominator
+
+def _sin_squared(x: D) -> D:
+    """sin(x)^2 for 0 <= x <= pi/4 from the Taylor series of sin, summed
+    until a term no longer changes the sum at the caller's precision."""
+    x2 = x * x
+    term = total = x
+    k = 1
+    while True:
+        term = -term * x2 / ((k + 1) * (k + 2))
+        k += 2
+        new = total + term
+        if new == total:
+            return total * total
+        total = new
 
 
-def _sector_coeffs(saddle: SaddleExpansion, j_max: int) -> list:
+def _dec(x: Q) -> D:
+    """The rational x as a Decimal at the caller's precision."""
+    return D(x.numerator) / x.denominator
+
+
+def _sector_coeffs(saddle: SaddleExpansion, j_max: int) -> list[D]:
     """a_j = coeffs[j]/sqrt(curvature) for j = 0..j_max (as far as stored),
-    the partition-normalized fluctuation coefficients: mpf (irrational in
-    general) at the caller's precision."""
-    import mpmath
-
-    root = mpmath.sqrt(_mpq(saddle.curvature))
-    return [_mpq(b) / root for b in saddle.coeffs[: j_max + 1]]
+    the partition-normalized fluctuation coefficients: Decimals (irrational
+    in general) at the caller's precision."""
+    root = _dec(saddle.curvature).sqrt()
+    return [_dec(b) / root for b in saddle.coeffs[: j_max + 1]]
 
 
 def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
@@ -256,16 +292,14 @@ def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
     sads = lame_saddles(m, max(n_values))
     vac = sads["vacuum"]
     rows = []
-    import mpmath
-
-    with mpmath.workdps(60):
-        s1, s2 = _mpq(sads["real"].action), _mpq(sads["imag"].action)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        s1, s2 = _dec(sads["real"].action), _dec(sads["imag"].action)
         a1, a2 = _sector_coeffs(sads["real"], j_max), _sector_coeffs(sads["imag"], j_max)
         for n in n_values:
-            lhs = _mpq(vac.coeffs[n])
-            rhs = mpmath.mpf(0)
+            lhs = _dec(vac.coeffs[n])
+            rhs = D(0)
             for j in range(min(j_max, n - 1) + 1):
-                w = mpmath.factorial(n - j - 1) / mpmath.pi
+                w = math.factorial(n - j - 1) / _PI
                 rhs += w * (a1[j] / s1 ** (n - j) + a2[j] / s2 ** (n - j))
             rel = abs(lhs - rhs) / abs(lhs)
             rows.append({"m": float(m), "n": n, "lhs": float(lhs),
@@ -274,29 +308,62 @@ def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
     return {"m": float(m), "j_max": j_max, "rows": rows, "max_rel_defect": worst}
 
 
-def _phi_tails(x, p_max: int) -> list:
-    """PV-resummed factorial tails sum_{q > p} (q-1)! x^q for p = 0..p_max.
+def _exp_ei(t: D) -> D:
+    """e^(-t) Ei(t) for real t != 0 at the caller's precision; on t > 0, Ei
+    is the principal value.
 
-    Entry p is x^(p+1) J_p, J_p = PV int_0^inf t^p e^(-t)/(1 - x t) dt / x
-    ... satisfying J_p = t* J_{p-1} - (p-1)!, J_0 = e^(-t*) Ei(t*),
-    t* = 1/x, so one Ei serves all p.  mpmath's ei takes the principal
-    value on the positive axis, which is exactly the lateral average.
+    Above t = -2 it sums Ei(t) = gamma + ln|t| + sum_k t^k/(k k!), whose
+    terms cancel by at most e^4 there.  Below, Ei(t) = -E1(x), x = -t, and
+    e^x E1(x) = 1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...)))) (DLMF 6.9.1)
+    by Lentz's method, in few terms at the large x of a ghost saddle.
     """
-    import mpmath
+    if t > -2:
+        term = total = t
+        k = 1
+        while True:
+            k += 1
+            term = term * t / k
+            new = total + term / k
+            if new == total:
+                return (_EULER + abs(t).ln() + total) * (-t).exp()
+            total = new
+    x = -t
+    eps = D(10) ** (2 - decimal.getcontext().prec)
+    f = c = x + 1
+    d = D(0)
+    k = 0
+    while True:
+        k += 1
+        b = x + 2 * k + 1
+        d = 1 / (b - k * k * d)
+        c = b - k * k / c
+        f *= c * d
+        if abs(c * d - 1) < eps:
+            return -1 / f
 
+
+def _phi_tails(x: D, p_max: int) -> list[D]:
+    """x^(p+1) J_p for p = 0..p_max, J_p = x PV int_0^inf t^p e^(-t)/(1 - x t) dt,
+    from J_p = t* J_{p-1} - (p-1)!, J_0 = e^(-t*) Ei(t*), t* = 1/x, so one
+    Ei serves all p.  ``_exp_ei`` takes the principal value on the positive
+    axis, which is exactly the lateral average.  Entry p is x times the
+    PV-resummed factorial tail sum_{q > p} (q-1)! x^q.
+    """
     tstar = 1 / x
-    J = mpmath.exp(-tstar) * mpmath.ei(tstar)
-    out, fact = [x * J], mpmath.mpf(1)
+    J = _exp_ei(tstar)
+    xp = x  # x^(p+1)
+    out, fact = [xp * J], 1
     for q in range(1, p_max + 1):
         J = tstar * J - fact
         fact *= q
-        out.append(x ** (q + 1) * J)
+        xp *= x
+        out.append(xp * J)
     return out
 
 
 # deepest optimal truncation the Borel check expands to: hbar >= |S|/196
 _MAX_BOREL_ORDER = 200
-# most nodes on [0, K] that z_quadrature's trapezoidal rule doubles to
+# most nodes on [0, pi/2] that z_quadrature's trapezoidal rule doubles to
 _MAX_TRAPEZOID_NODES = 2 ** 14
 
 
@@ -344,35 +411,28 @@ def borel_lateral_check(m: Q, hbar_list, j_max: int = 8) -> list[dict]:
         )
     order_needed = max([34, *(math.ceil(x) + 2 for x in depths)]) + 2
     sads = lame_saddles(m, max(j_max + 2, order_needed))
-    vac = sads["vacuum"].coeffs
-    import mpmath
-
-    with mpmath.workdps(60):
-        s1, s2 = _mpq(sads["real"].action), _mpq(sads["imag"].action)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        s1, s2 = _dec(sads["real"].action), _dec(sads["imag"].action)
         a1, a2 = _sector_coeffs(sads["real"], j_max), _sector_coeffs(sads["imag"], j_max)
+        vac = [_dec(c) for c in sads["vacuum"].coeffs]
         quads = z_quadrature([float(hb) for hb in hbar_list], m)
         for hb, quad in zip(hbar_list, quads):
-            h = mpmath.mpf(hb)
-            lhs = mpmath.mpf(quad)
-            terms = {
-                n: abs(_mpq(c)) * h ** n
-                for n, c in enumerate(vac[1:], start=1)
-                if c != 0
-            }
+            h = D(float(hb))
+            lhs = D(quad)
+            hp = [D(1)]  # hp[n] = hbar^n
+            for _ in vac[1:]:
+                hp.append(hp[-1] * h)
+            terms = {n: abs(c) * hp[n] for n, c in enumerate(vac) if n and c}
             nc = min(min(terms, key=terms.__getitem__), order_needed - 2)
-            head = mpmath.mpf(0)
-            for n in range(nc + 1):
-                head += _mpq(vac[n]) * h ** n
-            tail = mpmath.mpf(0)
-            amb = mpmath.mpf(0)
+            head = sum(vac[n] * hp[n] for n in range(nc + 1))
+            tail = amb = D(0)
             tails1, tails2 = _phi_tails(h / s1, nc), _phi_tails(h / s2, nc)
             for j in range(j_max + 1):
                 p1 = max(nc - j, 0)
-                tail += (a1[j] / mpmath.pi) * h ** j * tails1[p1]
-                tail += (a2[j] / mpmath.pi) * h ** j * tails2[p1]
-                amb += a1[j] * h ** j
+                tail += (a1[j] * tails1[p1] + a2[j] * tails2[p1]) / _PI * hp[j]
+                amb += a1[j] * hp[j]
             rhs = head + tail
-            ambiguity = float(abs(mpmath.pi * mpmath.exp(-s1 / h) * amb))
+            ambiguity = float(abs(_PI * (-s1 / h).exp() * amb))
             rows.append(
                 {
                     "m": float(m),

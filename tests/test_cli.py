@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mathieu_resurgence
-from mathieu_resurgence import cli
+from mathieu_resurgence import cli, runners
 from mathieu_resurgence.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -532,7 +532,7 @@ class TestOutputPlumbing:
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         with monkeypatch.context() as m:
             m.setattr(cli, "_code_key", lambda: [0, 0])
-            m.setitem(cli._RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
+            m.setitem(runners.RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
             _, stale = run(capsys, "actions", "--n", "1", "--order", "3")
         assert "stale" in json.loads(stale)
         code, out = run(capsys, "actions", "--n", "1", "--order", "3")
@@ -546,7 +546,7 @@ class TestOutputPlumbing:
         stale = {"rows": [], "at_N": {"N": 0, "coefficients": [], "value": math.nan}}
         with monkeypatch.context() as m:
             m.setattr(cli, "_code_key", lambda: [0, 0])
-            m.setitem(cli._RUNNERS, "pert", lambda args: dict(stale))
+            m.setitem(runners.RUNNERS, "pert", lambda args: dict(stale))
             code, out = run(capsys, *argv)
         assert code == EXIT_OK and "NaN" in out
         code, out = run(capsys, *argv)
@@ -618,12 +618,12 @@ class TestGrids:
         np = pytest.importorskip("numpy")
         with np.errstate(invalid="ignore"):
             want = [repr(float(v)) for v in np.linspace(start, stop, num)]
-        assert [repr(v) for v in cli._linspace(start, stop, num)] == want
+        assert [repr(v) for v in runners._linspace(start, stop, num)] == want
 
     @pytest.mark.parametrize("stop", [2.5, 3.0, 3.5])
     def test_geomspace_within_an_ulp_of_numpy(self, stop):
         np = pytest.importorskip("numpy")
-        got = cli._geomspace(0.3, stop, 28)
+        got = runners._geomspace(0.3, stop, 28)
         want = [float(v) for v in np.geomspace(0.3, stop, 28)]
         assert got[0] == 0.3 and got[-1] == stop
         assert all(abs(a - b) <= math.ulp(b) for a, b in zip(got, want))
@@ -732,21 +732,24 @@ def test_exact_series_and_zerodim_end_in_a_documented_exit_code(argv):
 
 _PROBE = """
 import json, sys
+exec(sys.argv.pop(1))
 import mathieu_resurgence.cli as cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
 sys.stdout.write("\\n" + json.dumps({"code": code, "modules": sorted(sys.modules)}) + "\\n")
 """
 
 
-def _probe(*argv, cache=None):
-    """Run the CLI in a fresh interpreter; return (exit code, loaded modules)."""
+def _probe(*argv, cache=None, before=""):
+    """Run the CLI in a fresh interpreter, after the statements ``before``;
+    return (exit code, loaded modules)."""
     src = str(Path(mathieu_resurgence.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("MATHIEU_RESURGENCE_CACHE", None)
     if cache is not None:
         env["MATHIEU_RESURGENCE_CACHE"] = str(cache)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _PROBE, before, *argv], env=env, capture_output=True, text=True,
+        check=True,
     )
     report = json.loads(proc.stdout.rstrip("\n").rsplit("\n", 1)[-1])
     return report["code"], set(report["modules"])
@@ -783,16 +786,17 @@ _NOT_ON_A_HIT = {"hashlib", "fractions", "dataclasses", "inspect", "numpy", "sci
 
 
 class TestImportCost:
-    """Only the subcommands that need the numeric stack load it, and only
-    runs that reach multiprecision arithmetic load mpmath."""
+    """Only the subcommands that need the numeric stack load it, and no
+    subcommand loads mpmath."""
 
     def test_every_subcommand_is_probed(self):
-        assert {argv[0] for argv in _ONE_PER_SUBCOMMAND} == set(cli._RUNNERS)
+        assert {argv[0] for argv in _ONE_PER_SUBCOMMAND} == set(runners.RUNNERS)
 
     @pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND)
     def test_cache_hit_loads_only_the_front_end(self, tmp_path, argv):
         # a computing run loads no dataclasses (and its inspect); a cache
-        # hit loads no checksum, rational, generator or oracle module
+        # hit loads no checksum, rational, runner, generator or oracle
+        # module, nor mpmath
         code, mods = _probe(*argv, cache=tmp_path)
         assert code == EXIT_OK
         assert not {"dataclasses", "inspect"} & (mods - _bare_modules())
@@ -802,6 +806,7 @@ class TestImportCost:
         assert not _NOT_ON_A_HIT & extra
         assert {m for m in extra if m.startswith("mathieu_resurgence.")} == {
             "mathieu_resurgence.cli", "mathieu_resurgence.errors"}
+        assert not {"mathieu_resurgence.runners", "mpmath"} & mods
 
     @pytest.mark.parametrize(
         "argv",
@@ -843,9 +848,9 @@ class TestImportCost:
         ],
     )
     def test_zerodim_loads_no_elliptic(self, argv):
-        # the quadrature takes sd^2 and K from mpmath and the saddle data
-        # are rationals in closed form, so the double-precision elliptic
-        # integrals of `actions` are not part of these runs
+        # the quadrature runs in the Jacobi amplitude, on sin, and the
+        # saddle data are rationals in closed form, so the double-precision
+        # elliptic integrals of `actions` are not part of these runs
         code, mods = _probe(*argv)
         assert code == EXIT_OK
         assert "mathieu_resurgence.actions" not in mods
@@ -887,24 +892,22 @@ class TestImportCost:
             ("benderwu", "--potential", "mathieu", "--order", "4"),
             ("benderwu", "--potential", "lame", "--m", "1/4", "--order", "4"),
             ("zerodim", "--check", "rows", "--order", "4"),
-        ],
-    )
-    def test_exact_series_and_rows_load_no_mpmath(self, argv):
-        code, mods = _probe(*argv)
-        assert code == EXIT_OK
-        assert "mpmath" not in mods
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
             ("zerodim", "--check", "relation"),
             ("zerodim", "--check", "borel", "--hbar", "0.2"),
         ],
     )
-    def test_multiprecision_checks_load_mpmath(self, argv):
-        # the positive control: the guards above are not passing vacuously
+    def test_exact_series_and_rows_load_no_mpmath(self, argv):
+        # the saddle checks compute in the standard library's decimal
         code, mods = _probe(*argv)
-        assert code == EXIT_OK and "mpmath" in mods
+        assert code == EXIT_OK
+        assert "mpmath" not in mods
+
+    def test_library_oracle_loads_mpmath(self):
+        # the positive control: the probe sees mpmath where a library call
+        # loads it, so the guards above are not passing vacuously
+        call = "from mathieu_resurgence import oracle; oracle.discriminant(1.0, 0.0)"
+        _, mods = _probe(before=call)
+        assert "mpmath" in mods
 
     def test_cache_hit_loads_no_compute_module(self, tmp_path):
         argv = ("spectrum", "--hbar", "1.0", "--bands", "1")
@@ -916,7 +919,7 @@ class TestImportCost:
 
     def test_extended_precision_width_loads_no_numeric_stack(self):
         # the extended-precision Hill tier runs on the standard library's
-        # decimal; the zerodim checks above are the positive control
+        # decimal; the library oracle above is the positive control
         code, mods = _probe("widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
         assert code == EXIT_OK
         assert not {"numpy", "scipy", "mpmath"} & mods

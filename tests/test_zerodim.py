@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction as Q
 
 import mpmath
@@ -249,8 +251,9 @@ class TestQuadrature:
             assert got == pytest.approx(want, abs=1e-12)
 
     # values recorded from the route that ran its own descending-Landen
-    # sn, dn and AGM K at dps = 30; mpmath's ellipfun and ellipk give them
-    # back to the bit
+    # sn, dn and AGM K at dps = 30; mpmath's ellipfun and ellipk, and the
+    # rule in the amplitude variable at 30 decimal digits, give them back to
+    # the bit
     PINNED = {
         Q(1, 4): {
             0.2: 1.0339688468474353, 0.1: 1.0141866046596075, 0.05: 1.0066308158604533,
@@ -271,28 +274,36 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("m", ["0.25", "0.75", "0.3"])
     def test_sd_squared_even_to_the_bit(self, m):
-        # the quadrature evaluates sd^2 once per |z|; that is exact only
-        # because sd^2(-z) and sd^2(z) round to the same number
-        with mpmath.workdps(30):
+        # the rule evaluates one node per |phi|, phi = am(z|m): sd^2 and
+        # 1/dn from sin phi there must be mpmath's ellipfun at z = F(phi|m)
+        # and at -z alike, to the 30 digits the rule carries
+        with mpmath.workdps(40):
             mm = mpmath.mpf(m)
-            for k in range(1, 300):
-                z = mpmath.mpf(k) / 23 + mpmath.mpf(k) ** 2 / 997
-                assert mpmath.ellipfun("sd", -z, m=mm) ** 2 == mpmath.ellipfun("sd", z, m=mm) ** 2
+            for t in [k / 64 for k in range(65)]:
+                with decimal.localcontext(decimal.Context(prec=30)):
+                    sd2, inv_dn = zerodim._amplitude_node(t, Decimal(m))
+                z = mpmath.ellipf(t * mpmath.pi / 2, mm)
+                for u in (z, -z):
+                    want = mpmath.ellipfun("sd", u, m=mm) ** 2
+                    assert abs(mpmath.mpf(str(sd2)) - want) <= 1e-28 * max(want, 1)
+                    want = 1 / mpmath.ellipfun("dn", u, m=mm)
+                    assert abs(mpmath.mpf(str(inv_dn)) - want) <= 1e-28 * want
 
     def test_borel_check_evaluates_sd_once_per_node(self, monkeypatch):
+        # one z_quadrature call serves every hbar from one table of node
+        # values, so each amplitude node t pi/2 is evaluated once
         calls = []
-        ellipfun = mpmath.ellipfun
+        node = zerodim._amplitude_node
 
-        def counted(kind, u, **kw):
-            calls.append(u)
-            return ellipfun(kind, u, **kw)
+        def counted(t, m):
+            calls.append(t)
+            return node(t, m)
 
-        monkeypatch.setattr(mpmath, "ellipfun", counted)
+        monkeypatch.setattr(zerodim, "_amplitude_node", counted)
         hbars = [0.2, 0.1, 0.05]
         rows = borel_lateral_check(Q(1, 4), hbars, j_max=4)
         assert calls
-        with mpmath.workdps(100):  # above the nodes' precision: abs is exact
-            assert len(calls) == len({abs(u) for u in calls})
+        assert len(calls) == len(set(calls))
         assert len(calls) <= 129
         # sharing the table leaves every quadrature value as it was
         monkeypatch.undo()
@@ -316,7 +327,7 @@ class TestQuadrature:
                                               rel=1e-14)
 
     def test_node_cap_raises(self, monkeypatch):
-        # hbar = 0.05 needs 64 nodes on [0, K]; a cap of 16 stops the doubling
+        # hbar = 0.05 needs 64 nodes on [0, pi/2]; a cap of 16 stops the doubling
         monkeypatch.setattr(zerodim, "_MAX_TRAPEZOID_NODES", 16)
         with pytest.raises(ConvergenceError, match=r"hbar=0\.05: 16 nodes"):
             z_quadrature([0.05], Q(1, 4))
@@ -366,6 +377,31 @@ class TestQuadrature:
             z_quadrature([-0.1], Q(0))
         with pytest.raises(DomainError):
             z_quadrature([0.1], Q(3, 2))
+
+
+class TestDecimalNumerics:
+    """The standard-library arithmetic behind the relation and Borel checks
+    against mpmath."""
+
+    @pytest.mark.parametrize(
+        "t", ["0.5", "-0.5", "5", "-5", "80", "196", "-1.9", "-2.5", "-80", "-400", "-588",
+              "-19400"],
+    )
+    def test_tails_exponential_integral(self, t):
+        # both sides of the switch from the series to the continued
+        # fraction at t = -2, and the ghost saddle's t = -1/(m hbar) down
+        # to m = 1/100 at the smallest hbar the Borel check keeps
+        with decimal.localcontext(decimal.Context(prec=60)):
+            got = zerodim._exp_ei(Decimal(t))
+        with mpmath.workdps(70):
+            tt = mpmath.mpf(t)
+            want = mpmath.exp(-tt) * mpmath.ei(tt)
+            assert abs(mpmath.mpf(str(got)) - want) <= 1e-55 * abs(want)
+
+    def test_constants(self):
+        with mpmath.workdps(90):
+            assert abs(mpmath.mpf(str(zerodim._PI)) - mpmath.pi) < mpmath.mpf(10) ** -76
+            assert abs(mpmath.mpf(str(zerodim._EULER)) - mpmath.euler) < mpmath.mpf(10) ** -76
 
 
 class TestCoefficientRelations:
