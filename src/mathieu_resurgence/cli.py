@@ -23,14 +23,17 @@ from .errors import ConvergenceError, DomainError
 # The runners and the CSV and pretty renderers live in `runners`, which is
 # imported only where a payload is computed or rendered as CSV or pretty,
 # and it imports the generator and oracle modules inside each runner;
-# `zlib` is imported where the cache uses it, and `--m` is parsed to
-# lowest-terms text, so a cache hit compiles this module and `errors`
-# alone.  `spectral` and the `actions` subcommand take the action tables
-# from `dunham`, so no subcommand loads `actions` and its elliptic closed
-# forms.  No subcommand loads mpmath: the zerodim checks and the mp Hill
-# tier behind `widths` compute in the standard library's `decimal`.
+# `zlib` and `replay` (the code key and the entry writer) are imported
+# where the cache uses them, and `--m` is parsed to lowest-terms text, so a
+# cache hit compiles this module, `errors` and `replay` alone.  A command
+# repeated under `python -m` does not import this module: `__main__`
+# prints its recorded stdout.  `spectral` and the `actions` subcommand
+# take the action tables from `dunham`, so no subcommand loads `actions`
+# and its elliptic closed forms.  No subcommand loads mpmath: the zerodim
+# checks and the mp Hill tier behind `widths` compute in the standard
+# library's `decimal`.
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -53,7 +56,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args) -> str | None:
+    """Render the payload and write it; return the text written to
+    stdout, or None when it went to ``--output``."""
     meta = {
         "version": __version__,
         "command": payload.pop("_command"),
@@ -65,14 +70,17 @@ def _emit(payload: dict, args) -> None:
         text = (runners.to_pretty if args.pretty else runners.to_csv)(payload, meta)
     else:
         text = json.dumps({"metadata": meta, **payload}, sort_keys=True, indent=None)
+    if not text.endswith("\n"):
+        text += "\n"
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             raise _UsageError(f"cannot write --output {args.output!r}: {exc.strerror or exc}")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return None
+    sys.stdout.write(text)
+    return text
 
 
 def _cache_dir() -> str | None:
@@ -83,23 +91,11 @@ def _cache_dir() -> str | None:
 _OUTPUT_OPTIONS = ("format", "output", "pretty")
 
 def _code_key() -> list:
-    """The interpreter and the package source that compute a payload: the
-    interpreter's ``sys.hexversion`` and one CRC-32 chained over the name,
-    modification time and bytes of every ``*.py`` file in the package, in
-    sorted order.  Python runs a cached ``.pyc`` while the source's size
-    and whole-second mtime match it, so an edit that keeps both is computed
-    by the old code until the file is touched; the touch makes a new key."""
-    import zlib
+    """The interpreter and the package source that compute a payload
+    (``replay.code_key``)."""
+    from .replay import code_key
 
-    pkg = os.path.dirname(__file__)
-    crc = 0
-    for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            path = os.path.join(pkg, name)
-            stamp = f"{name}:{os.stat(path).st_mtime_ns}"
-            with open(path, "rb") as fh:
-                crc = zlib.crc32(fh.read(), zlib.crc32(stamp.encode(), crc))
-    return [sys.hexversion, crc]
+    return code_key()
 
 
 def _cached(key: dict, compute):
@@ -114,13 +110,16 @@ def _cached(key: dict, compute):
     collision or a foreign file is a miss and is overwritten.  Entries are
     written to a temporary file and renamed into place, so a reader never
     sees a partial entry; an unreadable or corrupt entry is a miss as well.
+    The cache is best effort: an entry that cannot be written costs one
+    line on stderr, and the payload is returned all the same.
     """
     root = _cache_dir()
     if not root:
         return compute()
     import zlib
 
-    os.makedirs(root, exist_ok=True)
+    from .replay import store
+
     key_text = json.dumps({"code": _code_key(), **key}, sort_keys=True)
     path = os.path.join(root, f"{key['command']}-{zlib.crc32(key_text.encode()):08x}.json")
     try:
@@ -132,14 +131,10 @@ def _cached(key: dict, compute):
             and isinstance(entry.get("payload"), dict)):
         return entry["payload"]
     value = compute()
-    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps({"key": key_text, "payload": value}, sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        store(path, json.dumps({"key": key_text, "payload": value}, sort_keys=True).encode())
+    except OSError as exc:
+        sys.stderr.write(f"cache: result not stored: {exc}\n")
     return value
 
 
@@ -235,6 +230,8 @@ def build_parser() -> _Parser:
 def _check_options(args) -> None:
     """Refuse an option that the chosen mode would drop without a word, and
     fill the defaults that depend on the mode."""
+    if args.pretty and args.format == "csv":
+        raise _UsageError("--pretty and --format csv are two renderings: give one")
     if args.command == "pert" and args.hbar is not None and args.N is None:
         raise _UsageError("pert --hbar evaluates the series at one level: give --N")
     if args.command == "zerodim":
@@ -261,7 +258,9 @@ def _compute(args) -> dict:
     return runners.RUNNERS[args.command](args)
 
 
-def main(argv: list[str] | None = None) -> int:
+def run(argv: list[str] | None = None) -> tuple[int, str | None]:
+    """Run one command: its exit code, and the text it wrote to stdout
+    (None when it wrote none: an error, or a result sent to ``--output``)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -269,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
     config = {k: str(v) for k, v in sorted(vars(args).items()) if k != "command"}
     key_config = {k: v for k, v in config.items() if k not in _OUTPUT_OPTIONS}
     try:
@@ -282,15 +281,18 @@ def main(argv: list[str] | None = None) -> int:
         )
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
-        return EXIT_DOMAIN
+        return EXIT_DOMAIN, None
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
-        return EXIT_CONVERGENCE
+        return EXIT_CONVERGENCE, None
     payload["_command"] = args.command
     payload["_config"] = config
     try:
-        _emit(payload, args)
+        return EXIT_OK, _emit(payload, args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    return EXIT_OK
+        return EXIT_USAGE, None
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run(argv)[0]

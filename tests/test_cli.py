@@ -208,6 +208,9 @@ class TestExitCodes:
             ["--format", "csv", "pert", "--order", "1"],
             ["--pretty", "pert"],
             ["--output", "out.json", "pert"],
+            # --pretty would drop the csv rendering
+            ["pert", "--order", "1", "--pretty", "--format", "csv"],
+            ["pert", "--format", "csv", "--pretty"],
         ],
     )
     def test_option_the_mode_would_drop_is_usage(self, capsys, argv):
@@ -585,7 +588,7 @@ class TestOutputPlumbing:
         oracle.write_text(text.replace(cap, cap.replace("13", "12")))
         assert errs(cache=False) == {1e-12}
         assert errs() == {1e-12}
-        assert len(list((tmp_path / "cache").iterdir())) == 2
+        assert len(list((tmp_path / "cache").glob("spectrum-*.json"))) == 2
 
     def test_payload_of_stale_bytecode_is_not_served_after_recompiling(self, tmp_path):
         # Python runs a module's cached .pyc while the source keeps its size
@@ -805,7 +808,7 @@ class TestImportCost:
         extra = mods - _bare_modules()
         assert not _NOT_ON_A_HIT & extra
         assert {m for m in extra if m.startswith("mathieu_resurgence.")} == {
-            "mathieu_resurgence.cli", "mathieu_resurgence.errors"}
+            "mathieu_resurgence.cli", "mathieu_resurgence.errors", "mathieu_resurgence.replay"}
         assert not {"mathieu_resurgence.runners", "mpmath"} & mods
 
     @pytest.mark.parametrize(
@@ -948,6 +951,160 @@ class TestImportCost:
         code, mods = _probe(*argv)
         assert code == EXIT_OK and "mathieu_resurgence.oracle" in mods
         assert not {"numpy", "scipy", "mpmath"} & mods
+
+
+def _script(*argv, cache, cwd=None, env=()):
+    """Run ``python -X importtime -m mathieu_resurgence argv`` with the
+    cache ``cache``; return (exit code, stdout bytes, stderr text without
+    the import log, modules imported)."""
+    src = str(Path(mathieu_resurgence.__file__).resolve().parents[1])
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                MATHIEU_RESURGENCE_CACHE=str(cache), **dict(env))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "mathieu_resurgence", *argv],
+                          env=full, cwd=cwd, capture_output=True)
+    err, mods = [], set()
+    for line in proc.stderr.decode().splitlines():
+        if line.startswith("import time:"):
+            mods.add(line.rsplit("|", 1)[1].strip())
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, "\n".join(err), mods
+
+
+@functools.lru_cache(maxsize=None)
+def _startup_modules() -> frozenset:
+    """The modules this interpreter imports before running any code."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "pass"],
+                          capture_output=True, text=True, check=True)
+    return frozenset(line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                     if line.startswith("import time:"))
+
+
+def _replay_entries(cache) -> list:
+    return sorted(Path(cache).glob("replay-*"))
+
+
+# what the CLI loads to parse options and read a payload entry
+_FRONT_END = {"mathieu_resurgence.cli", "mathieu_resurgence.runners", "argparse", "json"}
+
+
+class TestReplay:
+    """``python -m mathieu_resurgence`` prints the recorded stdout of a
+    command run before, without loading the CLI."""
+
+    @pytest.mark.parametrize("render", [(), ("--format", "csv"), ("--pretty",)],
+                             ids=["json", "csv", "pretty"])
+    @pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND)
+    def test_replay_prints_the_cold_bytes(self, tmp_path, argv, render):
+        argv = (*argv, *render)
+        code, cold, _, mods = _script(*argv, cache=tmp_path)
+        assert code == EXIT_OK and "mathieu_resurgence.cli" in mods
+        assert len(_replay_entries(tmp_path)) == 1
+        code, warm, err, mods = _script(*argv, cache=tmp_path)
+        assert code == EXIT_OK and warm == cold and err == ""
+        assert not _FRONT_END & (mods - _startup_modules())
+
+    def test_positive_control_of_the_front_end_set(self, tmp_path):
+        # a payload-cache hit in another rendering goes through the CLI
+        argv = ("zjj", "--order", "2")
+        _script(*argv, cache=tmp_path)
+        code, _, _, mods = _script(*argv, "--format", "csv", cache=tmp_path)
+        assert code == EXIT_OK and _FRONT_END <= mods - _startup_modules()
+
+    def test_truncated_entry_is_recomputed(self, tmp_path):
+        argv = ("zjj", "--order", "2")
+        _, cold, _, _ = _script(*argv, cache=tmp_path)
+        (entry,) = _replay_entries(tmp_path)
+        good = entry.read_bytes()
+        entry.write_bytes(good[:-5])
+        code, out, _, mods = _script(*argv, cache=tmp_path)
+        assert code == EXIT_OK and out == cold and "mathieu_resurgence.cli" in mods
+        assert _replay_entries(tmp_path) == [entry] and entry.read_bytes() == good
+
+    def test_entry_of_another_key_is_recomputed(self, tmp_path):
+        # the entry of one argv, put under the name of another, is a miss
+        a, b = ("zjj", "--order", "2"), ("zjj", "--order", "3")
+        _, out_a, _, _ = _script(*a, cache=tmp_path)
+        _, out_b, _, _ = _script(*b, cache=tmp_path)
+        entry_a, entry_b = (next(p for p in _replay_entries(tmp_path) if p.read_bytes().endswith(o))
+                            for o in (out_a, out_b))
+        entry_b.write_bytes(entry_a.read_bytes())
+        code, out, _, mods = _script(*b, cache=tmp_path)
+        assert code == EXIT_OK and out == out_b and "mathieu_resurgence.cli" in mods
+
+    def test_edited_source_is_recomputed(self, tmp_path):
+        errs = TestOutputPlumbing._copy_and_run(tmp_path, PYTHONDONTWRITEBYTECODE="1")
+        assert errs() == {1e-13}
+        assert errs() == {1e-13}
+        oracle = tmp_path / "mathieu_resurgence" / "oracle.py"
+        oracle.write_text(oracle.read_text().replace("None, 13)", "None, 12)"))
+        assert errs() == {1e-12}
+
+    def test_edit_keeping_size_and_mtime_is_recomputed(self, tmp_path):
+        # without bytecode the edited source runs at once, so the key must
+        # see its bytes, not only its size and modification time
+        errs = TestOutputPlumbing._copy_and_run(tmp_path, PYTHONDONTWRITEBYTECODE="1")
+        assert errs() == {1e-13}
+        oracle = tmp_path / "mathieu_resurgence" / "oracle.py"
+        st = oracle.stat()
+        oracle.write_text(oracle.read_text().replace("None, 13)", "None, 12)"))
+        os.utime(oracle, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert oracle.stat().st_size == st.st_size
+        assert errs() == {1e-12}
+
+    def test_output_file_is_written_every_run(self, tmp_path):
+        target = tmp_path / "out.json"
+        for _ in range(2):
+            code, out, _, _ = _script("zjj", "--order", "2", "--output", str(target),
+                                      cache=tmp_path / "cache")
+            assert code == EXIT_OK and out == b""
+            assert json.loads(target.read_text())["metadata"]["command"] == "zjj"
+            target.unlink()
+        assert not _replay_entries(tmp_path / "cache")
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("pert", "--bogus"), EXIT_USAGE),
+            (("zerodim", "--check", "relation", "--order", "7"), EXIT_DOMAIN),
+            (("widths", "--kind", "band", "--N", "0", "--hbar", "0.008"), EXIT_CONVERGENCE),
+        ],
+    )
+    def test_failed_run_is_not_recorded(self, tmp_path, argv, want):
+        for _ in range(2):
+            code, out, err, _ = _script(*argv, cache=tmp_path)
+            assert code == want and out == b"" and err
+        assert not _replay_entries(tmp_path)
+
+    def test_empty_cache_variable_writes_nothing(self, tmp_path):
+        for _ in range(2):
+            code, out, _, _ = _script("zjj", "--order", "2", cache="", cwd=tmp_path)
+            assert code == EXIT_OK and json.loads(out)["metadata"]["command"] == "zjj"
+        assert not list(tmp_path.iterdir())
+
+    def test_argv_with_a_newline(self, tmp_path):
+        # the key is one header line whatever the argv holds
+        argv = ("pert", "--order", "2", "--N", "0", "--hbar", "0.1\n")
+        _, cold, _, _ = _script(*argv, cache=tmp_path)
+        code, warm, _, mods = _script(*argv, cache=tmp_path)
+        assert code == EXIT_OK and warm == cold and "mathieu_resurgence.cli" not in mods
+        assert len(_replay_entries(tmp_path)) == 1
+
+    def test_unusable_cache_directory(self, tmp_path, capsys, monkeypatch):
+        # a cache path under a regular file: the result is printed, the run
+        # exits 0, and one line on stderr says the result was not stored
+        monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
+        _, fresh = run(capsys, "zjj", "--order", "2")
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "x"
+        for _ in range(2):
+            code, out, err, _ = _script("zjj", "--order", "2", cache=cache)
+            assert code == EXIT_OK and out.decode() == fresh
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(cache))
+        assert main(["zjj", "--order", "2"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == fresh and len(captured.err.splitlines()) == 1
 
 
 def test_pretty_output(capsys):
