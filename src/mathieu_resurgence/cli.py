@@ -23,15 +23,15 @@ from .errors import ConvergenceError, DomainError
 # The runners and the CSV and pretty renderers live in `runners`, which is
 # imported only where a payload is computed or rendered as CSV or pretty,
 # and it imports the generator and oracle modules inside each runner;
-# `zlib` and `replay` (the code key and the entry writer) are imported
-# where the cache uses them, and `--m` is parsed to lowest-terms text, so a
-# cache hit compiles this module, `errors` and `replay` alone.  A command
-# repeated under `python -m` does not import this module: `__main__`
-# prints its recorded stdout.  `spectral` and the `actions` subcommand
-# take the action tables from `dunham`, so no subcommand loads `actions`
-# and its elliptic closed forms.  No subcommand loads mpmath: the zerodim
-# checks and the mp Hill tier behind `widths` compute in the standard
-# library's `decimal`.
+# `zlib` and `replay` (the cache directory, the code key and the entry
+# writer) are imported where the cache uses them, and `--m` is parsed to
+# lowest-terms text, so a cache hit compiles this module, `errors` and
+# `replay` alone.  A command repeated under `python -m` does not import
+# this module: `__main__` prints its recorded stdout.  `spectral` and the
+# `actions` subcommand take the action tables from `dunham`, so no
+# subcommand loads `actions` and its elliptic closed forms.  No subcommand
+# loads mpmath: the zerodim checks and the mp Hill tier behind `widths`
+# compute in the standard library's `decimal`.
 
 __all__ = ["main", "run"]
 
@@ -83,10 +83,6 @@ def _emit(payload: dict, args) -> str | None:
     return text
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get("MATHIEU_RESURGENCE_CACHE")
-
-
 # output-only options: they change how a payload is rendered, not what it is
 _OUTPUT_OPTIONS = ("format", "output", "pretty")
 
@@ -113,12 +109,12 @@ def _cached(key: dict, compute):
     The cache is best effort: an entry that cannot be written costs one
     line on stderr, and the payload is returned all the same.
     """
-    root = _cache_dir()
+    from .replay import cache_dir, store
+
+    root = cache_dir()
     if not root:
         return compute()
     import zlib
-
-    from .replay import store
 
     key_text = json.dumps({"code": _code_key(), **key}, sort_keys=True)
     path = os.path.join(root, f"{key['command']}-{zlib.crc32(key_text.encode()):08x}.json")

@@ -55,7 +55,7 @@ def store(path: str, data: bytes) -> None:
     file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -67,10 +67,16 @@ def store(path: str, data: bytes) -> None:
         raise
 
 
+def cache_dir() -> str:
+    """The cache directory of payload and replay entries; empty when the
+    cache is off."""
+    return os.environ.get("MATHIEU_RESURGENCE_CACHE", "")
+
+
 def _entry(argv: list[str]) -> tuple[str, str] | None:
     """The path and key text of the replay entry of ``argv``; None when
     the cache is off."""
-    root = os.environ.get("MATHIEU_RESURGENCE_CACHE")
+    root = cache_dir()
     if not root:
         return None
     key = ascii(code_key() + [list(argv)])
