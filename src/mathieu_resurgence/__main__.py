@@ -1,9 +1,9 @@
 """``python -m mathieu_resurgence`` and the ``mathieu-resurgence`` script.
 
-A command run before prints its recorded stdout (``replay``) without
-importing the CLI; any other runs the CLI, and a run that exits 0 with
-its result on stdout is recorded.  In-process callers of ``cli.main``
-neither replay nor record.
+A command run before prints its recorded stdout, the cache entry
+``["replay", argv]``, without importing the CLI; any other runs the CLI,
+and a run that exits 0 with its result on stdout is recorded.  In-process
+callers of ``cli.main`` neither replay nor record.
 """
 import sys
 
@@ -12,7 +12,8 @@ from . import replay
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    text = replay.replay(argv)
+    key = ["replay", argv]
+    text = replay.lookup(key)
     if text is not None:
         sys.stdout.write(text)
         return 0
@@ -20,7 +21,14 @@ def main(argv: list[str] | None = None) -> int:
 
     code, text = cli.run(argv)
     if code == cli.EXIT_OK and text is not None:
-        replay.record(argv, text)
+        # best effort, and silent: a replay entry that cannot be written
+        # only costs the next run its replay, and a run that computed its
+        # payload has already said so on stderr when the cache directory
+        # cannot be written
+        try:
+            replay.put(key, text)
+        except OSError:
+            pass
     return code
 
 

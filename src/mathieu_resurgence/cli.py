@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -23,15 +22,15 @@ from .errors import ConvergenceError, DomainError
 # The runners and the CSV and pretty renderers live in `runners`, which is
 # imported only where a payload is computed or rendered as CSV or pretty,
 # and it imports the generator and oracle modules inside each runner;
-# `zlib` and `replay` (the cache directory, the code key and the entry
-# writer) are imported where the cache uses them, and `--m` is parsed to
-# lowest-terms text, so a cache hit compiles this module, `errors` and
-# `replay` alone.  A command repeated under `python -m` does not import
-# this module: `__main__` prints its recorded stdout.  `spectral` and the
-# `actions` subcommand take the action tables from `dunham`, so no
-# subcommand loads `actions` and its elliptic closed forms.  No subcommand
-# loads mpmath: the zerodim checks and the mp Hill tier behind `widths`
-# compute in the standard library's `decimal`.
+# `replay`, which reads and writes every cache entry, is imported where
+# the cache is used, and `--m` is parsed to lowest-terms text, so a cache
+# hit compiles this module, `errors` and `replay` alone.  A command
+# repeated under `python -m` does not import this module: `__main__`
+# prints its recorded stdout.  `spectral` and the `actions` subcommand
+# take the action tables from `dunham`, so no subcommand loads `actions`
+# and its elliptic closed forms.  No subcommand loads mpmath: the zerodim
+# checks and the mp Hill tier behind `widths` compute in the standard
+# library's `decimal`.
 
 __all__ = ["main", "run"]
 
@@ -86,49 +85,24 @@ def _emit(payload: dict, args) -> str | None:
 # output-only options: they change how a payload is rendered, not what it is
 _OUTPUT_OPTIONS = ("format", "output", "pretty")
 
-def _code_key() -> list:
-    """The interpreter and the package source that compute a payload
-    (``replay.code_key``)."""
-    from .replay import code_key
 
-    return code_key()
-
-
-def _cached(key: dict, compute):
-    """Content-addressed cache of expensive exact computations.
-
-    The caller puts the subcommand and its computational options in
-    ``key``, and the key carries the code that computes the payload
-    (``_code_key``), so an edited package is never served an old payload.
-    Each entry stores the canonical key text next to the payload, under a
-    short name: the subcommand and a CRC-32 of that text.  An entry is
-    served only when its stored key equals the computed one, so a checksum
-    collision or a foreign file is a miss and is overwritten.  Entries are
-    written to a temporary file and renamed into place, so a reader never
-    sees a partial entry; an unreadable or corrupt entry is a miss as well.
-    The cache is best effort: an entry that cannot be written costs one
-    line on stderr, and the payload is returned all the same.
+def _cached(key: list, compute):
+    """The payload stored in the cache under ``key`` (the subcommand and
+    its computational options), or ``compute()``, which is then stored.
+    ``replay`` keys every entry by the code that computes it as well and
+    serves only an entry whose key and body check out, so an edited
+    package, an edited entry or a foreign file is never served.  The cache
+    is best effort: an entry that cannot be written costs one line on
+    stderr, and the payload is returned all the same.
     """
-    from .replay import cache_dir, store
+    from .replay import lookup, put
 
-    root = cache_dir()
-    if not root:
-        return compute()
-    import zlib
-
-    key_text = json.dumps({"code": _code_key(), **key}, sort_keys=True)
-    path = os.path.join(root, f"{key['command']}-{zlib.crc32(key_text.encode()):08x}.json")
-    try:
-        with open(path) as fh:
-            entry = json.load(fh)
-    except (OSError, ValueError):
-        entry = None
-    if (isinstance(entry, dict) and entry.get("key") == key_text
-            and isinstance(entry.get("payload"), dict)):
-        return entry["payload"]
+    text = lookup(key)
+    if text is not None:
+        return json.loads(text)
     value = compute()
     try:
-        store(path, json.dumps({"key": key_text, "payload": value}, sort_keys=True).encode())
+        put(key, json.dumps(value, sort_keys=True))
     except OSError as exc:
         sys.stderr.write(f"cache: result not stored: {exc}\n")
     return value
@@ -268,13 +242,7 @@ def run(argv: list[str] | None = None) -> tuple[int, str | None]:
     config = {k: str(v) for k, v in sorted(vars(args).items()) if k != "command"}
     key_config = {k: v for k, v in config.items() if k not in _OUTPUT_OPTIONS}
     try:
-        payload = _cached(
-            {
-                "command": args.command,
-                "config": key_config,
-            },
-            lambda: _compute(args),
-        )
+        payload = _cached([args.command, key_config], lambda: _compute(args))
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN, None

@@ -1,22 +1,24 @@
-"""Replay of a repeated command, and the key of the code behind every
-cache entry.
+"""The cache: every entry the package stores, and the key of the code
+behind it.
 
-``python -m mathieu_resurgence`` and the ``mathieu-resurgence`` script
-(``__main__.main``) look up their argv here before the CLI is imported.
-A successful run of the CLI records the exact text it printed on stdout;
-the same argv, run again by the same interpreter on the same package
-source, prints that text again without parsing an option or reading a
-payload.  Replay is on exactly when ``MATHIEU_RESURGENCE_CACHE`` names a
-directory (a non-empty value), and its entries sit there beside the
-payload entries of ``cli._cached``.
+Two callers store text here.  ``cli`` stores the payload of a
+computation, as JSON, under ``[command, config]``: the subcommand and its
+computational options.  ``python -m mathieu_resurgence`` and the
+``mathieu-resurgence`` script (``__main__.main``) store the exact stdout
+of a successful run under ``["replay", argv]`` and look the argv up
+before the CLI is imported, so the same argv, run again by the same
+interpreter on the same package source, prints that text again without
+parsing an option or reading a payload.  The cache is on exactly when
+``MATHIEU_RESURGENCE_CACHE`` names a directory (a non-empty value).
 
-An entry is one header line, the key and a CRC-32 of the body, then the
-body: the stdout text in UTF-8.  The key is ``[sys.hexversion, package
-CRC, argv]`` written by ``ascii``, so it is one line whatever the argv
-holds, and the file is named after the key's CRC alone.  An entry is
-served only when its header equals the one computed from the key and the
-body read, so a truncated entry, an entry of another key and a foreign
-file are misses.
+An entry is one header line, the full key and a CRC-32 of the body, then
+the body in UTF-8.  The full key is ``code_key()`` followed by the
+caller's key, written by ``ascii``, so it is one line whatever the argv
+or options hold; the file is named after the caller's first key item
+and the CRC-32 of the full key.  An entry is served only when its header
+equals the one computed from the key and the body read, so a truncated
+or edited entry, an entry of another key or kind and a foreign file are
+misses.
 """
 import functools
 import os
@@ -48,16 +50,48 @@ def code_key() -> list:
     return [sys.hexversion, _package_crc()]
 
 
-def store(path: str, data: bytes) -> None:
-    """Write one cache entry through a temporary file renamed into place,
-    so a reader never sees a partial entry.  Makes the directory; raises
+def _entry(key: list) -> tuple[str, str] | None:
+    """The path and full key text of the entry of ``key``; None when the
+    cache is off."""
+    root = os.environ.get("MATHIEU_RESURGENCE_CACHE", "")
+    if not root:
+        return None
+    text = ascii(code_key() + key)
+    return os.path.join(root, f"{key[0]}-{zlib.crc32(text.encode()):08x}.txt"), text
+
+
+def lookup(key: list) -> str | None:
+    """The text stored under ``key``, or None on a miss."""
+    entry = _entry(key)
+    if entry is None:
+        return None
+    path, text = entry
+    try:
+        with open(path, "rb") as fh:
+            head, _, body = fh.read().partition(b"\n")
+        if head != f"{text} {zlib.crc32(body):08x}".encode():
+            return None
+        return body.decode()
+    except (OSError, ValueError):
+        return None
+
+
+def put(key: list, text: str) -> None:
+    """Store ``text`` under ``key``; nothing when the cache is off.  The
+    entry is written to a temporary file and renamed into place, so a
+    reader never sees a partial entry.  Makes the directory; raises
     ``OSError`` when the entry cannot be written, and leaves no temporary
     file behind."""
+    entry = _entry(key)
+    if entry is None:
+        return
+    path, head = entry
+    body = text.encode()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.write(f"{head} {zlib.crc32(body):08x}\n".encode() + body)
         os.replace(tmp, path)
     except OSError:
         try:
@@ -65,51 +99,3 @@ def store(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def cache_dir() -> str:
-    """The cache directory of payload and replay entries; empty when the
-    cache is off."""
-    return os.environ.get("MATHIEU_RESURGENCE_CACHE", "")
-
-
-def _entry(argv: list[str]) -> tuple[str, str] | None:
-    """The path and key text of the replay entry of ``argv``; None when
-    the cache is off."""
-    root = cache_dir()
-    if not root:
-        return None
-    key = ascii(code_key() + [list(argv)])
-    return os.path.join(root, f"replay-{zlib.crc32(key.encode()):08x}.txt"), key
-
-
-def replay(argv: list[str]) -> str | None:
-    """The stdout text recorded for ``argv``, or None on a miss."""
-    entry = _entry(argv)
-    if entry is None:
-        return None
-    path, key = entry
-    try:
-        with open(path, "rb") as fh:
-            head, _, body = fh.read().partition(b"\n")
-        if head != f"{key} {zlib.crc32(body):08x}".encode():
-            return None
-        return body.decode()
-    except (OSError, ValueError):
-        return None
-
-
-def record(argv: list[str], text: str) -> None:
-    """Record ``text``, the whole stdout of a successful run of ``argv``.
-    Best effort: an entry that cannot be written only costs the next run
-    its replay, and the payload cache has already reported a directory
-    that cannot be written, so nothing is said."""
-    entry = _entry(argv)
-    if entry is None:
-        return
-    path, key = entry
-    body = text.encode()
-    try:
-        store(path, f"{key} {zlib.crc32(body):08x}\n".encode() + body)
-    except OSError:
-        pass

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mathieu_resurgence
-from mathieu_resurgence import cli, runners
+from mathieu_resurgence import cli, replay, runners
 from mathieu_resurgence.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -477,10 +478,8 @@ class TestOutputPlumbing:
         code, _ = run(capsys, "figure2", "--points", "1", "--q-min", "9", "--bands", "1")
         assert code == EXIT_OK
         (entry,) = tmp_path.iterdir()
-        text = entry.read_text()
-        stored = json.loads(text)
-        assert text == json.dumps({"key": stored["key"], "payload": stored["payload"]},
-                                  sort_keys=True)
+        body = entry.read_text().partition("\n")[2]
+        assert body == json.dumps(json.loads(body), sort_keys=True)
 
     def test_cache_key_ignores_output_options(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"
@@ -501,7 +500,7 @@ class TestOutputPlumbing:
         code, b = run(capsys, "pert", "--order", "3", "--poly")
         assert code == EXIT_OK and a == b
         assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-        assert json.loads(entry.read_text()) == json.loads(good)
+        assert entry.read_text() == good
 
     def test_entry_with_another_key_is_recomputed(self, tmp_path, capsys, monkeypatch):
         # a file under the expected name that carries another key (a
@@ -510,21 +509,23 @@ class TestOutputPlumbing:
         _, fresh = run(capsys, "pert", "--order", "3", "--poly")
         (entry,) = tmp_path.iterdir()
         assert entry.name.startswith("pert-")
-        good = json.loads(entry.read_text())
-        other = good["key"].replace('"order": "3"', '"order": "4"')
-        assert other != good["key"]
-        entry.write_text(json.dumps({"key": other, "payload": {"rows": [], "stale": True}}))
+        good = entry.read_bytes()
+        key = good.partition(b"\n")[0].rpartition(b" ")[0]
+        other = key.replace(b"'order': '3'", b"'order': '4'")
+        assert other != key
+        stale = json.dumps({"rows": [], "stale": True}).encode()
+        entry.write_bytes(other + b" %08x\n" % zlib.crc32(stale) + stale)
         code, out = run(capsys, "pert", "--order", "3", "--poly")
         assert code == EXIT_OK and out == fresh
         assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-        assert json.loads(entry.read_text()) == good
+        assert entry.read_bytes() == good
 
     def test_cache_key_carries_version(self, tmp_path, capsys, monkeypatch):
         # another interpreter version is another key
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         run(capsys, "pert", "--order", "2", "--poly")
-        hexversion, crc = cli._code_key()
-        monkeypatch.setattr(cli, "_code_key", lambda: [hexversion + 1, crc])
+        hexversion, crc = replay.code_key()
+        monkeypatch.setattr(replay, "code_key", lambda: [hexversion + 1, crc])
         run(capsys, "pert", "--order", "2", "--poly")
         assert len(list(tmp_path.iterdir())) == 2
 
@@ -534,7 +535,7 @@ class TestOutputPlumbing:
         _, fresh = run(capsys, "actions", "--n", "1", "--order", "3")
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         with monkeypatch.context() as m:
-            m.setattr(cli, "_code_key", lambda: [0, 0])
+            m.setattr(replay, "code_key", lambda: [0, 0])
             m.setitem(runners.RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
             _, stale = run(capsys, "actions", "--n", "1", "--order", "3")
         assert "stale" in json.loads(stale)
@@ -548,7 +549,7 @@ class TestOutputPlumbing:
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         stale = {"rows": [], "at_N": {"N": 0, "coefficients": [], "value": math.nan}}
         with monkeypatch.context() as m:
-            m.setattr(cli, "_code_key", lambda: [0, 0])
+            m.setattr(replay, "code_key", lambda: [0, 0])
             m.setitem(runners.RUNNERS, "pert", lambda args: dict(stale))
             code, out = run(capsys, *argv)
         assert code == EXIT_OK and "NaN" in out
@@ -588,7 +589,7 @@ class TestOutputPlumbing:
         oracle.write_text(text.replace(cap, cap.replace("13", "12")))
         assert errs(cache=False) == {1e-12}
         assert errs() == {1e-12}
-        assert len(list((tmp_path / "cache").glob("spectrum-*.json"))) == 2
+        assert len(list((tmp_path / "cache").glob("spectrum-*.txt"))) == 2
 
     def test_payload_of_stale_bytecode_is_not_served_after_recompiling(self, tmp_path):
         # Python runs a module's cached .pyc while the source keeps its size
@@ -1036,6 +1037,43 @@ class TestReplay:
         entry_b.write_bytes(entry_a.read_bytes())
         code, out, _, mods = _script(*b, cache=tmp_path)
         assert code == EXIT_OK and out == out_b and "mathieu_resurgence.cli" in mods
+
+    def test_edited_payload_entry_is_recomputed(self, tmp_path, capsys, monkeypatch):
+        # a payload entry edited so that it still parses is served neither
+        # in-process nor under -m, and the -m run records the fresh bytes
+        argv = ("zjj", "--order", "2")
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        _, fresh = run(capsys, *argv)
+        (entry,) = tmp_path.iterdir()
+        good = entry.read_bytes()
+        assert b'"3/64"' in good
+        edited = good.replace(b'"3/64"', b'"5/64"', 1)
+        entry.write_bytes(edited)
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK and out == fresh
+        entry.write_bytes(edited)
+        code, out, _, _ = _script(*argv, cache=tmp_path)
+        assert code == EXIT_OK and out.decode() == fresh
+        (recorded,) = _replay_entries(tmp_path)
+        assert recorded.read_bytes().partition(b"\n")[2] == fresh.encode()
+
+    def test_entry_of_the_other_kind_is_a_miss(self, tmp_path, capsys, monkeypatch):
+        # a payload entry under the replay entry's name, and a replay entry
+        # under the payload entry's name, are both recomputed
+        argv = ("zjj", "--order", "2")
+        _, cold, _, _ = _script(*argv, cache=tmp_path)
+        (recorded,) = _replay_entries(tmp_path)
+        (payload,) = set(tmp_path.iterdir()) - {recorded}
+        good_recorded, good_payload = recorded.read_bytes(), payload.read_bytes()
+        recorded.write_bytes(good_payload)
+        code, out, _, mods = _script(*argv, cache=tmp_path)
+        assert code == EXIT_OK and out == cold and "mathieu_resurgence.cli" in mods
+        assert recorded.read_bytes() == good_recorded
+        payload.write_bytes(good_recorded)
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK and out.encode() == cold
+        assert payload.read_bytes() == good_payload
 
     def test_edit_keeping_size_and_mtime_is_recomputed(self, tmp_path):
         # TestOutputPlumbing.test_edited_source_is_recomputed runs under -m
