@@ -18,19 +18,15 @@ from . import __version__
 from .errors import ConvergenceError, DomainError
 
 # Each module imports at top level only what all of its callers use.  This
-# module is the front end alone: the options, the cache and JSON output.
-# The runners and the CSV and pretty renderers live in `runners`, which is
-# imported only where a payload is computed or rendered as CSV or pretty,
-# and it imports the generator and oracle modules inside each runner;
-# `replay`, which reads and writes every cache entry, is imported where
-# the cache is used, and `--m` is parsed to lowest-terms text, so a cache
-# hit compiles this module, `errors` and `replay` alone.  A command
-# repeated under `python -m` does not import this module: `__main__`
-# prints its recorded stdout.  `spectral` and the `actions` subcommand
-# take the action tables from `dunham`, so no subcommand loads `actions`
-# and its elliptic closed forms.  No subcommand loads mpmath: the zerodim
-# checks and the mp Hill tier behind `widths` compute in the standard
-# library's `decimal`.
+# module is the front end alone: the options and JSON output.  The runners
+# and the CSV and pretty renderers live in `runners`, which is imported
+# where a payload is computed, and it imports the generator and oracle
+# modules inside each runner.  A command repeated under `python -m` does
+# not import this module: `__main__` prints its recorded stdout.
+# `spectral` and the `actions` subcommand take the action tables from
+# `dunham`, so no subcommand loads `actions` and its elliptic closed forms.
+# No subcommand loads mpmath: the zerodim checks and the mp Hill tier
+# behind `widths` compute in the standard library's `decimal`.
 
 __all__ = ["main", "run"]
 
@@ -60,8 +56,8 @@ def _emit(payload: dict, args) -> str | None:
     stdout, or None when it went to ``--output``."""
     meta = {
         "version": __version__,
-        "command": payload.pop("_command"),
-        "config": payload.pop("_config"),
+        "command": args.command,
+        "config": {k: str(v) for k, v in sorted(vars(args).items()) if k != "command"},
     }
     if args.pretty or args.format == "csv":
         from . import runners
@@ -80,32 +76,6 @@ def _emit(payload: dict, args) -> str | None:
         return None
     sys.stdout.write(text)
     return text
-
-
-# output-only options: they change how a payload is rendered, not what it is
-_OUTPUT_OPTIONS = ("format", "output", "pretty")
-
-
-def _cached(key: list, compute):
-    """The payload stored in the cache under ``key`` (the subcommand and
-    its computational options), or ``compute()``, which is then stored.
-    ``replay`` keys every entry by the code that computes it as well and
-    serves only an entry whose key and body check out, so an edited
-    package, an edited entry or a foreign file is never served.  The cache
-    is best effort: an entry that cannot be written costs one line on
-    stderr, and the payload is returned all the same.
-    """
-    from .replay import lookup, put
-
-    text = lookup(key)
-    if text is not None:
-        return json.loads(text)
-    value = compute()
-    try:
-        put(key, json.dumps(value, sort_keys=True))
-    except OSError as exc:
-        sys.stderr.write(f"cache: result not stored: {exc}\n")
-    return value
 
 
 def _fraction(text: str) -> str:
@@ -222,12 +192,6 @@ def _check_options(args) -> None:
             args.N = 0
 
 
-def _compute(args) -> dict:
-    from . import runners
-
-    return runners.RUNNERS[args.command](args)
-
-
 def run(argv: list[str] | None = None) -> tuple[int, str | None]:
     """Run one command: its exit code, and the text it wrote to stdout
     (None when it wrote none: an error, or a result sent to ``--output``)."""
@@ -239,18 +203,16 @@ def run(argv: list[str] | None = None) -> tuple[int, str | None]:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE, None
-    config = {k: str(v) for k, v in sorted(vars(args).items()) if k != "command"}
-    key_config = {k: v for k, v in config.items() if k not in _OUTPUT_OPTIONS}
+    from . import runners
+
     try:
-        payload = _cached([args.command, key_config], lambda: _compute(args))
+        payload = runners.RUNNERS[args.command](args)
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN, None
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
         return EXIT_CONVERGENCE, None
-    payload["_command"] = args.command
-    payload["_config"] = config
     try:
         return EXIT_OK, _emit(payload, args)
     except _UsageError as exc:

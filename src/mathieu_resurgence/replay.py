@@ -1,24 +1,21 @@
-"""The cache: every entry the package stores, and the key of the code
+"""The cache: the recorded stdout of a command, and the key of the code
 behind it.
 
-Two callers store text here.  ``cli`` stores the payload of a
-computation, as JSON, under ``[command, config]``: the subcommand and its
-computational options.  ``python -m mathieu_resurgence`` and the
-``mathieu-resurgence`` script (``__main__.main``) store the exact stdout
-of a successful run under ``["replay", argv]`` and look the argv up
-before the CLI is imported, so the same argv, run again by the same
-interpreter on the same package source, prints that text again without
-parsing an option or reading a payload.  The cache is on exactly when
-``MATHIEU_RESURGENCE_CACHE`` names a directory (a non-empty value).
+``python -m mathieu_resurgence`` and the ``mathieu-resurgence`` script
+(``__main__.main``) store the exact stdout of a successful run under its
+argv and look the argv up before the CLI is imported, so the same argv,
+run again by the same interpreter on the same package source, prints that
+text again without parsing an option or computing anything.  The cache is
+on exactly when ``MATHIEU_RESURGENCE_CACHE`` names a directory (a
+non-empty value).
 
 An entry is one header line, the full key and a CRC-32 of the body, then
-the body in UTF-8.  The full key is ``code_key()`` followed by the
-caller's key, written by ``ascii``, so it is one line whatever the argv
-or options hold; the file is named after the caller's first key item
-and the CRC-32 of the full key.  An entry is served only when its header
-equals the one computed from the key and the body read, so a truncated
-or edited entry, an entry of another key or kind and a foreign file are
-misses.
+the body in UTF-8.  The full key is ``code_key()`` followed by the argv,
+written by ``ascii``, so it is one line whatever the argv holds; the file
+is named ``replay-`` and the CRC-32 of the full key.  An entry is served
+only when its header equals the one computed from the argv and the body
+read, so a truncated or edited entry, an entry of another key and a
+foreign file are misses.
 """
 import functools
 import os
@@ -50,19 +47,19 @@ def code_key() -> list:
     return [sys.hexversion, _package_crc()]
 
 
-def _entry(key: list) -> tuple[str, str] | None:
-    """The path and full key text of the entry of ``key``; None when the
+def _entry(argv: list) -> tuple[str, str] | None:
+    """The path and full key text of the entry of ``argv``; None when the
     cache is off."""
     root = os.environ.get("MATHIEU_RESURGENCE_CACHE", "")
     if not root:
         return None
-    text = ascii(code_key() + key)
-    return os.path.join(root, f"{key[0]}-{zlib.crc32(text.encode()):08x}.txt"), text
+    text = ascii(code_key() + [argv])
+    return os.path.join(root, f"replay-{zlib.crc32(text.encode()):08x}.txt"), text
 
 
-def lookup(key: list) -> str | None:
-    """The text stored under ``key``, or None on a miss."""
-    entry = _entry(key)
+def lookup(argv: list) -> str | None:
+    """The stdout recorded for ``argv``, or None on a miss."""
+    entry = _entry(argv)
     if entry is None:
         return None
     path, text = entry
@@ -76,13 +73,13 @@ def lookup(key: list) -> str | None:
         return None
 
 
-def put(key: list, text: str) -> None:
-    """Store ``text`` under ``key``; nothing when the cache is off.  The
-    entry is written to a temporary file and renamed into place, so a
-    reader never sees a partial entry.  Makes the directory; raises
+def put(argv: list, text: str) -> None:
+    """Record ``text`` as the stdout of ``argv``; nothing when the cache is
+    off.  The entry is written to a temporary file and renamed into place,
+    so a reader never sees a partial entry.  Makes the directory; raises
     ``OSError`` when the entry cannot be written, and leaves no temporary
     file behind."""
-    entry = _entry(key)
+    entry = _entry(argv)
     if entry is None:
         return
     path, head = entry

@@ -3,10 +3,10 @@
 ``RUNNERS`` maps each subcommand to the function that computes its payload
 from the parsed options; ``to_csv`` and ``to_pretty`` render a payload in
 the two formats other than JSON.  `cli` imports this module only when it
-computes a payload or renders one as CSV or pretty, so a cache hit that
-prints JSON compiles the front end alone.  Each runner imports its
-generator or oracle module, and `fractions`, inside itself, so a run loads
-only the modules of its own subcommand.
+computes a payload, so a usage error compiles the front end alone, and a
+replayed command compiles neither.  Each runner imports its generator or
+oracle module, and `fractions`, inside itself, so a run loads only the
+modules of its own subcommand.
 """
 from __future__ import annotations
 

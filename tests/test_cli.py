@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import time
-import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mathieu_resurgence
+from mathieu_resurgence import __main__ as script
 from mathieu_resurgence import cli, replay, runners
 from mathieu_resurgence.cli import (
     EXIT_CONVERGENCE,
@@ -32,6 +32,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_script(capsys, *argv):
+    """As ``run``, through the entry point of ``python -m`` and the
+    script, which replays and records with the cache set."""
+    code = script.main(list(argv))
+    return code, capsys.readouterr().out
 
 
 class TestSubcommands:
@@ -231,8 +238,8 @@ class TestExitCodes:
         ],
     )
     def test_mode_defaults_are_filled_after_the_check(self, capsys, argv, key, value):
-        # the config (metadata and cache key) reads as it did when the parser
-        # filled these defaults itself
+        # the config in the metadata reads as it did when the parser filled
+        # these defaults itself
         code, out = run(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(out)["metadata"]["config"][key] == value
@@ -255,7 +262,7 @@ class TestExitCodes:
            integer=st.booleans())
     def test_fraction_text_is_the_lowest_terms_of_fraction(self, num, den, integer):
         # --m is parsed without building a Fraction; its text (the config in
-        # metadata and in the cache key) must read as str(Fraction) does
+        # the metadata) must read as str(Fraction) does
         from fractions import Fraction
 
         if integer:
@@ -406,15 +413,30 @@ class TestExitCodes:
 
 
 class TestOutputPlumbing:
-    def test_determinism(self, capsys):
+    def test_determinism(self, tmp_path, capsys, monkeypatch):
+        # stdout is a function of the argv alone: with one cache directory
+        # set, each run, in-process or under -m, prints the bytes of a run
+        # without it, whatever the rendering of the argv run before
+        monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
+        spectrum = ("spectrum", "--hbar", "1.0", "--bands", "1", "--format", "csv")
+        zjj = ("zjj", "--order", "2", "--pretty")
+        widths = ("widths", "--kind", "band", "--N", "0", "--hbar", "0.5")
+        cold = {}
         for argv in (
-            ["pert", "--order", "4", "--poly"],
-            ["figure1", "--hbar-min", "0.7", "--hbar-max", "1.1", "--points", "2", "--bands", "3",
-             "--format", "csv"],
+            ("pert", "--order", "4", "--poly"),
+            ("figure1", "--hbar-min", "0.7", "--hbar-max", "1.1", "--points", "2", "--bands", "3",
+             "--format", "csv"),
+            spectrum, zjj, widths, (*widths, "--format", "csv"),
         ):
-            _, a = run(capsys, *argv)
-            _, b = run(capsys, *argv)
-            assert a == b
+            _, cold[argv] = run(capsys, *argv)
+            assert run(capsys, *argv)[1] == cold[argv]
+        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
+        for argv in (spectrum, zjj):
+            for _ in range(2):
+                assert run(capsys, *argv) == (EXIT_OK, cold[argv])
+        for argv in (widths, (*widths, "--format", "csv")):
+            code, out, _, _ = _script(*argv, cache=tmp_path)
+            assert code == EXIT_OK and out.decode() == cold[argv]
 
     def test_csv_format(self, capsys):
         code, out = run(capsys, "spectrum", "--hbar", "1.0", "--bands", "1", "--format", "csv")
@@ -458,102 +480,44 @@ class TestOutputPlumbing:
         assert meta["config"]["order"] == "2"
         assert "version" in meta
 
-    def test_cache_round_trip(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
-        _, a = run(capsys, "pert", "--order", "3", "--poly")
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        _, b = run(capsys, "pert", "--order", "3", "--poly")
-        assert a == b
-
-    def test_cache_entry_from_the_one_shot_encoder(self, tmp_path, capsys, monkeypatch):
-        # json.dump streams through the pure-Python _make_iterencode; the
-        # one-shot json.dumps runs the C encoder and writes the same bytes
-        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
-
-        def python_encoder(*args, **kwargs):
-            raise AssertionError("entry encoded by the pure-Python encoder")
-
-        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
-        code, _ = run(capsys, "figure2", "--points", "1", "--q-min", "9", "--bands", "1")
-        assert code == EXIT_OK
-        (entry,) = tmp_path.iterdir()
-        body = entry.read_text().partition("\n")[2]
-        assert body == json.dumps(json.loads(body), sort_keys=True)
-
-    def test_cache_key_ignores_output_options(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(cache))
-        run(capsys, "pert", "--order", "3", "--poly")
-        code, out = run(capsys, "pert", "--order", "3", "--poly", "--format", "csv")
-        assert code == EXIT_OK and out.startswith("#")
-        run(capsys, "pert", "--order", "3", "--poly", "--pretty")
-        run(capsys, "pert", "--order", "3", "--poly", "--output", str(tmp_path / "o.json"))
-        assert len(list(cache.iterdir())) == 1
-
-    def test_corrupt_entry_is_recomputed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
-        _, a = run(capsys, "pert", "--order", "3", "--poly")
-        (entry,) = tmp_path.iterdir()
-        good = entry.read_text()
-        entry.write_text(good[: len(good) // 2])
-        code, b = run(capsys, "pert", "--order", "3", "--poly")
-        assert code == EXIT_OK and a == b
-        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-        assert entry.read_text() == good
-
-    def test_entry_with_another_key_is_recomputed(self, tmp_path, capsys, monkeypatch):
-        # a file under the expected name that carries another key (a
-        # checksum collision, or a file of another writer) is a miss
-        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
-        _, fresh = run(capsys, "pert", "--order", "3", "--poly")
-        (entry,) = tmp_path.iterdir()
-        assert entry.name.startswith("pert-")
-        good = entry.read_bytes()
-        key = good.partition(b"\n")[0].rpartition(b" ")[0]
-        other = key.replace(b"'order': '3'", b"'order': '4'")
-        assert other != key
-        stale = json.dumps({"rows": [], "stale": True}).encode()
-        entry.write_bytes(other + b" %08x\n" % zlib.crc32(stale) + stale)
-        code, out = run(capsys, "pert", "--order", "3", "--poly")
-        assert code == EXIT_OK and out == fresh
-        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-        assert entry.read_bytes() == good
-
     def test_cache_key_carries_version(self, tmp_path, capsys, monkeypatch):
         # another interpreter version is another key
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
-        run(capsys, "pert", "--order", "2", "--poly")
+        run_script(capsys, "pert", "--order", "2", "--poly")
         hexversion, crc = replay.code_key()
         monkeypatch.setattr(replay, "code_key", lambda: [hexversion + 1, crc])
-        run(capsys, "pert", "--order", "2", "--poly")
+        run_script(capsys, "pert", "--order", "2", "--poly")
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_entry_of_another_schema_is_recomputed(self, tmp_path, capsys, monkeypatch):
-        # a payload cached by other code must not be served
+        # stdout recorded by other code must not be served
         monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
         _, fresh = run(capsys, "actions", "--n", "1", "--order", "3")
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         with monkeypatch.context() as m:
             m.setattr(replay, "code_key", lambda: [0, 0])
             m.setitem(runners.RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
-            _, stale = run(capsys, "actions", "--n", "1", "--order", "3")
+            _, stale = run_script(capsys, "actions", "--n", "1", "--order", "3")
         assert "stale" in json.loads(stale)
-        code, out = run(capsys, "actions", "--n", "1", "--order", "3")
+        code, out = run_script(capsys, "actions", "--n", "1", "--order", "3")
         assert code == EXIT_OK and out == fresh
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_entry_for_a_rejected_argv_is_not_served(self, tmp_path, capsys, monkeypatch):
-        # an older pert evaluated hbar = nan and cached the NaN payload
+        # an older pert evaluated hbar = nan and recorded the NaN output,
+        # which its own code key still replays
         argv = ("pert", "--order", "2", "--N", "0", "--hbar", "nan")
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         stale = {"rows": [], "at_N": {"N": 0, "coefficients": [], "value": math.nan}}
         with monkeypatch.context() as m:
             m.setattr(replay, "code_key", lambda: [0, 0])
             m.setitem(runners.RUNNERS, "pert", lambda args: dict(stale))
-            code, out = run(capsys, *argv)
+            code, out = run_script(capsys, *argv)
         assert code == EXIT_OK and "NaN" in out
-        code, out = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(replay, "code_key", lambda: [0, 0])
+            assert run_script(capsys, *argv) == (EXIT_OK, out)
+        code, out = run_script(capsys, *argv)
         assert code == EXIT_DOMAIN and out == ""
 
     @staticmethod
@@ -589,13 +553,13 @@ class TestOutputPlumbing:
         oracle.write_text(text.replace(cap, cap.replace("13", "12")))
         assert errs(cache=False) == {1e-12}
         assert errs() == {1e-12}
-        assert len(list((tmp_path / "cache").glob("spectrum-*.txt"))) == 2
+        assert len(list((tmp_path / "cache").glob("replay-*"))) == 2
 
     def test_payload_of_stale_bytecode_is_not_served_after_recompiling(self, tmp_path):
         # Python runs a module's cached .pyc while the source keeps its size
         # and whole-second mtime, so an edit that keeps both is computed by
         # the old code; once a touch recompiles it, the cache must not serve
-        # that stale payload under the edited source's key
+        # that stale output under the edited source's key
         errs = self._copy_and_run(tmp_path)
         assert errs() == {1e-13}
         oracle = tmp_path / "mathieu_resurgence" / "oracle.py"
@@ -743,14 +707,12 @@ sys.stdout.write("\\n" + json.dumps({"code": code, "modules": sorted(sys.modules
 """
 
 
-def _probe(*argv, cache=None, before=""):
+def _probe(*argv, before=""):
     """Run the CLI in a fresh interpreter, after the statements ``before``;
     return (exit code, loaded modules)."""
     src = str(Path(mathieu_resurgence.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("MATHIEU_RESURGENCE_CACHE", None)
-    if cache is not None:
-        env["MATHIEU_RESURGENCE_CACHE"] = str(cache)
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, before, *argv], env=env, capture_output=True, text=True,
         check=True,
@@ -785,9 +747,6 @@ _ONE_PER_SUBCOMMAND = [
     ("zerodim", "--m", "1/4", "--check", "rows", "--order", "2"),
     ("benderwu", "--potential", "lame", "--order", "2"),
 ]
-# modules a cache hit must not load
-_NOT_ON_A_HIT = {"hashlib", "fractions", "dataclasses", "inspect", "numpy", "scipy", "mpmath"}
-
 
 class TestImportCost:
     """Only the subcommands that need the numeric stack load it, and no
@@ -795,22 +754,6 @@ class TestImportCost:
 
     def test_every_subcommand_is_probed(self):
         assert {argv[0] for argv in _ONE_PER_SUBCOMMAND} == set(runners.RUNNERS)
-
-    @pytest.mark.parametrize("argv", _ONE_PER_SUBCOMMAND)
-    def test_cache_hit_loads_only_the_front_end(self, tmp_path, argv):
-        # a computing run loads no dataclasses (and its inspect); a cache
-        # hit loads no checksum, rational, runner, generator or oracle
-        # module, nor mpmath
-        code, mods = _probe(*argv, cache=tmp_path)
-        assert code == EXIT_OK
-        assert not {"dataclasses", "inspect"} & (mods - _bare_modules())
-        code, mods = _probe(*argv, cache=tmp_path)
-        assert code == EXIT_OK
-        extra = mods - _bare_modules()
-        assert not _NOT_ON_A_HIT & extra
-        assert {m for m in extra if m.startswith("mathieu_resurgence.")} == {
-            "mathieu_resurgence.cli", "mathieu_resurgence.errors", "mathieu_resurgence.replay"}
-        assert not {"mathieu_resurgence.runners", "mpmath"} & mods
 
     @pytest.mark.parametrize(
         "argv",
@@ -913,14 +856,6 @@ class TestImportCost:
         _, mods = _probe(before=call)
         assert "mpmath" in mods
 
-    def test_cache_hit_loads_no_compute_module(self, tmp_path):
-        argv = ("spectrum", "--hbar", "1.0", "--bands", "1")
-        code, mods = _probe(*argv, cache=tmp_path)
-        assert code == EXIT_OK and "mathieu_resurgence.oracle" in mods
-        code, mods = _probe(*argv, cache=tmp_path)
-        assert code == EXIT_OK
-        assert not {"numpy", "scipy", "mpmath", "mathieu_resurgence.oracle"} & mods
-
     def test_extended_precision_width_loads_no_numeric_stack(self):
         # the extended-precision Hill tier runs on the standard library's
         # decimal; the library oracle above is the positive control
@@ -990,8 +925,12 @@ def _replay_entries(cache) -> list:
     return sorted(Path(cache).glob("replay-*"))
 
 
-# what the CLI loads to parse options and read a payload entry
+# what the CLI loads to parse options and compute a payload
 _FRONT_END = {"mathieu_resurgence.cli", "mathieu_resurgence.runners", "argparse", "json"}
+# checksum, rational, dataclass, numeric and oracle modules: a replayed
+# command loads none of them, and a computing run no dataclasses
+_NOT_ON_A_HIT = {"hashlib", "fractions", "dataclasses", "inspect", "numpy", "scipy", "mpmath",
+                 "mathieu_resurgence.oracle"}
 
 
 class TestReplay:
@@ -1005,13 +944,15 @@ class TestReplay:
         argv = (*argv, *render)
         code, cold, _, mods = _script(*argv, cache=tmp_path)
         assert code == EXIT_OK and "mathieu_resurgence.cli" in mods
+        assert not {"dataclasses", "inspect"} & (mods - _startup_modules())
         assert len(_replay_entries(tmp_path)) == 1
         code, warm, err, mods = _script(*argv, cache=tmp_path)
         assert code == EXIT_OK and warm == cold and err == ""
-        assert not _FRONT_END & (mods - _startup_modules())
+        assert not (_FRONT_END | _NOT_ON_A_HIT) & (mods - _startup_modules())
 
     def test_positive_control_of_the_front_end_set(self, tmp_path):
-        # a payload-cache hit in another rendering goes through the CLI
+        # the same command in another rendering is another argv: it misses
+        # and goes through the CLI
         argv = ("zjj", "--order", "2")
         _script(*argv, cache=tmp_path)
         code, _, _, mods = _script(*argv, "--format", "csv", cache=tmp_path)
@@ -1038,42 +979,18 @@ class TestReplay:
         code, out, _, mods = _script(*b, cache=tmp_path)
         assert code == EXIT_OK and out == out_b and "mathieu_resurgence.cli" in mods
 
-    def test_edited_payload_entry_is_recomputed(self, tmp_path, capsys, monkeypatch):
-        # a payload entry edited so that it still parses is served neither
-        # in-process nor under -m, and the -m run records the fresh bytes
+    def test_edited_payload_entry_is_recomputed(self, tmp_path):
+        # an entry edited so that it still parses is not served, and the
+        # run that recomputes it records the fresh bytes again
         argv = ("zjj", "--order", "2")
-        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
-        _, fresh = run(capsys, *argv)
-        (entry,) = tmp_path.iterdir()
+        _, fresh, _, _ = _script(*argv, cache=tmp_path)
+        (entry,) = _replay_entries(tmp_path)
         good = entry.read_bytes()
         assert b'"3/64"' in good
-        edited = good.replace(b'"3/64"', b'"5/64"', 1)
-        entry.write_bytes(edited)
-        code, out = run(capsys, *argv)
-        assert code == EXIT_OK and out == fresh
-        entry.write_bytes(edited)
-        code, out, _, _ = _script(*argv, cache=tmp_path)
-        assert code == EXIT_OK and out.decode() == fresh
-        (recorded,) = _replay_entries(tmp_path)
-        assert recorded.read_bytes().partition(b"\n")[2] == fresh.encode()
-
-    def test_entry_of_the_other_kind_is_a_miss(self, tmp_path, capsys, monkeypatch):
-        # a payload entry under the replay entry's name, and a replay entry
-        # under the payload entry's name, are both recomputed
-        argv = ("zjj", "--order", "2")
-        _, cold, _, _ = _script(*argv, cache=tmp_path)
-        (recorded,) = _replay_entries(tmp_path)
-        (payload,) = set(tmp_path.iterdir()) - {recorded}
-        good_recorded, good_payload = recorded.read_bytes(), payload.read_bytes()
-        recorded.write_bytes(good_payload)
+        entry.write_bytes(good.replace(b'"3/64"', b'"5/64"', 1))
         code, out, _, mods = _script(*argv, cache=tmp_path)
-        assert code == EXIT_OK and out == cold and "mathieu_resurgence.cli" in mods
-        assert recorded.read_bytes() == good_recorded
-        payload.write_bytes(good_recorded)
-        monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
-        code, out = run(capsys, *argv)
-        assert code == EXIT_OK and out.encode() == cold
-        assert payload.read_bytes() == good_payload
+        assert code == EXIT_OK and out == fresh and "mathieu_resurgence.cli" in mods
+        assert _replay_entries(tmp_path) == [entry] and entry.read_bytes() == good
 
     def test_edit_keeping_size_and_mtime_is_recomputed(self, tmp_path):
         # TestOutputPlumbing.test_edited_source_is_recomputed runs under -m
@@ -1129,7 +1046,8 @@ class TestReplay:
 
     def test_unusable_cache_directory(self, tmp_path, capsys, monkeypatch):
         # a cache path under a regular file: the result is printed, the run
-        # exits 0, and one line on stderr says the result was not stored
+        # exits 0, and under -m one line on stderr says the result was not
+        # stored; an in-process run stores nothing and says nothing
         monkeypatch.delenv("MATHIEU_RESURGENCE_CACHE", raising=False)
         _, fresh = run(capsys, "zjj", "--order", "2")
         (tmp_path / "file").write_text("")
@@ -1141,7 +1059,7 @@ class TestReplay:
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(cache))
         assert main(["zjj", "--order", "2"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == fresh and len(captured.err.splitlines()) == 1
+        assert captured.out == fresh and captured.err == ""
 
 
 def test_pretty_output(capsys):
