@@ -33,7 +33,6 @@ __all__ = [
     "action_leading_derivative",
     "action_higher",
     "wronskian_defect",
-    "picard_fuchs_residual",
     "operator_a1",
     "operator_a2",
     "barrier_top_a0",
@@ -148,33 +147,6 @@ def wronskian_defect(u: float) -> complex:
     a0, a0d = action_leading(u)
     da0, da0d = action_leading_derivative(u)
     return a0d * da0 - a0 * da0d - complex(0, 2 / math.pi)
-
-
-def picard_fuchs_residual(u: float, dual: bool = False) -> float:
-    """Finite-difference residual of y'' = y / (4 (1 - u^2)) for y = a0,
-    or a0D with ``dual``, at step h = 1e-4.
-
-    Second differences at that step sit below the double-precision noise
-    floor, so the evaluations take K and E from mpmath at 30 digits.
-    """
-    if not -1 < u < 1:
-        raise DomainError("need -1 < u < 1")
-    import mpmath
-
-    with mpmath.workdps(30):
-        uu, hh = mpmath.mpf(u), mpmath.mpf(1e-4)
-
-        def y(x):
-            m = (1 - x) / 2 if dual else (1 + x) / 2
-            return 4 / mpmath.pi * (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m))
-
-        # Fourth-order stencil: the (1-u^2)^-3 growth of y'''' near the edges
-        # would otherwise dominate the residual at h = 1e-4.
-        second = (
-            -y(uu + 2 * hh) + 16 * y(uu + hh) - 30 * y(uu)
-            + 16 * y(uu - hh) - y(uu - 2 * hh)
-        ) / (12 * hh * hh)
-        return float(second - y(uu) / (4 * (1 - uu * uu)))
 
 
 def _poly_diff(series: PolySeries, k: int) -> PolySeries:

@@ -241,8 +241,8 @@ def richardson(seq: Sequence, steps: int, n0: int = 1):
     """Iterated Richardson extrapolation for s_n = L + a/n + b/n^2 + ...
 
     Level k update: s_n <- ((n+k) s_{n+1} - n s_n) / k, which annihilates
-    the 1/n^k term exactly.  Works on Fractions or mpf; ``n0`` is the true
-    index of the first entry.
+    the 1/n^k term exactly.  Works on Fractions, floats or Decimals; ``n0``
+    is the true index of the first entry.
     """
     work = list(seq)
     if not work or steps < 0:
@@ -264,22 +264,23 @@ def large_order_fit(coeffs: Sequence[Q], n_offset: int = 0) -> dict:
 
     ``coeffs[i]`` is the coefficient of order n_offset + i.
 
-    The ratios S_n = (n+1) |c_n / c_{n+1}| are formed at 60 digits, split
-    by the parity of n, and each non-empty subsequence is
+    The ratios S_n = (n+1) |c_n / c_{n+1}| are formed in Decimal at 60
+    digits, split by the parity of n, and each non-empty subsequence is
     Richardson-accelerated on its own; their common limit is the dominant
     action even when a subdominant alternating saddle makes the plain
     ratios oscillate.  When every other coefficient vanishes, the ratio
     spans two orders and its square root is taken.  Each subsequence
     compares Richardson at 5 steps with 4; the largest of those spreads is
     returned under ``"spread"``, and ConvergenceError is raised when it
-    exceeds 0.2 |action|.
+    exceeds 0.2 |action|.  Both values are returned as floats.
     """
     if len(coeffs) < 8:
         raise DomainError("need at least 8 coefficients for a ratio fit")
-    import mpmath
+    import decimal
 
-    with mpmath.workdps(60):
-        c = [mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator) for x in coeffs]
+    with decimal.localcontext(decimal.Context(prec=60)):
+        num = decimal.Decimal
+        c = [num(x.numerator) / num(x.denominator) for x in coeffs]
         tail = [(n_offset + i, c[i]) for i in range(len(c)) if c[i] != 0]
         ratios = []
         for (n1, c1), (n2, c2) in zip(tail, tail[1:]):
@@ -287,7 +288,7 @@ def large_order_fit(coeffs: Sequence[Q], n_offset: int = 0) -> dict:
                 ratios.append((n1, abs(c1 / c2) * (n1 + 1)))
             elif n2 - n1 == 2:
                 # every other coefficient vanishes: ratio jumps two orders
-                ratios.append((n1, mpmath.sqrt(abs(c1 / c2) * (n1 + 1) * (n1 + 2))))
+                ratios.append((n1, (abs(c1 / c2) * (n1 + 1) * (n1 + 2)).sqrt()))
         if len(ratios) < 7:
             raise DomainError("too many vanishing coefficients for a fit")
         k = 5
@@ -301,9 +302,9 @@ def large_order_fit(coeffs: Sequence[Q], n_offset: int = 0) -> dict:
                 fits.append((s, abs(s - richardson(vals, k - 1, n0=n0))))
         action = sum(s for s, _ in fits) / len(fits)
         spread = max(d for _, d in fits)
-        if spread > abs(action) * mpmath.mpf("0.2"):
+        if spread > abs(action) * num("0.2"):
             raise ConvergenceError(
                 f"ratio acceleration did not settle: spread {float(spread):.3g} "
                 f"around {float(action):.6g}"
             )
-        return {"action": action, "spread": spread}
+    return {"action": float(action), "spread": float(spread)}

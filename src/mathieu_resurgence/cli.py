@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -25,7 +24,7 @@ from .errors import ConvergenceError, DomainError
 # not import this module: `__main__` prints its recorded stdout.
 # `spectral` and the `actions` subcommand take the action tables from
 # `dunham`, so no subcommand loads `actions` and its elliptic closed forms.
-# No subcommand loads mpmath: the zerodim checks and the mp Hill tier
+# The package has no dependency: the zerodim checks and the mp Hill tier
 # behind `widths` compute in the standard library's `decimal`.
 
 __all__ = ["main", "run"]
@@ -83,16 +82,13 @@ def _fraction(text: str) -> str:
 
     Returns it in lowest terms as ``str(Fraction(text))`` writes it ("p/q",
     or "p" for an integer); the runners build the Fraction."""
+    from fractions import Fraction
+
     num, sep, den = text.partition("/")
     try:
-        p, q = int(num), int(den) if sep else 1
-    except ValueError:
-        q = 0
-    if not q:
-        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}")
-    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
-    p, q = p // g, q // g
-    return str(p) if q == 1 else f"{p}/{q}"
+        return str(Fraction(int(num), int(den) if sep else 1))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
 
 
 def build_parser() -> _Parser:

@@ -21,9 +21,9 @@ from that precision.  Truncation M keeps the momenta |k| <= M of the
 periodic sector and |k + 1/2| <= M + 1/2 of the antiperiodic one.
 `width_num` moves narrow bands and narrow gaps to the mp tier.
 
-Both tiers of the Hill matrix run on the standard library alone.
-`discriminant`, the independent monodromy route, imports mpmath inside
-the functions that use it.
+Both tiers of the Hill matrix, and `discriminant`, the independent
+monodromy route, run on the standard library alone: the extended tiers
+compute in `decimal`, which each imports inside the function that uses it.
 """
 from __future__ import annotations
 
@@ -126,7 +126,8 @@ def _edge_index(N: int, edge: str) -> tuple[float, int]:
 
 def _block(hbar: float, kappa: float, upper: int, M: int, lam: float, one):
     """Diagonal and couplings of one parity block of a Bloch sector, in the
-    arithmetic of `one` (1.0, a decimal.Decimal or an mpmath unit).
+    arithmetic of `one` (1.0 or a decimal.Decimal; the tests also pass an
+    mpmath unit).
 
     Each sector is even under k -> -k, so it splits exactly into two
     blocks.  Periodic (kappa = 0): cos(k x), k = 0..M, whose k = 0
@@ -139,7 +140,7 @@ def _block(hbar: float, kappa: float, upper: int, M: int, lam: float, one):
     index i is index i//2 of block i%2 (upper = 1).  A near-degenerate gap
     pair of a sector is then one eigenvalue of each block.
     """
-    num = type(one)  # hbar and lam enter exactly, as in float * mpf
+    num = type(one)  # hbar and lam enter exactly: num(x) does not round
     h2 = num(hbar) * num(hbar) / 2
     if kappa:
         d = [h2 * (k + one / 2) ** 2 for k in range(M + 1)]
@@ -240,14 +241,13 @@ def _points(hbar, edges, M, half_M, lam, one, rtol, max_digits) -> list[Spectral
 def _frobenius(c, lam, u, rho, eps):
     """Value and t-derivative at t = 1 of the Frobenius solution
     t^rho sum_k a_k t^k (a_0 = 1) about t = 1 - cos x = 0, and the sum of
-    its terms' magnitudes, which bounds the roundoff of both."""
-    import mpmath
-
-    a2, a1 = 0, mpmath.mpf(1)
+    its terms' magnitudes, which bounds the roundoff of both.  The
+    arguments are Decimals, and the current context sets the precision."""
+    a2, a1 = 0, type(c)(1)
     v, d, bound, top = a1, rho * a1, a1 + rho, a1
     # past k^2 ~ c (|lam| + |u|) the terms fall by about 1/2 each
     k, kmin = 0, 2 * math.sqrt(float(c * (abs(lam) + abs(u)))) + 2
-    cl, cu = c * lam, c * u  # products in mpf: lam - u in floats would round
+    cl, cu = c * lam, c * u  # two products: lam - u in floats would round
     while True:
         k += 1
         a = (((k - 1 + rho) ** 2 + cl - cu) * a1 - cl * a2) / ((k + rho) * (2 * k + 2 * rho - 1))
@@ -258,7 +258,7 @@ def _frobenius(c, lam, u, rho, eps):
         a2, a1 = a1, a
 
 
-def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> "float | mpf":
+def discriminant(hbar: float, u: float | Decimal, cfg: HillConfig | None = None) -> float | Decimal:
     """cos(theta), the half trace of the monodromy over one period, from the
     Frobenius solutions about the symmetry points x = 0 and x = pi.
 
@@ -269,37 +269,36 @@ def discriminant(hbar: float, u: float, cfg: HillConfig | None = None) -> "float
     The canonical y1, y2 at x = 0 are even_0 and sqrt(2) odd_0 (t^(1/2) =
     sqrt(2) sin(x/2)), so cos(theta) = y1(pi) y2'(pi) + y1'(pi) y2(pi) is, in
     z-Wronskians with W(even_pi, odd_pi) = 1/sqrt(2) at z = 0,
-    2 [W(e0, o_pi) W(o0, e_pi) + W(e0, e_pi) W(o0, o_pi)].  u may be an mpf
-    or a Decimal (an edge of the extended-precision tier).
-    The terms cancel to O(1) from up to about e^(8/hbar), so the precision is
-    sized from c (|lam| + |u|) and checked against the terms' magnitudes.
-    The value is a float, or the mpf itself when it lies outside the double
-    range (deep in a gap at small hbar), where a float would read +-inf.
+    2 [W(e0, o_pi) W(o0, e_pi) + W(e0, e_pi) W(o0, o_pi)].  u may be a
+    Decimal (an edge of the extended-precision tier), which enters at all
+    of its digits.  The series are summed in the standard library's
+    decimal.  The terms cancel to O(1) from up to about e^(8/hbar), so the
+    precision is sized from c (|lam| + |u|) and checked against the terms'
+    magnitudes.  The value is a float, or the Decimal itself when it lies
+    outside the double range (deep in a gap at small hbar), where a float
+    would read +-inf.
     """
     import decimal
-
-    import mpmath
 
     cfg = cfg or HillConfig()
     require_positive("hbar", hbar)
     lam = cfg.potential_scale
-    if isinstance(u, decimal.Decimal):
-        # an edge of the extended-precision Hill tier, at all of its digits
-        with mpmath.workdps(len(u.as_tuple().digits) + 5):
-            u = mpmath.mpf(str(u)) if u.is_finite() else float(u)
-    if not (mpmath.isfinite(u) and math.isfinite(lam)):
+    # one check for floats and Decimals alike; a signalling NaN is not finite
+    if not (decimal.Decimal(u).is_finite() and math.isfinite(lam)):
         raise DomainError(f"finite u and potential scale required, got {u!r}, {lam!r}")
     dps = 20 + 3 * math.sqrt(2 * (abs(lam) + abs(float(u)))) / hbar  # 3 sqrt(c (|lam| + |u|))
     while dps <= _MAX_DISCRIMINANT_DPS:
         dps = int(dps)
-        with mpmath.workdps(dps):
-            c, eps = 2 / mpmath.mpf(hbar) ** 2, mpmath.mpf(10) ** -dps
-            (e0, o0), (ep, op) = ([_frobenius(c, sign * lam, u, rho, eps) for rho in (0, 0.5)]
-                                  for sign in (1, -1))
+        with decimal.localcontext(decimal.Context(prec=dps)):
+            # hbar, lam and u enter exactly: Decimal(x) does not round
+            num = decimal.Decimal
+            c, eps = 2 / num(hbar) ** 2, num(10) ** -dps
+            (e0, o0), (ep, op) = ([_frobenius(c, num(sign * lam), num(u), num(rho), eps)
+                                   for rho in (0, 0.5)] for sign in (1, -1))
             # each pairs a t-solution with an s-solution, and dt/dz = -ds/dz
             W = lambda f, g: f[0] * g[1] + f[1] * g[0]
             delta = 2 * (W(e0, op) * W(o0, ep) + W(e0, ep) * W(o0, op))
-            need = 20 + int(mpmath.log10(e0[2] * o0[2] * ep[2] * op[2]))
+            need = 20 + int((e0[2] * o0[2] * ep[2] * op[2]).log10())
         if need <= dps:
             value = float(delta)
             return value if math.isfinite(value) else delta

@@ -158,8 +158,6 @@ def zjj_quantization_solve(hbar: float, N: int, theta: float, order: int = 8) ->
         raise DomainError(f"finite theta required, got {theta!r}")
     if order < 1:
         raise DomainError(f"order >= 1 required, got {order}")
-    import mpmath
-
     z = zjj_construct(order)
 
     def solve_at(ord_used: int) -> float:
@@ -169,10 +167,17 @@ def zjj_quantization_solve(hbar: float, N: int, theta: float, order: int = 8) ->
         def F(E: float) -> float:
             Bv = float(Bf(hbar, E))
             Av = 16.0 / hbar + float(Af(hbar, E))
-            # reciprocal Gamma handles the Gamma poles at half-integer B
-            t1 = (32.0 / hbar) ** (-Bv) * math.exp(Av / 2) * float(mpmath.rgamma(0.5 - Bv))
-            t2 = (32.0 / hbar) ** (-Bv) * math.exp(-Av / 2) * float(mpmath.rgamma(0.5 + Bv))
-            lhs = t1 + math.cos(math.pi * Bv) * t2
+            # by reflection 1/Gamma(1/2 - B) = cos(pi B) Gamma(1/2 + B)/pi, which
+            # vanishes at the poles of Gamma(1/2 - B); past the double range
+            # Gamma(1/2 + B) reads inf, so the two reciprocals read +-inf and 0
+            scale, cos_b = (32.0 / hbar) ** (-Bv), math.cos(math.pi * Bv)
+            try:
+                gamma = math.gamma(0.5 + Bv)
+            except OverflowError:
+                gamma = math.inf
+            t1 = scale * math.exp(Av / 2) * cos_b * gamma / math.pi
+            t2 = scale * math.exp(-Av / 2) / gamma
+            lhs = t1 + cos_b * t2
             return lhs - 2 * math.cos(theta) / math.sqrt(2 * math.pi)
 
         lo, hi = N + 0.02, N + 0.98

@@ -227,7 +227,7 @@ def barrier_top(hbar: float) -> dict:
     }
 
 
-def large_order_prediction(N: int, n: int):
+def large_order_prediction(N: int, n: int) -> float:
     """Schematic large-order form of the perturbative coefficient,
 
         u_n(N) ~ -(2^(2N) / (pi N!^2)) Gamma(n + 2N + 1) / 16^(n + 2N + 1).
@@ -235,16 +235,17 @@ def large_order_prediction(N: int, n: int):
     Only its growth ratio u_{n+1}/u_n -> (n + 2N + 1)/16 is reliable: the
     absolute prefactor is off, and more so as N grows.  The exact u_50 of
     ``benderwu.rs_series`` is 9.71, 2.02e3 and 3.72e5 times this value at
-    N = 0, 1 and 2.  The value is an mpf at 30 digits.
+    N = 0, 1 and 2.  The value is a float, one rounding of a ratio of
+    integers, with pi to 30 digits.
     """
     if N < 0 or n < 0:
         raise DomainError(f"need N >= 0 and n >= 0, got N={N}, n={n}")
-    import mpmath
-
-    with mpmath.workdps(30):
-        return (
-            -mpmath.mpf(2) ** (2 * N)
-            / (mpmath.pi * mpmath.factorial(N) ** 2)
-            * mpmath.gamma(n + 2 * N + 1)
-            / mpmath.mpf(16) ** (n + 2 * N + 1)
-        )
+    num = 4 ** N * math.factorial(n + 2 * N) * 10 ** 29
+    den = math.factorial(N) ** 2 * 16 ** (n + 2 * N + 1) * 314159265358979323846264338328
+    try:
+        value = num / den
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise DomainError(f"u_{n}({N}) lies outside the double range")
+    return -value

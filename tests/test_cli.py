@@ -748,6 +748,41 @@ _ONE_PER_SUBCOMMAND = [
     ("benderwu", "--potential", "lame", "--order", "2"),
 ]
 
+_WITHOUT_MPMATH = """
+import contextlib, importlib, io, json, math, pkgutil, sys
+from decimal import Decimal
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "mpmath":
+            raise ModuleNotFoundError(f"import of {name} refused", name=name)
+
+
+sys.meta_path.insert(0, Refuse())
+import mathieu_resurgence
+for info in pkgutil.iter_modules(mathieu_resurgence.__path__):
+    importlib.import_module("mathieu_resurgence." + info.name)
+from mathieu_resurgence import benderwu, cli, oracle, spectral, widths
+
+(edge,) = oracle.band_edges(0.3, 0, oracle.HillConfig(dps=60), edges=[(0, "bottom")])
+assert isinstance(edge.u, Decimal) and abs(oracle.discriminant(0.3, edge.u) - 1) < 1e-6
+deep = oracle.discriminant(0.01, -0.99)
+assert isinstance(deep, Decimal) and deep.is_finite() and deep < -1e308
+assert math.isfinite(spectral.zjj_quantization_solve(0.4, 0, 0.0, order=4)["u"])
+assert widths.large_order_prediction(0, 30) < 0
+series = benderwu.rs_series(benderwu.mathieu_well_potential(72), 0, 34)
+fit = benderwu.large_order_fit([series[n].const_value() for n in range(2, 35)], n_offset=2)
+assert abs(fit["action"] - 16) < 0.16
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+assert not [m for m in sys.modules if m.partition(".")[0] == "mpmath"]
+print("no mpmath")
+"""
+
+
 class TestImportCost:
     """Only the subcommands that need the numeric stack load it, and no
     subcommand loads mpmath."""
@@ -849,12 +884,25 @@ class TestImportCost:
         assert code == EXIT_OK
         assert "mpmath" not in mods
 
-    def test_library_oracle_loads_mpmath(self):
-        # the positive control: the probe sees mpmath where a library call
-        # loads it, so the guards above are not passing vacuously
-        call = "from mathieu_resurgence import oracle; oracle.discriminant(1.0, 0.0)"
-        _, mods = _probe(before=call)
+    def test_probe_sees_mpmath_once_imported(self):
+        # the positive control: the probe sees mpmath when it is loaded, so
+        # the guards above are not passing vacuously
+        _, mods = _probe(before="import mpmath")
         assert "mpmath" in mods
+
+    def test_package_runs_with_mpmath_blocked(self):
+        # the package declares no dependency: with `import mpmath` refused,
+        # every module imports, each library function that once computed in
+        # mpmath returns, and every subcommand exits 0
+        src = str(Path(mathieu_resurgence.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("MATHIEU_RESURGENCE_CACHE", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_MPMATH, json.dumps(_ONE_PER_SUBCOMMAND)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "no mpmath"
 
     def test_extended_precision_width_loads_no_numeric_stack(self):
         # the extended-precision Hill tier runs on the standard library's

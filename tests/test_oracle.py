@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import mpmath
 import pytest
@@ -134,7 +135,8 @@ class TestDiscriminant:
             want = float((8 * fine - coarse) / 7)
         assert discriminant(hbar, u) == pytest.approx(want, abs=1e-10)
 
-    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, Decimal("NaN"),
+                                   Decimal("-Infinity"), Decimal("sNaN")])
     def test_non_finite_u_is_a_domain_error(self, u):
         # a NaN would never meet the series' stopping rule
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import pytest
 
 from mathieu_resurgence.benderwu import mathieu_well_potential, polynomial_in_N
 from mathieu_resurgence.charvalues import char_a
-from mathieu_resurgence.errors import DomainError, StructureError
+from mathieu_resurgence.errors import ConvergenceError, DomainError, StructureError
 from mathieu_resurgence.series import PolyB, PolySeries, horner
 from mathieu_resurgence.spectral import (
     alphabeta_extract,
@@ -230,6 +230,13 @@ class TestZjj:
 
 
 class TestQuantizationSolve:
+    def test_gamma_past_the_double_range_is_no_root(self):
+        # at hbar = 1 the order-4 quantization function B(E) of band 10 drives
+        # Gamma(1/2 + B) past the double range: the reciprocals read +-inf and
+        # 0 there, and the solve reports that no root is bracketed
+        with pytest.raises(ConvergenceError, match="no bracketed root"):
+            zjj_quantization_solve(1.0, 10, 0.0, order=4)
+
     def test_edges_against_oracle(self):
         from mathieu_resurgence.oracle import band_edges
 
