@@ -906,7 +906,7 @@ class TestImportCost:
 
     def test_extended_precision_width_loads_no_numeric_stack(self):
         # the extended-precision Hill tier runs on the standard library's
-        # decimal; the library oracle above is the positive control
+        # decimal; the probe's `import mpmath` above is the positive control
         code, mods = _probe("widths", "--kind", "band", "--N", "0", "--hbar", "0.1")
         assert code == EXIT_OK
         assert not {"numpy", "scipy", "mpmath"} & mods
