@@ -1,5 +1,6 @@
 """WKB action a(hbar, u) and dual action a^D(hbar, u) for the cosine band
-problem: elliptic closed forms, region expansions, and consistency checks.
+problem: elliptic closed forms, and the differential operators that carry
+a0 to a1 and a2.
 
 Conventions (fixed once, used everywhere):
 
@@ -32,10 +33,8 @@ __all__ = [
     "action_leading",
     "action_leading_derivative",
     "action_higher",
-    "wronskian_defect",
     "operator_a1",
     "operator_a2",
-    "barrier_top_a0",
 ]
 
 _EPS = 2.0 ** -52
@@ -135,20 +134,6 @@ def action_higher(u: float, n: int) -> float:
     return -num / (46080 * math.pi * (1 - u * u) ** 3)
 
 
-def wronskian_defect(u: float) -> complex:
-    """a0D a0' - a0 a0D' - 2i/pi, which vanishes by the Legendre relation.
-
-    Note the orientation: with Im a0D >= 0 (this module's convention) the
-    dual cycle enters the Wronskian bilinear with reversed sign relative
-    to the ordering a0 a0D' - a0D a0'.
-    """
-    if not -1 < u < 1:
-        raise DomainError("Wronskian check needs -1 < u < 1")
-    a0, a0d = action_leading(u)
-    da0, da0d = action_leading_derivative(u)
-    return a0d * da0 - a0 * da0d - complex(0, 2 / math.pi)
-
-
 def _poly_diff(series: PolySeries, k: int) -> PolySeries:
     out = series
     for _ in range(k):
@@ -178,17 +163,3 @@ def operator_a2(a0_well: PolySeries) -> PolySeries:
     u2_pol = u_pol * u_pol
     out = u2_pol * d4 * 28 + u_pol * d3.truncate(n) * 120 + d2.truncate(n) * 75
     return out / (512 * 45)
-
-
-def barrier_top_a0(u: float) -> float:
-    """Leading barrier-top behavior 4/pi + (u-1)/(2 pi) [ln(32/(u-1)) + 1].
-
-    Valid for u slightly above 1; for u slightly below use |u-1| with the
-    same logarithm (the printed leading form).
-    """
-    if not math.isfinite(u):
-        raise DomainError(f"finite u required, got {u!r}")
-    du = u - 1.0
-    if du == 0:
-        return 4 / math.pi
-    return 4 / math.pi + du / (2 * math.pi) * (math.log(abs(32 / du)) + 1)

@@ -23,7 +23,6 @@ __all__ = [
     "lame_potential",
     "rs_series",
     "polynomial_in_N",
-    "lame_energy_series",
     "richardson",
     "large_order_fit",
 ]
@@ -219,22 +218,6 @@ def _lagrange(points: Sequence[tuple[Q, Q]]) -> PolyB:
             denom *= xi - xk
         total = total + li * (yi / denom)
     return total
-
-
-def lame_energy_series(m: Q, order: int) -> list[Q]:
-    """Ground-state energy of the elliptic (Lame-type) 1D problem in the
-    normalization E(hbar | m) = 1 + c1 hbar + c2 hbar^2 + ...
-
-    The quoted normalization has kinetic term xdot^2/4 and potential
-    sd^2(sqrt(hbar) x | m)/hbar; undoing the scalings maps it onto
-    (2/hbar) x [eigenvalue of -(hbar^2/2) d^2 + sd^2/2].
-    """
-    V = lame_potential(Q(m), 2 * order + 2)
-    bw = rs_series(V, 0, order + 1)
-    out = [Q(2) * bw[1].const_value()]  # = 1
-    for k in range(2, order + 2):
-        out.append(2 * bw[k].const_value())
-    return out
 
 
 def richardson(seq: Sequence, steps: int, n0: int = 1):

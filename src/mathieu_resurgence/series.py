@@ -1,5 +1,7 @@
-"""Exact-rational formal algebra: polynomials in B, truncated one-variable
-series with polynomial coefficients, and trans-series containers.
+"""Exact-rational formal algebra: polynomials in B and truncated
+one-variable series with polynomial coefficients.  ``TransSeries``, a
+finite trans-series container, has no reader in the package; the benchmark
+tracer wraps its methods by name.
 
 Every coefficient is an exact rational; no floating point enters any
 arithmetic path.  ``PolyB`` keeps its coefficients fraction-free, as
@@ -27,7 +29,6 @@ __all__ = [
     "PolyB",
     "PolySeries",
     "TransSeries",
-    "transseries_substitute",
     "horner",
     "newton_solve",
 ]
@@ -560,33 +561,3 @@ class TransSeries:
             and self.sectors == other.sectors
             and self.shifts == other.shifts
         )
-
-
-def transseries_substitute(u: PolySeries, dnu: TransSeries) -> TransSeries:
-    """Expand u(N + delta-nu) where u is a series with PolyB coefficients in nu.
-
-    The sector (0,0) of ``dnu`` must vanish: delta-nu is purely
-    non-perturbative.  The result's (0,0) sector is u itself (nu -> N), and
-    its (1,0) sector is (du/dnu) * dnu_(1,0), etc., from the exact Taylor
-    expansion of the polynomial coefficients.
-    """
-    if dnu.perturbative is not None:
-        raise StructureError("delta-nu must have empty perturbative sector")
-    max_k = max((k for (k, _l) in dnu.sectors), default=0)
-    # Highest useful Taylor depth: polynomial degree caps it too.
-    max_deg = max((p.degree for p in u.c), default=0)
-    depth = min(max_deg, max_k) if dnu.sectors else 0
-
-    one = TransSeries(dnu.action, {(0, 0): PolySeries.const(u.var, u.order, 1)},
-                      branch=dnu.branch)
-    out = TransSeries(dnu.action, {(0, 0): u}, branch=dnu.branch)
-    dpow = one
-    fact = 1
-    deriv = u
-    for j in range(1, depth + 1):
-        dpow = dpow * dnu
-        fact *= j
-        deriv = deriv.derivative_B()
-        term = dpow * (deriv / Q(fact))
-        out = out + term
-    return out

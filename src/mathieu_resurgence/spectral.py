@@ -1,5 +1,5 @@
-"""Bohr-Sommerfeld inversion in both coupling regimes, the quantization
-functions of the exact band-edge condition, and strong-coupling gap edges.
+"""Weak-coupling Bohr-Sommerfeld inversion, the quantization functions of
+the exact band-edge condition, and strong-coupling gap edges.
 
 Everything in this module that returns series returns exact rationals; the
 only floating point lives in ``zjj_quantization_solve`` which evaluates the
@@ -17,7 +17,6 @@ from .series import PolyB, PolySeries, horner, newton_solve
 
 __all__ = [
     "bs_invert_weak",
-    "bs_invert_strong",
     "ZjjFunctions",
     "zjj_construct",
     "zjj_A_from_E",
@@ -48,39 +47,6 @@ def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) 
     target = PolySeries("hbar", order, [PolyB(), _B])
     v = newton_solve(F, target, 0, progress)
     return v - PolySeries.const("hbar", order, 1)
-
-
-def bs_invert_strong(order: int, depth: int = 8) -> PolySeries:
-    """Invert hbar N / 2 = a(hbar, u) for u >> 1.
-
-    Returns u / a^2, a = N hbar / 2, as a series in 1/a through
-    (1/a)^(depth + 2) whose coefficients are polynomials in hbar^2 of degree
-    <= ``order``, written in the B slot as ``zjj_construct`` writes E there.
-    """
-    if order < 0 or depth < 0:
-        raise DomainError("order >= 0 and depth >= 0 required")
-    acts = dunham.high_action_series(order, depth + 2 * order + 2)
-    # Each a_n is sum_h c_{n,h} s^h with s = sqrt(2u).  With t = 1/a,
-    # y = hbar^2 and s = a (1 + d), the condition over a reads
-    # 1 = sum_{n,h} c_{n,h} y^n t^(1-h) (1+d)^h: a polynomial in d whose
-    # coefficients are t-series over Q[y].  As a_0 = s + O(s^-3) and
-    # a_n = O(s^(-3-2n)) for n >= 1, d = O(t^4), so d^j vanishes past
-    # j = kmax // 4 and the binomial expansion of (1+d)^h stops there (at
-    # j = 1 or later, so that newton_solve has a derivative).
-    kmax = depth + 2
-    jmax = max(1, kmax // 4)
-    coeffs = [[PolyB()] * (kmax + 1) for _ in range(jmax + 1)]
-    for n, row in enumerate(acts):
-        for h, c in row.items():
-            if 1 - h <= kmax:
-                cj = c  # c_{n,h} times the binomial coefficient C(h, j)
-                for j in range(jmax + 1):
-                    coeffs[j][1 - h] += PolyB((0,) * n + (cj,))
-                    cj = cj * (h - j) / (j + 1)
-    d = newton_solve(
-        [PolySeries("1/a", kmax, col) for col in coeffs], PolySeries.const("1/a", kmax, 1), 0
-    )
-    return ((1 + d) ** 2 / 2).map_coeffs(lambda p: PolyB(p.c[: order + 1]))
 
 
 class ZjjFunctions(NamedTuple):
@@ -170,13 +136,20 @@ def zjj_quantization_solve(hbar: float, N: int, theta: float, order: int = 8) ->
             # by reflection 1/Gamma(1/2 - B) = cos(pi B) Gamma(1/2 + B)/pi, which
             # vanishes at the poles of Gamma(1/2 - B); past the double range
             # Gamma(1/2 + B) reads inf, so the two reciprocals read +-inf and 0
-            scale, cos_b = (32.0 / hbar) ** (-Bv), math.cos(math.pi * Bv)
+            cos_b = math.cos(math.pi * Bv)
             try:
                 gamma = math.gamma(0.5 + Bv)
             except OverflowError:
                 gamma = math.inf
-            t1 = scale * math.exp(Av / 2) * cos_b * gamma / math.pi
-            t2 = scale * math.exp(-Av / 2) / gamma
+            try:
+                scale = (32.0 / hbar) ** (-Bv)
+                t1 = scale * math.exp(Av / 2) * cos_b * gamma / math.pi
+                t2 = scale * math.exp(-Av / 2) / gamma
+            except OverflowError:
+                raise ConvergenceError(
+                    f"band-edge condition past the double range at hbar={hbar!r}, "
+                    f"N={N}, order {ord_used}"
+                ) from None
             lhs = t1 + cos_b * t2
             return lhs - 2 * math.cos(theta) / math.sqrt(2 * math.pi)
 

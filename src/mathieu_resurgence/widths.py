@@ -1,6 +1,6 @@
 """Non-perturbative spectral quantities: the one-instanton fluctuation
 series, band and gap widths, the single width formula valid on both sides
-of the barrier, barrier-top scalings, and large-order growth predictions.
+of the barrier, and large-order growth predictions.
 """
 from __future__ import annotations
 
@@ -16,11 +16,9 @@ from .errors import DomainError, RegimeWarning, StructureError, require_positive
 __all__ = [
     "WidthEstimate",
     "p_inst",
-    "p_inst_from_zjj",
     "band_width",
     "gap_width",
     "general_width_leading",
-    "barrier_top",
     "large_order_prediction",
     "INSTANTON_ACTION",
 ]
@@ -87,17 +85,6 @@ def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
     pref = [dudN[n + 1] for n in range(order + 1)]  # du/dN / hbar
     pref_series = PolySeries("hbar", order, pref)
     return pref_series * expo_series.exp()
-
-
-def p_inst_from_zjj(order: int) -> PolySeries:
-    """Independent route: P = (dE/dB) exp(-(A - 16/hbar)/2) from the
-    quantization functions; must agree with ``p_inst`` identically."""
-    from . import spectral
-
-    z = spectral.zjj_construct(order + 1)
-    dEdB = z.E_of_B.derivative_B().truncate(order)
-    half_A = z.A_of_B.truncate(order) / 2
-    return dEdB * (-half_A).exp()
 
 
 def band_width(hbar: float, N: int, order: int = 4) -> WidthEstimate:
@@ -208,23 +195,6 @@ def general_width_leading(hbar: float, u: float) -> float:
             stacklevel=2,
         )
     return hbar / math.pi / da0 * math.exp(-expo)
-
-
-def barrier_top(hbar: float) -> dict:
-    """Characteristic band/gap labels and splitting at the barrier top:
-
-    band center N + 1/2 = 8/(pi hbar), gap center N = 8/(pi hbar),
-    edges N +- 1/4 = 8/(pi hbar), and u = 1 +- pi hbar/16.
-    """
-    require_positive("hbar", hbar)
-    x = 8 / (math.pi * hbar)
-    return {
-        "N_band_center": x - 0.5,
-        "N_gap_center": x,
-        "N_edges": (x - 0.25, x + 0.25),
-        "u_split": (1 - math.pi * hbar / 16, 1 + math.pi * hbar / 16),
-        "Q_of_edge": lambda N, sign: math.pi ** 2 / 16 * (N + sign * 0.25) ** 2,
-    }
 
 
 def large_order_prediction(N: int, n: int) -> float:

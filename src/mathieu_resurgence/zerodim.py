@@ -23,7 +23,6 @@ _EULER = D("0.577215664901532860606512090082402431042159335939923598805767234884
 
 __all__ = [
     "SaddleExpansion",
-    "saddle_series",
     "lame_saddles",
     "lame_vacuum_symbolic",
     "sin2_vacuum_exact",
@@ -61,55 +60,6 @@ def _dfac(n: int) -> int:
         out *= n
         n -= 2
     return out
-
-
-def _gaussian_moments(taylor: list[Q], c2: Q, order: int) -> list[Q]:
-    """Coefficients b_0..b_order of sum_r b_r hbar^r, the Gaussian-moment
-    expansion of int exp(-(f - f(0))/hbar) ds / sqrt(pi hbar / c2).
-
-    ``taylor`` holds the rationals c_k of f = sum_k c_k s^k, with c_1 = 0
-    and c_2 = ``c2``.  With s -> sqrt(hbar) s, exp(-A) has
-    A = sum_{k>=3} c_k delta^(k-2) s^k, delta = sqrt(hbar): a delta-series
-    whose coefficients are polynomials in s (PolyB), exponentiated by
-    ``PolySeries.exp``.  b_r is its delta^(2r) coefficient with each s^(2j)
-    replaced by the Gaussian moment <s^(2j)> = (2j-1)!!/(2 c2)^j.
-    """
-    from .series import PolyB, PolySeries
-
-    A = PolySeries("delta", 2 * order, [0] + [
-        PolyB([0] * (d + 2) + [taylor[d + 2]]) for d in range(1, 2 * order + 1)
-    ])
-    e = (-A).exp()
-    out = []
-    for r in range(order + 1):
-        p = e[2 * r]  # even in s: a delta^d term carries s^(d + 2n) from A^n
-        out.append(sum((p[2 * j] * _dfac(2 * j - 1) / (2 * c2) ** j
-                        for j in range(p.degree // 2 + 1)), Q(0)))
-    return out
-
-
-def saddle_series(taylor, order: int) -> SaddleExpansion:
-    """Gaussian-moment expansion about a nondegenerate saddle: the reference
-    engine that the closed form of ``lame_saddles`` is checked against.
-
-    ``taylor``: exact coefficients [c0, c1, c2, c3, ...] of f along the
-    (possibly rotated) descent direction; requires c1 = 0 and c2 > 0.
-    """
-    from .series import PolyB
-
-    if order < 0:
-        raise DomainError(f"expansion order must be >= 0, got {order}")
-    taylor = [c.const_value() if isinstance(c, PolyB) else Q(c) for c in taylor]
-    if len(taylor) < 2 * order + 3:
-        raise DomainError(
-            f"order {order} needs Taylor data c_0..c_{2 * order + 2}, got {len(taylor)} entries"
-        )
-    if taylor[1] != 0:
-        raise DomainError("need Taylor data [S, 0, c2, ...] along the descent line")
-    c2 = taylor[2]
-    if c2 <= 0:
-        raise DomainError("degenerate or wrongly oriented saddle: c2 must be > 0")
-    return SaddleExpansion(taylor[0], c2, _gaussian_moments(taylor, c2, order))
 
 
 def _binomial_saddle(alpha, beta, order: int) -> list:

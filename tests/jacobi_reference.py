@@ -15,7 +15,11 @@ ever inverted.  Left at its default, the PolyB generator of Q[m], the
 parameter m makes every coefficient a polynomial in m; given as a rational
 p/q, the recursion runs on Python integers.  It is the oracle for the
 package's sd^2 and the source of the descent-line data that
-``tests/test_zerodim.py`` feeds to the Gaussian-moment engine.
+``tests/test_zerodim.py`` feeds to the Gaussian-moment engine, which lives
+here as well: ``saddle_series`` expands a saddle by exponentiating its
+Taylor data with ``PolySeries.exp`` and replacing each power by its
+Gaussian moment, the route that the closed form of
+``zerodim.lame_saddles`` is checked against.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from math import comb, factorial
 
 from mathieu_resurgence.errors import DomainError
 from mathieu_resurgence.series import PolyB, PolySeries
+from mathieu_resurgence.zerodim import SaddleExpansion
 
 _M = PolyB((0, 1))  # the parameter m as a polynomial
 
@@ -116,3 +121,56 @@ def saddle_potential_imag(order: int, m=_M) -> PolySeries:
     """
     p, q = _ratio(m)
     return PolySeries("z", order, _square(_triple(order, -q, p - q, q)[1], q, 0))
+
+
+def _dfac(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def _gaussian_moments(taylor: list[Q], c2: Q, order: int) -> list[Q]:
+    """Coefficients b_0..b_order of sum_r b_r hbar^r, the Gaussian-moment
+    expansion of int exp(-(f - f(0))/hbar) ds / sqrt(pi hbar / c2).
+
+    ``taylor`` holds the rationals c_k of f = sum_k c_k s^k, with c_1 = 0
+    and c_2 = ``c2``.  With s -> sqrt(hbar) s, exp(-A) has
+    A = sum_{k>=3} c_k delta^(k-2) s^k, delta = sqrt(hbar): a delta-series
+    whose coefficients are polynomials in s (PolyB), exponentiated by
+    ``PolySeries.exp``.  b_r is its delta^(2r) coefficient with each s^(2j)
+    replaced by the Gaussian moment <s^(2j)> = (2j-1)!!/(2 c2)^j.
+    """
+    A = PolySeries("delta", 2 * order, [0] + [
+        PolyB([0] * (d + 2) + [taylor[d + 2]]) for d in range(1, 2 * order + 1)
+    ])
+    e = (-A).exp()
+    out = []
+    for r in range(order + 1):
+        p = e[2 * r]  # even in s: a delta^d term carries s^(d + 2n) from A^n
+        out.append(sum((p[2 * j] * _dfac(2 * j - 1) / (2 * c2) ** j
+                        for j in range(p.degree // 2 + 1)), Q(0)))
+    return out
+
+
+def saddle_series(taylor, order: int) -> SaddleExpansion:
+    """Gaussian-moment expansion about a nondegenerate saddle: the reference
+    engine that the closed form of ``lame_saddles`` is checked against.
+
+    ``taylor``: exact coefficients [c0, c1, c2, c3, ...] of f along the
+    (possibly rotated) descent direction; requires c1 = 0 and c2 > 0.
+    """
+    if order < 0:
+        raise DomainError(f"expansion order must be >= 0, got {order}")
+    taylor = [c.const_value() if isinstance(c, PolyB) else Q(c) for c in taylor]
+    if len(taylor) < 2 * order + 3:
+        raise DomainError(
+            f"order {order} needs Taylor data c_0..c_{2 * order + 2}, got {len(taylor)} entries"
+        )
+    if taylor[1] != 0:
+        raise DomainError("need Taylor data [S, 0, c2, ...] along the descent line")
+    c2 = taylor[2]
+    if c2 <= 0:
+        raise DomainError("degenerate or wrongly oriented saddle: c2 must be > 0")
+    return SaddleExpansion(taylor[0], c2, _gaussian_moments(taylor, c2, order))

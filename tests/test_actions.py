@@ -3,16 +3,15 @@ from fractions import Fraction as Q
 
 import mpmath
 import pytest
+from references import barrier_top_a0, wronskian_defect
 
 from mathieu_resurgence import actions, dunham
 from mathieu_resurgence.actions import (
     action_higher,
     action_leading,
     action_leading_derivative,
-    barrier_top_a0,
     operator_a1,
     operator_a2,
-    wronskian_defect,
 )
 from mathieu_resurgence.errors import DomainError, PoleError, StructureError
 from mathieu_resurgence.series import PolyB, PolySeries, horner

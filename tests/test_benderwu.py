@@ -3,10 +3,10 @@ from fractions import Fraction as Q
 
 import mpmath
 import pytest
+from references import lame_energy_series
 
 from mathieu_resurgence.benderwu import (
     PotentialSeries,
-    lame_energy_series,
     lame_potential,
     large_order_fit,
     mathieu_well_potential,

@@ -143,7 +143,7 @@ class TestDiscriminant:
             discriminant(1.0, u)
 
     def test_value_past_the_double_range_stays_finite(self):
-        # |D| is about 1e620 here: a float would read -inf
+        # D is about -3.0e343 here: a float would read -inf
         d = discriminant(0.01, -0.99)
         assert mpmath.isfinite(d) and d < 0 and abs(d) > 1e308
         assert type(discriminant(0.5, 0.3)) is float

@@ -1,9 +1,12 @@
 import ast
+import importlib
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from references import barrier_top_a0
 
 import mathieu_resurgence
 from mathieu_resurgence import (
@@ -11,6 +14,7 @@ from mathieu_resurgence import (
     benderwu,
     charvalues,
     dunham,
+    series,
     spectral,
     widths,
     zerodim,
@@ -18,6 +22,7 @@ from mathieu_resurgence import (
 from mathieu_resurgence.errors import DomainError
 
 PKG_DIR = Path(mathieu_resurgence.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _raises_assertion_error(node) -> bool:
@@ -179,6 +184,121 @@ def test_every_record_field_is_read():
     assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []
 
 
+# exported names that nothing in the package or bench/ reads yet, each
+# with the reason it stays; every other export must have a reader there
+KEEP = {
+    "general_width_leading": "the band-edge widths of ROADMAP items 4, 9 and 15",
+    "operator_a1": "the exact route to the P/NP relation, ROADMAP item 13",
+    "operator_a2": "the exact route to the P/NP relation, ROADMAP item 13",
+    "large_order_prediction": "the quantitative large-order relation, ROADMAP item 2",
+    "large_order_fit": "ROADMAP item 2, and acceptance criterion 10",
+    "zjj_quantization_solve": "the exact quantization condition, ROADMAP items 5, 10 and 19",
+    "alphabeta_extract": "the corrected gap width, ROADMAP item 9",
+    "crossing_Q": "the oracle side of acceptance criterion 07",
+    "sin2_vacuum_exact": "the DomainError of lame_saddles at m = 0 names it",
+    "TransSeries": "bench/tracer.py wraps it by name, in SERIES_CLASSES",
+}
+# exports that left the package: test-only references now under tests/
+# (references.py, jacobi_reference.py), and two that had no reader at all
+REMOVED = (
+    "barrier_top", "transseries_substitute", "saddle_series", "bs_invert_strong",
+    "p_inst_from_zjj", "lame_energy_series", "wronskian_defect", "barrier_top_a0",
+)
+
+
+def _exports() -> dict[str, list[str]]:
+    """Each package module's __all__, read from its source."""
+    out = {}
+    for path in sorted(PKG_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                out[path.stem] = ast.literal_eval(node.value)
+    return out
+
+
+def _loaded_names(tree) -> set[str]:
+    """Names and attributes loaded in ``tree``, except inside a def or class
+    of the same name: a recursive call or a method is not a reader."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != owner:
+            found.add(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr != owner:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_export_has_a_reader():
+    # an export that only the tests call is a test reference and lives under
+    # tests/; an export that nothing calls is dead.  A name listed in
+    # __all__ is a string there, so its own __all__ entry never counts
+    read = set()
+    for path in [*sorted(PKG_DIR.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]:
+        read |= _loaded_names(ast.parse(path.read_text(), filename=str(path)))
+    exports = _exports()
+    assert exports
+    unread = [f"{mod}.{name}" for mod, names in exports.items() for name in names
+              if name not in read and name not in KEEP]
+    assert unread == []
+    exported = {name for names in exports.values() for name in names}
+    assert [name for name in KEEP if name not in exported] == []
+    assert [name for name in REMOVED if name in exported] == []
+
+
+def test_readme_module_table_matches_each_export_list():
+    # the package namespace exports only __version__, said under the table
+    rows = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("| `"):
+            rows[line.split("`")[1]] = line
+    exports = _exports()
+    del exports["__init__"]
+    missing = [f"{mod}.{name}" for mod, names in exports.items() for name in names
+               if f"`{name}`" not in rows.get(mod, "")]
+    assert missing == []
+    assert [(mod, name) for mod, row in rows.items() for name in REMOVED
+            if f"`{name}`" in row] == []
+
+
+def _tracer_names() -> dict:
+    """The literal name tables of bench/tracer.py, and SPAN_ATTRS's keys."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+            if name in ("SERIES_CLASSES", "SPAN_MODULES", "COUNTED_FUNCTIONS"):
+                out[name] = ast.literal_eval(node.value)
+            elif name == "SPAN_ATTRS":
+                out[name] = [ast.literal_eval(key) for key in node.value.keys]
+    return out
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # the tracer looks these names up with getattr and import_module, so a
+    # name deleted from the package would crash every traced benchmark run
+    names = _tracer_names()
+    assert set(names) == {"SERIES_CLASSES", "SPAN_MODULES", "COUNTED_FUNCTIONS", "SPAN_ATTRS"}
+    for cls_name in names["SERIES_CLASSES"]:
+        assert inspect.isclass(getattr(series, cls_name, None)), cls_name
+    for short in names["SPAN_MODULES"]:
+        importlib.import_module(f"mathieu_resurgence.{short}")
+    qualified = [f"{short}.{fn}" for short, fns in names["COUNTED_FUNCTIONS"].items()
+                 for fn in fns] + names["SPAN_ATTRS"]
+    for full in qualified:
+        short, fn = full.split(".")
+        mod = importlib.import_module(f"mathieu_resurgence.{short}")
+        assert inspect.isfunction(getattr(mod, fn, None)), full
+
+
 NAN, INF = math.nan, math.inf
 
 
@@ -189,8 +309,9 @@ NAN, INF = math.nan, math.inf
         (actions.action_leading, INF),
         (actions.action_leading_derivative, NAN),
         (actions.action_leading_derivative, INF),
-        (actions.barrier_top_a0, NAN),
-        (actions.barrier_top_a0, INF),
+        # the tests' barrier-top reference keeps the same domain check
+        (barrier_top_a0, NAN),
+        (barrier_top_a0, INF),
         (widths.general_width_leading, 0.3, NAN),
         (widths.general_width_leading, 0.3, INF),
         (widths.general_width_leading, 0.0, -0.5),

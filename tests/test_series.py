@@ -12,7 +12,6 @@ from mathieu_resurgence.series import (
     TransSeries,
     horner,
     newton_solve,
-    transseries_substitute,
 )
 
 
@@ -122,30 +121,6 @@ class TestTransSeries:
         TransSeries(8, good)  # l = 1 <= k-1 = 1, fine
         with pytest.raises(StructureError):
             TransSeries(8, {(1, 1): PolySeries.const("h", 2, 1)})
-
-    def test_substitute_zero_dnu(self):
-        u = S([PolyB((-1,)), PolyB((0, 1))], order=1)
-        dnu = TransSeries(8, {})
-        out = transseries_substitute(u, dnu)
-        assert out.perturbative == u
-        assert set(out.sectors) == {(0, 0)}
-
-    def test_substitute_linear(self):
-        # u = nu: output is N + delta-nu verbatim
-        u = PolySeries("h", 3, [PolyB((0, 1))])
-        dnu = TransSeries(8, {(1, 0): S([1, 2], order=3), (2, 1): S([0, 3], order=3)})
-        out = transseries_substitute(u, dnu)
-        assert out.sector(0, 0) == u
-        assert out.sector(1, 0) == dnu.sector(1, 0)
-        assert out.sector(2, 1) == dnu.sector(2, 1)
-
-    def test_substitute_one_instanton_derivative(self):
-        # u = u_pert to O(h^2); unit one-instanton monomial:
-        # sector (1,0) = du/dnu
-        u = S([PolyB((-1,)), PolyB((0, 1)), PolyB((Q(-1, 64), 0, Q(-1, 16)))], order=2)
-        dnu = TransSeries(8, {(1, 0): PolySeries.const("h", 2, 1)})
-        out = transseries_substitute(u, dnu)
-        assert out.sector(1, 0) == u.derivative_B()
 
     def test_product_respects_log_bound(self):
         a = TransSeries(8, {(1, 0): PolySeries.const("h", 3, 1)})

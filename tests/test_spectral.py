@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from references import bs_invert_strong
 
 from mathieu_resurgence.benderwu import mathieu_well_potential, polynomial_in_N
 from mathieu_resurgence.charvalues import char_a
@@ -9,7 +10,6 @@ from mathieu_resurgence.errors import ConvergenceError, DomainError, StructureEr
 from mathieu_resurgence.series import PolyB, PolySeries, horner
 from mathieu_resurgence.spectral import (
     alphabeta_extract,
-    bs_invert_strong,
     bs_invert_weak,
     gap_edge_series,
     zjj_A_from_E,
@@ -236,6 +236,14 @@ class TestQuantizationSolve:
         # 0 there, and the solve reports that no root is bracketed
         with pytest.raises(ConvergenceError, match="no bracketed root"):
             zjj_quantization_solve(1.0, 10, 0.0, order=4)
+
+    @pytest.mark.parametrize("hbar, N", [(0.3, 30), (1.0, 20), (0.1, 100), (3.0, 5)])
+    def test_double_range_overflow_is_a_convergence_error(self, hbar, N):
+        # e^(A/2) or (32/hbar)^-B of the order-4 condition leaves the double
+        # range inside the bracket: a typed error that names the point
+        with pytest.raises(ConvergenceError) as info:
+            zjj_quantization_solve(hbar, N, 0.3, order=4)
+        assert f"hbar={hbar!r}, N={N}, order 4" in str(info.value)
 
     def test_edges_against_oracle(self):
         from mathieu_resurgence.oracle import band_edges

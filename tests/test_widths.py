@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction as Q
 
 import pytest
+from references import bs_invert_strong, p_inst_from_zjj
 
 from mathieu_resurgence.benderwu import mathieu_well_potential, polynomial_in_N
 from mathieu_resurgence.errors import DomainError, RegimeWarning, StructureError
@@ -10,12 +11,10 @@ from mathieu_resurgence.series import PolyB
 from mathieu_resurgence.spectral import alphabeta_extract
 from mathieu_resurgence.widths import (
     band_width,
-    barrier_top,
     gap_width,
     general_width_leading,
     large_order_prediction,
     p_inst,
-    p_inst_from_zjj,
 )
 
 
@@ -267,23 +266,9 @@ class TestGeneralWidth:
 
 
 class TestBarrierTop:
-    @pytest.mark.parametrize("hbar", [0.0, math.nan, math.inf])
-    def test_rejects_nonfinite_hbar(self, hbar):
-        with pytest.raises(DomainError):
-            barrier_top(hbar)
-
-    def test_scalings(self):
-        bt = barrier_top(0.5)
-        x = 8 / (math.pi * 0.5)
-        assert bt["N_band_center"] == pytest.approx(x - 0.5)
-        assert bt["N_gap_center"] == pytest.approx(x)
-        assert bt["N_edges"] == (pytest.approx(x - 0.25), pytest.approx(x + 0.25))
-        assert bt["u_split"][1] - 1 == pytest.approx(math.pi * 0.5 / 16)
-        assert bt["Q_of_edge"](3, +1) == pytest.approx(math.pi**2 / 16 * 3.25**2)
-
     def test_weak_strong_consistency_at_top(self):
         # both expansions evaluated at the top scaling give u = 1 + O(hbar)
-        from mathieu_resurgence.spectral import bs_invert_strong, bs_invert_weak
+        from mathieu_resurgence.spectral import bs_invert_weak
 
         hbar = 0.12
         Nb = 8 / (math.pi * hbar) - 0.5
@@ -295,11 +280,11 @@ class TestBarrierTop:
         assert u_strong == pytest.approx(1.0, abs=0.12)
 
     def test_oracle_crossing_near_prediction(self):
-        # u = 1 lies in band N_band_center or gap N_gap_center within 0.5
+        # u = 1 lies within 0.5 of band x - 1/2 or of gap x, x = 8/(pi hbar)
         from mathieu_resurgence.oracle import band_edges
 
         hbar = 0.5
-        bt = barrier_top(hbar)
+        x = 8 / (math.pi * hbar)
         tb = {(p.N, p.edge): p.u for p in band_edges(hbar, 8)}
         location = None
         for N in range(8):
@@ -309,7 +294,7 @@ class TestBarrierTop:
                 location = ("gap", N)
         assert location is not None
         kind, N = location
-        ref = bt["N_band_center"] if kind == "band" else bt["N_gap_center"]
+        ref = x - 0.5 if kind == "band" else x
         assert abs(N - ref) <= 0.5
 
 

@@ -7,7 +7,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jacobi_reference import saddle_potential_imag, saddle_potential_real, sd_squared_taylor
+from jacobi_reference import (
+    saddle_potential_imag,
+    saddle_potential_real,
+    saddle_series,
+    sd_squared_taylor,
+)
 
 from mathieu_resurgence import zerodim
 from mathieu_resurgence.errors import ConvergenceError, DomainError
@@ -17,7 +22,6 @@ from mathieu_resurgence.zerodim import (
     exact_relation_check,
     lame_saddles,
     lame_vacuum_symbolic,
-    saddle_series,
     sin2_vacuum_exact,
     z_quadrature,
 )
