@@ -28,6 +28,7 @@ compute in `decimal`, which each imports inside the function that uses it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -63,6 +64,16 @@ def _require_hbar(hbar: float) -> None:
         raise DomainError(f"hbar <= {_HBAR_MAX:g} required by the Hill matrix, got {hbar!r}")
 
 
+def _require_integer(name: str, value, least: int) -> None:
+    """DomainError unless value is an integer (with ``__index__``) >= least."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"integer {name} >= {least} required, got {value!r}")
+
+
 def _capped(M):
     if not M <= _MAX_TRUNCATION:
         raise ConvergenceError(
@@ -77,9 +88,13 @@ class HillConfig(NamedTuple):
     dps: int | None = None  # extended-precision tier when set
 
     def resolve_truncation(self, hbar: float, n_bands: int) -> int:
+        # a NaN or an infinity here would never end the Sturm bisection
+        if not math.isfinite(self.potential_scale):
+            raise DomainError(f"finite potential scale required, got {self.potential_scale!r}")
+        if self.dps is not None:
+            _require_integer("dps", self.dps, 1)
         if self.truncation:
-            if self.truncation < 8:
-                raise DomainError("Fourier truncation must be at least 8")
+            _require_integer("Fourier truncation", self.truncation, 8)
             return _capped(self.truncation)
         # momenta engaged up to the classical turning scale plus decay margin
         umax = max(1.5, 1.2 + (n_bands + 1) * hbar + (n_bands + 1) ** 2 * hbar ** 2 / 8)
@@ -190,10 +205,11 @@ def band_edges(
     """
     cfg = cfg or HillConfig()
     _require_hbar(hbar)
+    _require_integer("band label N", N_max, 0)
     if edges is None:
         edges = [(N, edge) for N in range(N_max + 1) for edge in ("bottom", "top")]
-    if N_max < 0 or any(N < 0 for N, _ in edges):
-        raise DomainError("band label N >= 0 required")
+    for N, _ in edges:
+        _require_integer("band label N", N, 0)
     if any(edge not in ("bottom", "top") for _, edge in edges):
         raise DomainError(f"edge names are 'bottom' and 'top', got {edges!r}")
     M = cfg.resolve_truncation(hbar, N_max)
@@ -322,10 +338,7 @@ def width_num(hbar: float, N: int, kind: str) -> dict:
     """
     if kind not in ("band", "gap"):
         raise DomainError("kind is 'band' or 'gap'")
-    if kind == "gap" and N < 1:
-        raise DomainError("gap label N >= 1")
-    if N < 0:
-        raise DomainError("band label N >= 0 required")
+    _require_integer(f"{kind} label N", N, 1 if kind == "gap" else 0)
     _require_hbar(hbar)
     HillConfig().resolve_truncation(hbar, N)  # past the cap first: the estimates overflow there
     if kind == "band":
@@ -396,8 +409,7 @@ def figure1_dataset(hbar_grid, N_max: int = 19) -> list[dict]:
     are the natural reference lines and are recorded as metadata rows by
     the CLI serializer.
     """
-    if N_max < 0:
-        raise DomainError("band label N >= 0 required")
+    _require_integer("band label N", N_max, 0)
     rows = []
     for hbar in hbar_grid:
         rows += _rows(band_edges(hbar, N_max), 4 / hbar ** 2)
@@ -407,8 +419,7 @@ def figure1_dataset(hbar_grid, N_max: int = 19) -> list[dict]:
 def figure2_dataset(Q_grid, N_max: int = 12) -> list[dict]:
     """Band edges against Q = 4/hbar^2 near the barrier top u = 1, from
     the float-tier Hill matrix at its automatic truncation."""
-    if N_max < 0:
-        raise DomainError("band label N >= 0 required")
+    _require_integer("band label N", N_max, 0)
     rows = []
     for Qv in Q_grid:
         require_positive("Q", Qv)

@@ -47,11 +47,21 @@ def _tiny(x):
     return abs(x) * t + t
 
 
+def _finite(x) -> bool:
+    """x is neither NaN nor infinite, for a float, a Decimal or an mpf."""
+    return x == x and abs(x) != math.inf
+
+
 def count_below(d: Sequence, e: Sequence, x) -> int:
     """Number of eigenvalues strictly below x (Sturm sign count).
 
-    d: diagonal (n entries), e: off-diagonal (n-1 entries).
+    d: diagonal (n entries), e: off-diagonal (n-1 entries).  Only the
+    lengths and the shift are checked: `eigenvalues` checks the entries.
     """
+    n = len(d)
+    if not n or len(e) != n - 1 or x != x or abs(x) == math.inf:
+        raise DomainError(f"n >= 1 diagonal entries, n - 1 couplings and a finite shift "
+                          f"required, got {n}, {len(e)} and {x!r}")
     count = 0
     q = d[0] - x
     if q < 0:
@@ -123,23 +133,38 @@ def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
     Entries of another type: tol is the absolute tolerance, and each value
     carries count_below(v - tol/2) <= k < count_below(v + tol/2), counted
     in that type.
+
+    DomainError unless the entries are finite and the Gershgorin spread
+    and the squared couplings are finite in their arithmetic.
     """
     approx = dict(ks) if isinstance(ks, dict) else {}
     ks = sorted(set(ks))
+    if not len(d) or len(e) != len(d) - 1:
+        raise DomainError(f"n >= 1 diagonal entries and n - 1 couplings required, got "
+                          f"{len(d)} and {len(e)}")
     _check_indices(len(d), ks)
     if not ks:
         return {}
     floats = isinstance(d[0], float)
-    if not floats and tol is None:
-        raise DomainError("tol required for entries that are not floats")
+    if not floats and not (tol is not None and _finite(tol) and tol > 0):
+        raise DomainError(f"finite tol > 0 required for entries not floats, got {tol!r}")
+    # a NaN never ends the bisection, and an infinity or an overflowing
+    # spread or coupling square makes the Sturm pivots NaN
+    finite = math.isfinite if floats else _finite
+    if not (all(map(finite, d)) and all(map(finite, e))):
+        raise DomainError("finite matrix entries required")
     lo, hi = _gershgorin(d, e)
+    e2 = [v * v for v in e]
+    if not (_finite(hi - lo) and _finite(max(e2, default=0))):
+        raise DomainError("matrix entries too large for the Sturm counts in their arithmetic")
     unit = type(lo)
-    if not (floats or approx) and math.isfinite(float(lo)) and math.isfinite(float(hi)):
-        # the double-precision copy, unless the spectrum leaves the double range
+    span = float(hi) - float(lo)
+    if not (floats or approx) and math.isfinite(span * span):
+        # the double-precision copy, unless its spread or a squared coupling
+        # leaves the double range
         approx = eigenvalues([float(v) for v in d], [float(v) for v in e], ks)
     if floats:
         s = max(max(map(abs, e), default=0.0), _EPS * max(map(abs, d))) or sys.float_info.min
-    e2 = [v * v for v in e]
     w = max(abs(lo), abs(hi)) / _SEED_SPLIT
     # (a, b, count_below(a), count_below(b), the indices inside): a seed's
     # bracket where its two counts confirm it, and the Gershgorin interval

@@ -86,6 +86,13 @@ def _binomial_saddle(alpha, beta, order: int) -> list:
     return b
 
 
+def _rational(m) -> Q:
+    try:
+        return Q(m)
+    except (ValueError, OverflowError):  # a NaN, an infinity or malformed text
+        raise DomainError(f"finite rational m required, got {m!r}") from None
+
+
 def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
     """The three connected saddles of the doubly-periodic integrand.
 
@@ -95,7 +102,7 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
     the imaginary direction).  The coefficients are rationals in closed
     form (``_binomial_saddle``).
     """
-    m = Q(m)
+    m = _rational(m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1; use sin2_vacuum_exact at m=0")
     m1 = 1 - m
@@ -235,7 +242,7 @@ def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
     The dominant saddle flips from the real one (m < 1/2, non-alternating)
     to the imaginary one (m > 1/2, alternating).
     """
-    m = Q(m)
+    m = _rational(m)
     n_values = list(n_range)
     if not n_values or min(n_values) < 1 or j_max < 0:
         raise DomainError("need at least one coefficient index, each n >= 1, and j_max >= 0")
@@ -338,7 +345,7 @@ def borel_lateral_check(m: Q, hbar_list, j_max: int = 8) -> list[dict]:
     ``z_quadrature`` call for all hbar; the residual defect tracks the
     omitted sectors and shrinks exponentially as hbar decreases.
     """
-    m = Q(m)
+    m = _rational(m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1")
     hbar_list = list(hbar_list)

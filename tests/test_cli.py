@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import mathieu_resurgence
 from mathieu_resurgence import __main__ as script
-from mathieu_resurgence import cli, replay, runners
+from mathieu_resurgence import cli
 from mathieu_resurgence.cli import (
     EXIT_CONVERGENCE,
     EXIT_DOMAIN,
@@ -261,14 +261,15 @@ class TestExitCodes:
     @given(num=st.integers(-10**20, 10**20), den=st.integers(-10**6, 10**6).filter(bool),
            integer=st.booleans())
     def test_fraction_text_is_the_lowest_terms_of_fraction(self, num, den, integer):
-        # --m is parsed without building a Fraction; its text (the config in
-        # the metadata) must read as str(Fraction) does
+        # --m is parsed once to a Fraction; its text (the config in the
+        # metadata) must read as str(Fraction) does
         from fractions import Fraction
 
         if integer:
-            assert cli._fraction(str(num)) == str(Fraction(num))
+            got, want = cli._fraction(str(num)), Fraction(num)
         else:
-            assert cli._fraction(f"{num}/{den}") == str(Fraction(num, den))
+            got, want = cli._fraction(f"{num}/{den}"), Fraction(num, den)
+        assert type(got) is Fraction and str(got) == str(want)
 
     @pytest.mark.parametrize(
         "argv",
@@ -484,8 +485,8 @@ class TestOutputPlumbing:
         # another interpreter version is another key
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         run_script(capsys, "pert", "--order", "2", "--poly")
-        hexversion, crc = replay.code_key()
-        monkeypatch.setattr(replay, "code_key", lambda: [hexversion + 1, crc])
+        hexversion, crc = script.code_key()
+        monkeypatch.setattr(script, "code_key", lambda: [hexversion + 1, crc])
         run_script(capsys, "pert", "--order", "2", "--poly")
         assert len(list(tmp_path.iterdir())) == 2
 
@@ -495,8 +496,8 @@ class TestOutputPlumbing:
         _, fresh = run(capsys, "actions", "--n", "1", "--order", "3")
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         with monkeypatch.context() as m:
-            m.setattr(replay, "code_key", lambda: [0, 0])
-            m.setitem(runners.RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
+            m.setattr(script, "code_key", lambda: [0, 0])
+            m.setitem(cli.RUNNERS, "actions", lambda args: {"rows": [], "stale": True})
             _, stale = run_script(capsys, "actions", "--n", "1", "--order", "3")
         assert "stale" in json.loads(stale)
         code, out = run_script(capsys, "actions", "--n", "1", "--order", "3")
@@ -510,12 +511,12 @@ class TestOutputPlumbing:
         monkeypatch.setenv("MATHIEU_RESURGENCE_CACHE", str(tmp_path))
         stale = {"rows": [], "at_N": {"N": 0, "coefficients": [], "value": math.nan}}
         with monkeypatch.context() as m:
-            m.setattr(replay, "code_key", lambda: [0, 0])
-            m.setitem(runners.RUNNERS, "pert", lambda args: dict(stale))
+            m.setattr(script, "code_key", lambda: [0, 0])
+            m.setitem(cli.RUNNERS, "pert", lambda args: dict(stale))
             code, out = run_script(capsys, *argv)
         assert code == EXIT_OK and "NaN" in out
         with monkeypatch.context() as m:
-            m.setattr(replay, "code_key", lambda: [0, 0])
+            m.setattr(script, "code_key", lambda: [0, 0])
             assert run_script(capsys, *argv) == (EXIT_OK, out)
         code, out = run_script(capsys, *argv)
         assert code == EXIT_DOMAIN and out == ""
@@ -586,12 +587,12 @@ class TestGrids:
         np = pytest.importorskip("numpy")
         with np.errstate(invalid="ignore"):
             want = [repr(float(v)) for v in np.linspace(start, stop, num)]
-        assert [repr(v) for v in runners._linspace(start, stop, num)] == want
+        assert [repr(v) for v in cli._linspace(start, stop, num)] == want
 
     @pytest.mark.parametrize("stop", [2.5, 3.0, 3.5])
     def test_geomspace_within_an_ulp_of_numpy(self, stop):
         np = pytest.importorskip("numpy")
-        got = runners._geomspace(0.3, stop, 28)
+        got = cli._geomspace(0.3, stop, 28)
         want = [float(v) for v in np.geomspace(0.3, stop, 28)]
         assert got[0] == 0.3 and got[-1] == stop
         assert all(abs(a - b) <= math.ulp(b) for a, b in zip(got, want))
@@ -788,7 +789,7 @@ class TestImportCost:
     subcommand loads mpmath."""
 
     def test_every_subcommand_is_probed(self):
-        assert {argv[0] for argv in _ONE_PER_SUBCOMMAND} == set(runners.RUNNERS)
+        assert {argv[0] for argv in _ONE_PER_SUBCOMMAND} == set(cli.RUNNERS)
 
     @pytest.mark.parametrize(
         "argv",
@@ -974,7 +975,7 @@ def _replay_entries(cache) -> list:
 
 
 # what the CLI loads to parse options and compute a payload
-_FRONT_END = {"mathieu_resurgence.cli", "mathieu_resurgence.runners", "argparse", "json"}
+_FRONT_END = {"mathieu_resurgence.cli", "argparse", "json"}
 # checksum, rational, dataclass, numeric and oracle modules: a replayed
 # command loads none of them, and a computing run no dataclasses
 _NOT_ON_A_HIT = {"hashlib", "fractions", "dataclasses", "inspect", "numpy", "scipy", "mpmath",

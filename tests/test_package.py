@@ -14,6 +14,7 @@ from mathieu_resurgence import (
     benderwu,
     charvalues,
     dunham,
+    oracle,
     series,
     spectral,
     widths,
@@ -259,6 +260,8 @@ def test_readme_module_table_matches_each_export_list():
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("| `"):
             rows[line.split("`")[1]] = line
+    # a row of a module that no longer exists is stale
+    assert sorted(set(rows) - {path.stem for path in PKG_DIR.glob("*.py")}) == []
     exports = _exports()
     del exports["__init__"]
     missing = [f"{mod}.{name}" for mod, names in exports.items() for name in names
@@ -340,6 +343,14 @@ NAN, INF = math.nan, math.inf
         (benderwu.richardson, [1.0, 0.5, 0.25], -1),
         (zerodim.sin2_vacuum_exact, -1),
         (zerodim.borel_lateral_check, Fraction(1, 4), []),
+        (zerodim.exact_relation_check, NAN, range(8, 12, 4)),
+        # a non-finite potential scale would never end the Sturm bisection
+        (oracle.band_edges, 1.0, 2, oracle.HillConfig(potential_scale=NAN)),
+        (oracle.band_edges, 1.0, 2, oracle.HillConfig(potential_scale=INF)),
+        (oracle.band_edges, 1.0, 2, oracle.HillConfig(dps=0)),
+        (oracle.band_edges, 1.0, 2, oracle.HillConfig(truncation=9.5)),
+        (oracle.band_edges, 0.5, 1.5),
+        (oracle.width_num, 0.5, 1.5, "band"),
     ],
     ids=lambda call: f"{call[0].__name__}{call[1:]}",
 )

@@ -9,7 +9,9 @@ tests hold each path to the k-th eigenvalue found by a bisection written
 here, at 40 digits, and to their Sturm certificates.
 """
 import contextlib
+import math
 import sys
+from decimal import Decimal
 
 import mpmath
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_resurgence import tridiag
+from mathieu_resurgence.errors import DomainError
 
 DPS = 40
 TOL = mpmath.mpf(10) ** -30
@@ -236,3 +239,33 @@ def test_index_out_of_range():
         tridiag.eigenvalues([0.0, 1.0], [0.5], [2])
     with pytest.raises(ValueError):
         tridiag.eigenvalues([0.0, 1.0], [0.5], [-1], 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a NaN or an infinity would never end the bisection
+        ("eigenvalues", [math.nan, 2.0], [0.5], [0]),
+        ("eigenvalues", [math.inf, 2.0], [0.5], [0]),
+        ("eigenvalues", [1.0, 2.0], [math.nan], [0]),
+        # finite entries whose Gershgorin spread overflows
+        ("eigenvalues", [1e308, -1e308], [1e308], [0, 1]),
+        # and whose squared coupling overflows
+        ("eigenvalues", [0.0, 0.0, 0.0], [1e200, 1e200], [0]),
+        ("eigenvalues", [1.0, 2.0, 3.0], [0.5], [0]),
+        ("eigenvalues", [], [], []),
+        # a zero tolerance never ends the bisection either
+        ("eigenvalues", [Decimal(1), Decimal(2)], [Decimal("0.5")], [0], Decimal("NaN")),
+        ("eigenvalues", [Decimal(1), Decimal(2)], [Decimal("0.5")], [0], Decimal(0)),
+        ("count_below", [], [], 0.0),
+        ("count_below", [1.0, 2.0, 3.0], [0.5], 0.0),
+        ("count_below", [1.0, 2.0], [0.5, 0.5, 9.0], 0.0),
+        ("count_below", [1.0, 2.0], [0.5], math.nan),
+        ("count_below", [1.0, 2.0], [0.5], -math.inf),
+    ],
+    ids=repr,
+)
+def test_rejects_malformed_matrices(call):
+    name, *args = call
+    with pytest.raises(DomainError):
+        getattr(tridiag, name)(*args)
