@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConvergenceError, DomainError, StructureError
+from .errors import ConvergenceError, DomainError, StructureError, require_integer, require_rational
 from .series import PolyB, PolySeries
 
 __all__ = [
@@ -66,7 +66,7 @@ def lame_potential(m: Q, order: int) -> PotentialSeries:
     """sd^2(y | m)/2, the elliptic well in canonical normalization."""
     from .jacobi_exact import sd_squared_taylor
 
-    m = Q(m)
+    m = require_rational("m", m)
     if not 0 <= m <= 1:
         raise DomainError("m in [0, 1]")
     coeffs = tuple(c / 2 for c in sd_squared_taylor(order, m))
@@ -97,8 +97,7 @@ def rs_series(
 
     The hbar^0 coefficient is V(0); hbar^1 carries the harmonic w(N+1/2).
     """
-    if N < 0 or order < 1:
-        raise DomainError("need N >= 0 and order >= 1")
+    N, order = require_integer("level N", N, 0), require_integer("order", order, 1)
     w = _sqrt_q(2 * V.taylor[2])
     jmax = 2 * (order - 1)
     needed = jmax + 2
@@ -190,6 +189,7 @@ def polynomial_in_N(V: PotentialSeries, order: int) -> PolySeries:
     polynomial in B = N + 1/2 must reproduce the extra level exactly,
     otherwise the degree assumption is violated and we raise.
     """
+    order = require_integer("order", order, 1)
     levels = [rs_series(V, N, order) for N in range(order + 2)]
     bs = [Q(2 * N + 1, 2) for N in range(order + 2)]
     out: list[PolyB] = []
@@ -228,8 +228,9 @@ def richardson(seq: Sequence, steps: int, n0: int = 1):
     is the true index of the first entry.
     """
     work = list(seq)
-    if not work or steps < 0:
-        raise DomainError(f"need a nonempty sequence and steps >= 0, got {len(work)}, {steps}")
+    steps = require_integer("steps", steps, 0)
+    if not work:
+        raise DomainError("need a nonempty sequence")
     ns = list(range(n0, n0 + len(work)))
     for k in range(1, steps + 1):
         if len(work) < 2:

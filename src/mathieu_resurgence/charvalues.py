@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .series import PolyB, PolySeries
 
 __all__ = ["char_a", "char_b"]
@@ -35,10 +35,7 @@ def _conv(vec: dict[int, Q], sine: bool) -> dict[int, Q]:
 
 
 def _char_series(N: int, order: int, kind: str) -> PolySeries:
-    # a non-integer N has no resonant harmonic: the series would silently
-    # start at N^2 and never correct it
-    if not (isinstance(N, int) and isinstance(order, int)) or N < 0 or order < 0:
-        raise DomainError(f"need integers N >= 0 and order >= 0, got N={N!r}, order={order!r}")
+    N, order = require_integer("label N", N, 0), require_integer("order", order, 0)
     if kind == "b" and N == 0:
         raise DomainError("b_0 does not exist")
     # coefficient vectors per q-order: list of dict harmonic -> Q

@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, RegimeWarning, require_positive
+from .errors import ConvergenceError, DomainError, RegimeWarning, require_integer, require_positive
 
 __all__ = ["main", "run"]
 
@@ -208,17 +208,13 @@ def to_pretty(payload: dict, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_level(N) -> None:
-    if N is not None and N < 0:
-        raise DomainError(f"level N >= 0 required, got {N}")
-
-
 def _run_pert(args) -> dict:
     from fractions import Fraction as Q
 
     from . import spectral
 
-    _require_level(args.N)
+    if args.N is not None:
+        require_integer("level N", args.N, 0)
     series = spectral.bs_invert_weak(args.order)
     out: dict = {"rows": _series_rows(series, "hbar")}
     if args.N is not None:
@@ -267,7 +263,8 @@ def _run_pinst(args) -> dict:
 
     from . import widths
 
-    _require_level(args.N)
+    if args.N is not None:
+        require_integer("level N", args.N, 0)
     P = widths.p_inst(args.order)
     out: dict = {"rows": _series_rows(P, "hbar")}
     if args.N is not None:
@@ -314,8 +311,7 @@ def _run_spectrum(args) -> dict:
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """numpy.linspace(start, stop, num), value for value."""
-    if num < 0:
-        raise DomainError(f"--points must be >= 0, got {num}")
+    num = require_integer("--points", num, 0)
     start, stop = float(start), float(stop)
     if num < 2:  # numpy's 0 * delta + start: NaN when stop - start is not finite
         return [0 * (stop - start) + start] * num

@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import comb, factorial, gcd, lcm
 
-from .errors import DomainError, StructureError
+from .errors import StructureError, require_integer
 
 __all__ = ["well_action_series", "high_action_series"]
 
@@ -185,8 +185,8 @@ def well_action_series(n_max: int, eps_order: int) -> list[list[Q]]:
 
     Returns L with L[n][k] the coefficient of eps^k in a_n, k <= eps_order.
     """
-    if n_max < 0 or eps_order < 0:
-        raise DomainError(f"need n_max >= 0 and eps_order >= 0, got {n_max}, {eps_order}")
+    n_max = require_integer("n_max", n_max, 0)
+    eps_order = require_integer("eps_order", eps_order, 0)
     v = _riccati(_WELL, 2 * n_max)
     out = []
     for n in range(n_max + 1):
@@ -233,8 +233,7 @@ def high_action_series(n_max: int, depth: int) -> list[dict[int, Q]]:
     ``depth`` bounds how far down in powers of 1/u the expansion goes:
     terms with h >= h_lead - 2*depth are kept.
     """
-    if n_max < 0 or depth < 0:
-        raise DomainError(f"need n_max >= 0 and depth >= 0, got {n_max}, {depth}")
+    n_max, depth = require_integer("n_max", n_max, 0), require_integer("depth", depth, 0)
     v = _riccati(_HIGH, 2 * n_max)
     out = []
     for n in range(n_max + 1):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 
 __all__ = ["sd_squared_taylor"]
 
@@ -26,8 +26,7 @@ __all__ = ["sd_squared_taylor"]
 def sd_squared_taylor(order: int, m) -> list[Q]:
     """The Taylor coefficients c_0..c_order of sd^2(z | m) about z = 0, at a
     rational m (an int or a Fraction)."""
-    if order < 0:
-        raise DomainError(f"truncation order must be >= 0, got {order}")
+    order = require_integer("truncation order", order, 0)
     if not isinstance(m, (int, Q)):
         raise DomainError(f"m must be an int or a Fraction, got {type(m).__name__}")
     m = Q(m)

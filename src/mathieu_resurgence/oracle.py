@@ -28,12 +28,14 @@ compute in `decimal`, which each imports inside the function that uses it.
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import tridiag
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import ConvergenceError, DomainError, require_integer, require_positive
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 __all__ = [
     "HillConfig",
@@ -64,16 +66,6 @@ def _require_hbar(hbar: float) -> None:
         raise DomainError(f"hbar <= {_HBAR_MAX:g} required by the Hill matrix, got {hbar!r}")
 
 
-def _require_integer(name: str, value, least: int) -> None:
-    """DomainError unless value is an integer (with ``__index__``) >= least."""
-    try:
-        ok = operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise DomainError(f"integer {name} >= {least} required, got {value!r}")
-
-
 def _capped(M):
     if not M <= _MAX_TRUNCATION:
         raise ConvergenceError(
@@ -92,10 +84,9 @@ class HillConfig(NamedTuple):
         if not math.isfinite(self.potential_scale):
             raise DomainError(f"finite potential scale required, got {self.potential_scale!r}")
         if self.dps is not None:
-            _require_integer("dps", self.dps, 1)
+            require_integer("dps", self.dps, 1)
         if self.truncation:
-            _require_integer("Fourier truncation", self.truncation, 8)
-            return _capped(self.truncation)
+            return _capped(require_integer("Fourier truncation", self.truncation, 8))
         # momenta engaged up to the classical turning scale plus decay margin
         umax = max(1.5, 1.2 + (n_bands + 1) * hbar + (n_bands + 1) ** 2 * hbar ** 2 / 8)
         k_turn = math.sqrt(2 * (umax + 1.5)) / hbar
@@ -205,11 +196,10 @@ def band_edges(
     """
     cfg = cfg or HillConfig()
     _require_hbar(hbar)
-    _require_integer("band label N", N_max, 0)
+    N_max = require_integer("band label N", N_max, 0)
     if edges is None:
         edges = [(N, edge) for N in range(N_max + 1) for edge in ("bottom", "top")]
-    for N, _ in edges:
-        _require_integer("band label N", N, 0)
+    edges = [(require_integer("band label N", N, 0), edge) for N, edge in edges]
     if any(edge not in ("bottom", "top") for _, edge in edges):
         raise DomainError(f"edge names are 'bottom' and 'top', got {edges!r}")
     M = cfg.resolve_truncation(hbar, N_max)
@@ -338,7 +328,7 @@ def width_num(hbar: float, N: int, kind: str) -> dict:
     """
     if kind not in ("band", "gap"):
         raise DomainError("kind is 'band' or 'gap'")
-    _require_integer(f"{kind} label N", N, 1 if kind == "gap" else 0)
+    N = require_integer(f"{kind} label N", N, 1 if kind == "gap" else 0)
     _require_hbar(hbar)
     HillConfig().resolve_truncation(hbar, N)  # past the cap first: the estimates overflow there
     if kind == "band":
@@ -409,7 +399,7 @@ def figure1_dataset(hbar_grid, N_max: int = 19) -> list[dict]:
     are the natural reference lines and are recorded as metadata rows by
     the CLI serializer.
     """
-    _require_integer("band label N", N_max, 0)
+    require_integer("band label N", N_max, 0)
     rows = []
     for hbar in hbar_grid:
         rows += _rows(band_edges(hbar, N_max), 4 / hbar ** 2)
@@ -419,7 +409,7 @@ def figure1_dataset(hbar_grid, N_max: int = 19) -> list[dict]:
 def figure2_dataset(Q_grid, N_max: int = 12) -> list[dict]:
     """Band edges against Q = 4/hbar^2 near the barrier top u = 1, from
     the float-tier Hill matrix at its automatic truncation."""
-    _require_integer("band label N", N_max, 0)
+    require_integer("band label N", N_max, 0)
     rows = []
     for Qv in Q_grid:
         require_positive("Q", Qv)

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 from typing import Callable, NamedTuple
 
 from . import dunham
-from .errors import ConvergenceError, DomainError, StructureError, require_positive
+from .errors import ConvergenceError, DomainError, StructureError, require_integer, require_positive
 from .series import PolyB, PolySeries, horner, newton_solve
 
 __all__ = [
@@ -36,8 +36,7 @@ def bs_invert_weak(order: int, progress: Callable[[float], None] | None = None) 
     doubling in hbar; coefficients come out as polynomials in B = N + 1/2.
     The hbar^0 coefficient is -1 (the well bottom).
     """
-    if order < 1:
-        raise DomainError("order >= 1 required")
+    order = require_integer("order", order, 1)
     # F(v) = 2 sum_n hbar^(2n) a_n(v) as a polynomial in v = u + 1 whose
     # coefficients are series in hbar; solve F(v) = hbar B for v = O(hbar).
     graded = [PolyB()] * (order + 1)
@@ -64,8 +63,7 @@ class ZjjFunctions(NamedTuple):
 def zjj_construct(order: int) -> ZjjFunctions:
     """Build E(hbar,B), B(hbar,E), A(hbar,B), A(hbar,E) from the
     perturbative series alone, all to hbar^order."""
-    if order < 0:
-        raise DomainError(f"order >= 0 required, got {order}")
+    order = require_integer("order", order, 0)
     up = bs_invert_weak(order + 2)
     # E = (u + 1)/hbar; one extra order so A reaches hbar^order below
     E_full = PolySeries("hbar", order + 1, [up[n + 1] for n in range(order + 2)])
@@ -118,12 +116,10 @@ def zjj_quantization_solve(hbar: float, N: int, theta: float, order: int = 8) ->
     uncertainty estimated by redoing the solve one order lower.
     """
     require_positive("hbar", hbar)
-    if N < 0:
-        raise DomainError(f"band label N >= 0 required, got {N}")
+    N = require_integer("band label N", N, 0)
     if not math.isfinite(theta):
         raise DomainError(f"finite theta required, got {theta!r}")
-    if order < 1:
-        raise DomainError(f"order >= 1 required, got {order}")
+    order = require_integer("order", order, 1)
     z = zjj_construct(order)
 
     def solve_at(ord_used: int) -> float:
@@ -213,10 +209,6 @@ def gap_edge_series(N: int, order: int) -> GapEdges:
     """Exact strong-coupling expansions of the two edges of gap N."""
     from . import charvalues
 
-    if N < 0:
-        raise DomainError("N >= 0")
-    if order < 0:
-        raise DomainError(f"order >= 0 required, got {order}")
     upper = charvalues.char_a(N, order)
     lower = charvalues.char_b(N, order) if N >= 1 else None
     return GapEdges(lower=lower, upper=upper)
@@ -232,10 +224,8 @@ def alphabeta_extract(N: int, order: int) -> tuple[list[Q], list[Q]]:
     Returns (alpha, beta) as exact rationals.  The splitting starts at
     q^N, so order >= N is required.
     """
-    if N < 1:
-        raise DomainError("gap label N >= 1 required")
-    if order < N:
-        raise DomainError(f"order >= N required for the splitting at q^{N}, got order {order}")
+    N = require_integer("gap label N", N, 1)
+    order = require_integer("order", order, N)
     edges = gap_edge_series(N, order)
     a, b = edges.upper, edges.lower
     mean = (a + b) / 2

@@ -31,7 +31,7 @@ import sys
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 
 __all__ = ["count_below", "eigenvalues"]
 
@@ -112,11 +112,6 @@ def _gershgorin(d: Sequence, e: Sequence):
     return lo - one, hi + one
 
 
-def _check_indices(n: int, ks) -> None:
-    if any(not 0 <= k < n for k in ks):
-        raise DomainError(f"eigenvalue index outside 0..{n - 1}")
-
-
 def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
     """The eigenvalues of indices ks (0 = smallest).
 
@@ -134,15 +129,17 @@ def eigenvalues(d: Sequence, e: Sequence, ks: Iterable[int], tol=None) -> dict:
     carries count_below(v - tol/2) <= k < count_below(v + tol/2), counted
     in that type.
 
-    DomainError unless the entries are finite and the Gershgorin spread
-    and the squared couplings are finite in their arithmetic.
+    DomainError unless each index is an integer in 0..n-1, the entries are
+    finite, and the Gershgorin spread and the squared couplings are finite
+    in their arithmetic.
     """
     approx = dict(ks) if isinstance(ks, dict) else {}
-    ks = sorted(set(ks))
+    ks = sorted({require_integer("eigenvalue index", k, 0) for k in ks})
     if not len(d) or len(e) != len(d) - 1:
         raise DomainError(f"n >= 1 diagonal entries and n - 1 couplings required, got "
                           f"{len(d)} and {len(e)}")
-    _check_indices(len(d), ks)
+    if ks and ks[-1] >= len(d):
+        raise DomainError(f"eigenvalue index outside 0..{len(d) - 1}")
     if not ks:
         return {}
     floats = isinstance(d[0], float)

@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import DomainError, RegimeWarning, StructureError, require_positive
+from .errors import DomainError, RegimeWarning, StructureError, require_integer, require_positive
+
+if TYPE_CHECKING:
+    from .series import PolySeries
 
 # `spectral`, `series` and `fractions` are imported inside the functions
 # that use them, so that a gap width loads none of them
@@ -65,8 +68,7 @@ def p_inst(order: int, u_series: PolySeries | None = None) -> PolySeries:
     from . import spectral
     from .series import PolyB, PolySeries
 
-    if order < 0:
-        raise DomainError(f"order >= 0 required, got {order}")
+    order = require_integer("order", order, 0)
     S = INSTANTON_ACTION
     up = u_series if u_series is not None else spectral.bs_invert_weak(order + 2)
     if up.order < order + 2:
@@ -99,8 +101,7 @@ def band_width(hbar: float, N: int, order: int = 4) -> WidthEstimate:
     formulas in the literature differ among themselves by a factor 2 and
     the smaller normalization does not match the actual spectrum.
     """
-    if N < 0:
-        raise DomainError("band label N >= 0 required")
+    N = require_integer("band label N", N, 0)
     require_positive("hbar", hbar)
     if N * hbar > 1.0:
         warnings.warn(
@@ -137,8 +138,7 @@ def gap_width(hbar: float, N: int) -> WidthEstimate:
     the barrier top, N hbar <= 2 sqrt(2), and above it wherever
     |beta_1|/hbar^4 > 0.05; the second names that value.
     """
-    if N < 1:
-        raise DomainError("no gap below the first band in this labeling")
+    N = require_integer("gap label N", N, 1)
     require_positive("hbar", hbar)
     if N * hbar <= 2 * math.sqrt(2):
         warnings.warn(
@@ -208,8 +208,7 @@ def large_order_prediction(N: int, n: int) -> float:
     N = 0, 1 and 2.  The value is a float, one rounding of a ratio of
     integers, with pi to 30 digits.
     """
-    if N < 0 or n < 0:
-        raise DomainError(f"need N >= 0 and n >= 0, got N={N}, n={n}")
+    N, n = require_integer("band label N", N, 0), require_integer("order n", n, 0)
     num = 4 ** N * math.factorial(n + 2 * N) * 10 ** 29
     den = math.factorial(N) ** 2 * 16 ** (n + 2 * N + 1) * 314159265358979323846264338328
     try:

@@ -15,7 +15,13 @@ from decimal import Decimal as D
 from fractions import Fraction as Q
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, require_positive
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    require_integer,
+    require_positive,
+    require_rational,
+)
 
 # pi and Euler's gamma to 77 digits, above every precision used here
 _PI = D("3.1415926535897932384626433832795028841971693993751058209749445923078164062862")
@@ -75,8 +81,7 @@ def _binomial_saddle(alpha, beta, order: int) -> list:
     b_(r+1) = (r+1/2)/(r+1) (s (r+1/2) b_r - p r (r-1/2) b_(r-1)), b_0 = 1.
     alpha, beta: rationals or PolyB polynomials in m; b_r lies in their ring.
     """
-    if order < 0:
-        raise DomainError(f"expansion order must be >= 0, got {order}")
+    order = require_integer("expansion order", order, 0)
     s, p = alpha + beta, alpha * beta
     # s ** 0 is the ring's one; at r = 0 the factor r voids b[r - 1]
     b = [s ** 0]
@@ -84,13 +89,6 @@ def _binomial_saddle(alpha, beta, order: int) -> list:
         b.append((s * b[r] * Q(2 * r + 1, 2) - p * b[r - 1] * Q(r * (2 * r - 1), 2))
                  * Q(2 * r + 1, 2 * r + 2))
     return b
-
-
-def _rational(m) -> Q:
-    try:
-        return Q(m)
-    except (ValueError, OverflowError):  # a NaN, an infinity or malformed text
-        raise DomainError(f"finite rational m required, got {m!r}") from None
 
 
 def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
@@ -102,7 +100,7 @@ def lame_saddles(m: Q, order: int) -> dict[str, SaddleExpansion]:
     the imaginary direction).  The coefficients are rationals in closed
     form (``_binomial_saddle``).
     """
-    m = _rational(m)
+    m = require_rational("m", m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1; use sin2_vacuum_exact at m=0")
     m1 = 1 - m
@@ -125,8 +123,7 @@ def sin2_vacuum_exact(r: int) -> Q:
     """Closed form for the sin^2 vacuum coefficients:
     Gamma(r+1/2)^2/(sqrt(pi) r!) normalized by the Gaussian prefactor
     sqrt(pi), i.e. ((2r-1)!!)^2 / (4^r r!)."""
-    if r < 0:
-        raise DomainError(f"coefficient index r >= 0 required, got {r}")
+    r = require_integer("coefficient index r", r, 0)
     return Q(_dfac(2 * r - 1) ** 2, 4 ** r * math.factorial(r))
 
 
@@ -242,10 +239,11 @@ def exact_relation_check(m: Q, n_range, j_max: int = 6) -> dict:
     The dominant saddle flips from the real one (m < 1/2, non-alternating)
     to the imaginary one (m > 1/2, alternating).
     """
-    m = _rational(m)
-    n_values = list(n_range)
-    if not n_values or min(n_values) < 1 or j_max < 0:
-        raise DomainError("need at least one coefficient index, each n >= 1, and j_max >= 0")
+    m = require_rational("m", m)
+    n_values = [require_integer("coefficient index n", n, 1) for n in n_range]
+    j_max = require_integer("j_max", j_max, 0)
+    if not n_values:
+        raise DomainError("need at least one coefficient index")
     sads = lame_saddles(m, max(n_values))
     vac = sads["vacuum"]
     rows = []
@@ -345,7 +343,7 @@ def borel_lateral_check(m: Q, hbar_list, j_max: int = 8) -> list[dict]:
     ``z_quadrature`` call for all hbar; the residual defect tracks the
     omitted sectors and shrinks exponentially as hbar decreases.
     """
-    m = _rational(m)
+    m = require_rational("m", m)
     if not 0 < m < 1:
         raise DomainError("saddle set needs 0 < m < 1")
     hbar_list = list(hbar_list)
@@ -353,8 +351,7 @@ def borel_lateral_check(m: Q, hbar_list, j_max: int = 8) -> list[dict]:
         raise DomainError("need at least one hbar")
     for hb in hbar_list:
         require_positive("hbar", hb)
-    if j_max < 0:
-        raise DomainError(f"need j_max >= 0, got {j_max}")
+    j_max = require_integer("j_max", j_max, 0)
     rows = []
     # |a_n| hbar^n ~ (n-1)! (hbar/|S|)^n is smallest near n = |S|/hbar for the
     # nearer saddle, |S| = min(1/(1-m), 1/m); a few orders past it show the

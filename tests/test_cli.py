@@ -854,6 +854,19 @@ class TestImportCost:
             assert code == EXIT_OK and "mathieu_resurgence.dunham" in mods
             assert not {"mathieu_resurgence.actions", "mathieu_resurgence.series"} & mods
 
+    @pytest.mark.parametrize(
+        "argv",
+        [(), *(argv for argv in _ONE_PER_SUBCOMMAND
+               if argv[0] in ("spectrum", "figure1", "figure2", "widths"))],
+    )
+    def test_import_and_float_tier_load_no_exact_arithmetic(self, argv):
+        # `import mathieu_resurgence.cli` is the benchmark's set-up probe, and
+        # the float tier (widths here is --kind gap) needs neither rationals
+        # nor decimals: `errors.require_rational` imports fractions when called
+        code, mods = _probe(*argv)
+        assert code == (EXIT_OK if argv else None)
+        assert not {"fractions", "decimal"} & (mods - _bare_modules())
+
     def test_import_loads_no_numeric_stack(self):
         _, mods = _probe()
         assert not {"numpy", "scipy", "mpmath", "mathieu_resurgence.series"} & mods

@@ -1,7 +1,11 @@
 import ast
 import importlib
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +18,7 @@ from mathieu_resurgence import (
     benderwu,
     charvalues,
     dunham,
+    jacobi_exact,
     oracle,
     series,
     spectral,
@@ -254,6 +259,38 @@ def test_every_export_has_a_reader():
     assert [name for name in REMOVED if name in exported] == []
 
 
+_HINTS = """
+import importlib, inspect, json, pkgutil, typing
+
+typing.TYPE_CHECKING = True
+import mathieu_resurgence
+
+failed = []
+for info in pkgutil.iter_modules(mathieu_resurgence.__path__):
+    mod = importlib.import_module("mathieu_resurgence." + info.name)
+    for name in getattr(mod, "__all__", ()):
+        obj = getattr(mod, name)
+        for member in [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]:
+            if inspect.isfunction(member) or inspect.isclass(member):
+                try:
+                    typing.get_type_hints(member)
+                except Exception as exc:
+                    failed.append(f"{info.name}.{name}: {exc!r}")
+print(json.dumps(failed))
+"""
+
+
+def test_every_export_resolves_its_type_hints():
+    # a name that only a hint needs is imported under TYPE_CHECKING, free at
+    # run time; a fresh interpreter that sets it, as a type checker does,
+    # must resolve the hints of every export and of its methods
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PKG_DIR.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _HINTS], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == []
+
+
 def test_readme_module_table_matches_each_export_list():
     # the package namespace exports only __version__, said under the table
     rows = {}
@@ -351,6 +388,30 @@ NAN, INF = math.nan, math.inf
         (oracle.band_edges, 1.0, 2, oracle.HillConfig(truncation=9.5)),
         (oracle.band_edges, 0.5, 1.5),
         (oracle.width_num, 0.5, 1.5, "band"),
+        # an integer argument is anything with __index__: every float fails
+        (widths.band_width, 0.3, 1.5),
+        (widths.gap_width, 0.3, 1.5),
+        (widths.p_inst, 2.5),
+        (widths.large_order_prediction, 1.5, 3),
+        (widths.large_order_prediction, 0, 2.5),
+        (benderwu.rs_series, benderwu.mathieu_well_potential(8), 1.5, 2),
+        (benderwu.rs_series, benderwu.mathieu_well_potential(8), 0, 2.5),
+        (benderwu.lame_potential, Fraction(1, 4), 8.5),
+        (benderwu.lame_potential, NAN, 8),
+        (benderwu.polynomial_in_N, benderwu.mathieu_well_potential(12), 2.5),
+        (benderwu.richardson, [1.0, 0.5, 0.25], 1.5),
+        # a level that does not exist would otherwise return a band edge
+        (spectral.zjj_quantization_solve, 0.3, 1.5, 0.0),
+        (spectral.bs_invert_weak, 2.5),
+        (spectral.zjj_construct, 2.5),
+        (dunham.well_action_series, 1.5, 3),
+        (dunham.high_action_series, 1, 2.5),
+        (zerodim.lame_saddles, Fraction(1, 4), 2.5),
+        (zerodim.sin2_vacuum_exact, 1.5),
+        (zerodim.exact_relation_check, Fraction(1, 4), [8.5]),
+        (zerodim.borel_lateral_check, Fraction(1, 4), [0.1], 2.5),
+        (zerodim.lame_vacuum_symbolic, 2.5),
+        (jacobi_exact.sd_squared_taylor, 2.5, Fraction(1, 4)),
     ],
     ids=lambda call: f"{call[0].__name__}{call[1:]}",
 )

@@ -254,6 +254,9 @@ def test_index_out_of_range():
         ("eigenvalues", [0.0, 0.0, 0.0], [1e200, 1e200], [0]),
         ("eigenvalues", [1.0, 2.0, 3.0], [0.5], [0]),
         ("eigenvalues", [], [], []),
+        # an index is an integer: 1.5 and 0.5 would name eigenvalues 1 and 0
+        ("eigenvalues", [1.0, 2.0, 3.0], [0.5, 0.5], [1.5]),
+        ("eigenvalues", [1.0, 2.0, 3.0], [0.5, 0.5], {0.5: 1.0}),
         # a zero tolerance never ends the bisection either
         ("eigenvalues", [Decimal(1), Decimal(2)], [Decimal("0.5")], [0], Decimal("NaN")),
         ("eigenvalues", [Decimal(1), Decimal(2)], [Decimal("0.5")], [0], Decimal(0)),
