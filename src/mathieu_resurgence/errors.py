@@ -42,12 +42,15 @@ def require_integer(name: str, value, least: int) -> int:
     """value as an int, unless DomainError: an integer argument is anything
     with ``__index__`` (an int, a bool, a numpy integer) and >= least; every
     float fails, 3.0 included."""
-    from operator import index
+    n = value
+    # a plain int skips the import: tridiag checks each eigenvalue index here
+    if type(n) is not int:
+        from operator import index
 
-    try:
-        n = index(value)
-    except TypeError:
-        n = None
+        try:
+            n = index(value)
+        except TypeError:
+            n = None
     if n is None or n < least:
         raise DomainError(f"integer {name} >= {least} required, got {value!r}")
     return n
